@@ -113,11 +113,12 @@ int main() {
     const std::vector<AABB> queries =
         gen.MakeQueries(&rng, kQueriesPerStep, 0.0011, 0.0018);
 
-    // Pin epoch 1 and capture its live answer: the repeatable-read
-    // baseline every later step must reproduce from the sidecar.
+    // Pin epoch 2 (step 1; ids start at 1) and capture its live
+    // answer: the repeatable-read baseline every later step must
+    // reproduce from the sidecar.
     backend->AdvanceStep();
     auto pinned = backend->PinEpoch(0);
-    if (!pinned.ok() || pinned.Value().epoch != 1) {
+    if (!pinned.ok() || pinned.Value().epoch != 2) {
       std::fprintf(stderr, "pin failed\n");
       return 1;
     }
@@ -145,7 +146,7 @@ int main() {
       PhaseStats pinned_stats;
       Timer pinned_timer;
       const Status replay =
-          backend->ExecuteAt(1, queries, &out, &pinned_stats);
+          backend->ExecuteAt(2, queries, &out, &pinned_stats);
       record.pinned_query_seconds = pinned_timer.ElapsedSeconds();
       record.pinned_page_accesses = pinned_stats.page_io.PageAccesses();
       record.parity_ok &= replay.ok();

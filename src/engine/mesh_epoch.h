@@ -2,7 +2,7 @@
 // Epoch identity of a dynamic mesh: every published position state of a
 // versioned backend carries one. Queries pin an epoch and execute
 // entirely against it (copy-on-write publication, see
-// sim/versioned_mesh.h), so a result set is always internally consistent
+// server/epoch_store.h), so a result set is always internally consistent
 // — no torn positions — while the spatial structures (surface index,
 // octree) stay stale per the paper's central claim. Lives at the engine
 // layer so batch results can carry it without depending on sim/ or

@@ -13,13 +13,10 @@
 // by a mutex and `total_recorded` is an atomic. The ring is bounded;
 // once full, each new record overwrites the oldest.
 //
-// Tracing is zero-cost when disabled, twice over:
-//   * compile time: building with -DOCTOPUS_TRACING_ENABLED=0 turns
-//     `Record` into an inlined constant-false branch (no ring, no
-//     stores);
-//   * run time: a ring of capacity 0 (serve --trace-ring 0) makes
-//     `enabled()` false and `Record` a single predictable branch —
-//     this is the knob bench_server prices (see check_perf_smoke.py).
+// Tracing is near zero-cost when disabled: a ring of capacity 0
+// (serve --trace-ring 0) makes `enabled()` false and `Record` a single
+// predictable branch — this is the knob bench_server prices (see
+// check_perf_smoke.py).
 #ifndef OCTOPUS_OBS_TRACE_H_
 #define OCTOPUS_OBS_TRACE_H_
 
@@ -30,10 +27,6 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-
-#ifndef OCTOPUS_TRACING_ENABLED
-#define OCTOPUS_TRACING_ENABLED 1
-#endif
 
 namespace octopus::obs {
 
@@ -72,25 +65,14 @@ class FlightRecorder {
   /// `capacity` slots; 0 disables recording entirely.
   explicit FlightRecorder(size_t capacity) : capacity_(capacity) {}
 
-  bool enabled() const {
-#if OCTOPUS_TRACING_ENABLED
-    return capacity_ != 0;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const { return capacity_ != 0; }
 
   /// Appends a record (overwriting the oldest once full), assigning and
   /// returning its trace id. Returns 0 without touching anything when
   /// tracing is disabled.
   uint64_t Record(const QueryTraceRecord& record) {
-#if OCTOPUS_TRACING_ENABLED
     if (capacity_ == 0) return 0;
     return RecordSlow(record);
-#else
-    (void)record;
-    return 0;
-#endif
   }
 
   /// The trace id the NEXT `Record` call will assign (0 when tracing is
@@ -101,12 +83,8 @@ class FlightRecorder {
   /// a Reserve and its Record: the serialization thread is the only
   /// caller of either.
   uint64_t ReserveId() const {
-#if OCTOPUS_TRACING_ENABLED
     return capacity_ == 0 ? 0
                           : total_.load(std::memory_order_relaxed) + 1;
-#else
-    return 0;
-#endif
   }
 
   size_t capacity() const { return capacity_; }

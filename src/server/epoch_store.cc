@@ -57,15 +57,11 @@ void EpochStore::Publish(PinnedEpochState state) {
   common::MutexLock lock(mu_);
   assert((ring_.empty() || state.info.epoch > ring_.back().info.epoch) &&
          "epoch ids must be strictly increasing");
+  assert(state.overlay != nullptr && "every epoch has an overlay");
   Entry entry;
   entry.info = state.info;
   entry.overlay = std::move(state.overlay);
-  entry.positions = std::move(state.positions);
-  entry.resident =
-      entry.overlay != nullptr ? entry.overlay->resident_bytes()
-      : entry.positions != nullptr
-          ? entry.positions->positions.size() * sizeof(Vec3)
-          : 0;
+  entry.resident = entry.overlay->resident_bytes();
   ring_.push_back(std::move(entry));
   last_publish_nanos_.store(SteadyNanos(), std::memory_order_release);
   if (journal_ != nullptr) {
@@ -79,7 +75,7 @@ std::optional<PinnedEpochState> EpochStore::PinNewest() const {
   common::MutexLock lock(mu_);
   if (ring_.empty()) return std::nullopt;
   const Entry& newest = ring_.back();
-  return PinnedEpochState{newest.info, newest.overlay, newest.positions};
+  return PinnedEpochState{newest.info, newest.overlay};
 }
 
 engine::EpochInfo EpochStore::CurrentInfo() const {
@@ -87,35 +83,10 @@ engine::EpochInfo EpochStore::CurrentInfo() const {
   return ring_.empty() ? engine::EpochInfo{} : ring_.back().info;
 }
 
-Result<PinnedEpochState> EpochStore::PinEpoch(
-    engine::EpochId id, storage::PageIOStats* reload_stats) {
+Result<PinnedEpochState> EpochStore::PinEpoch(engine::EpochId id) {
   common::MutexLock lock(mu_);
-  if (Entry* found = FindLocked(id)) {
-    Entry& entry = *found;
-    if (!entry.spilled || entry.overlay != nullptr ||
-        entry.spill_first == storage::kInvalidPageId) {
-      // Resident, sidecar-backed overlay, or the overlay-less initial
-      // epoch (the base snapshot is its state): hand it out as-is.
-      return PinnedEpochState{entry.info, entry.overlay, entry.positions};
-    }
-    // Spilled in-memory epoch: rematerialize the position array from
-    // the sidecar, transiently — it is NOT cached back, so memory stays
-    // O(window) between historical queries. (The reload runs under the
-    // ring mutex, briefly delaying a concurrent step; at monitoring
-    // batch rates that is noise, and it keeps publication trivially
-    // atomic.)
-    auto reloaded = std::make_shared<PositionEpoch>();
-    reloaded->info = entry.info;
-    reloaded->positions.resize(entry.spill_count);
-    const Status read = spill_->ReadPositions(
-        entry.spill_first, entry.spill_count, reloaded->positions.data(),
-        reload_stats);
-    if (!read.ok()) return read;
-    if (journal_ != nullptr) {
-      journal_->Emit(obs::EventKind::kEpochReloaded, id, 0,
-                     entry.spill_count);
-    }
-    return PinnedEpochState{entry.info, nullptr, std::move(reloaded)};
+  if (const Entry* entry = FindLocked(id)) {
+    return PinnedEpochState{entry->info, entry->overlay};
   }
   return Status::NotFound(
       "epoch " + std::to_string(id) +
@@ -181,13 +152,11 @@ void EpochStore::SpillOne(engine::EpochId id) {
   // Snapshot the state to write under the lock; the entry stays
   // resident (and queryable) while the I/O runs.
   std::shared_ptr<const storage::PositionOverlay> overlay;
-  std::shared_ptr<const PositionEpoch> positions;
   {
     Entry* entry = FindLocked(id);
     if (entry == nullptr || entry->spilled || entry->spilling) return;
     entry->spilling = true;
     overlay = entry->overlay;
-    positions = entry->positions;
   }
 
   mu_.Unlock();
@@ -196,8 +165,8 @@ void EpochStore::SpillOne(engine::EpochId id) {
   // two retention passes (stepper's Publish vs event loop's
   // ReleasePin) from interleaving appends.
   bool ok = true;
-  std::vector<storage::PageId> overlay_ids;
-  storage::PageId first = storage::kInvalidPageId;
+  std::vector<storage::PageId> overlay_ids(overlay->num_page_slots(),
+                                           storage::kInvalidPageId);
   uint64_t pages_before = 0;
   uint64_t bytes_before = 0;
   uint64_t pages_after = 0;
@@ -206,33 +175,21 @@ void EpochStore::SpillOne(engine::EpochId id) {
     common::MutexLock io_lock(spill_io_mu_);
     pages_before = spill_->pages_written();
     bytes_before = spill_->bytes_written();
-    if (overlay != nullptr) {
-      // Paged: append every memory-resident page (zero-padded to the
-      // writer's page size). The spilled_id carry-over keeps this
-      // total for overlays that already have sidecar-backed entries;
-      // note that pages *structurally shared in memory* between
-      // consecutive epochs are still appended once per spilled epoch —
-      // cross-epoch sidecar dedup (pointer->page map) is the ROADMAP'd
-      // compaction work, and the duplication costs disk, never
-      // correctness.
-      overlay_ids.assign(overlay->num_page_slots(),
-                         storage::kInvalidPageId);
-      for (uint64_t page = 0; ok && page < overlay_ids.size(); ++page) {
-        if (const std::byte* bytes = overlay->Lookup(page)) {
-          // Resident pages store entry bytes only; AppendPage zero-pads
-          // them back to the writer's full page size.
-          auto appended = spill_->AppendPage(std::span<const std::byte>(
-              bytes, overlay->resident_page_bytes(page)));
-          ok = appended.ok();
-          if (ok) overlay_ids[page] = appended.Value();
-        } else {
-          overlay_ids[page] = overlay->spilled_id(page);
-        }
+    // Append every memory-resident page (a resident overlay has no
+    // spilled ones). Pages *structurally shared in memory* between
+    // consecutive epochs are appended once per spilled epoch —
+    // cross-epoch sidecar dedup (pointer->page map) is the ROADMAP'd
+    // compaction work, and the duplication costs disk, never
+    // correctness.
+    for (uint64_t page = 0; ok && page < overlay_ids.size(); ++page) {
+      if (const std::byte* bytes = overlay->Lookup(page)) {
+        // Resident pages store entry bytes only; AppendPage zero-pads
+        // them back to the writer's full page size.
+        auto appended = spill_->AppendPage(std::span<const std::byte>(
+            bytes, overlay->resident_page_bytes(page)));
+        ok = appended.ok();
+        if (ok) overlay_ids[page] = appended.Value();
       }
-    } else {
-      auto appended = spill_->AppendPositions(positions->positions);
-      ok = appended.ok();
-      if (ok) first = appended.Value();
     }
     ok = ok && spill_->Sync().ok();
     pages_after = spill_->pages_written();
@@ -251,16 +208,10 @@ void EpochStore::SpillOne(engine::EpochId id) {
     entry->spill_failed = true;
     return;
   }
-  if (overlay != nullptr) {
-    // Swap in the disk-backed twin. Readers still holding the resident
-    // overlay drain naturally — copy-on-write all the way down.
-    entry->overlay = storage::PositionOverlay::SpilledTwin(
-        *overlay, std::move(overlay_ids), spill_->pool());
-  } else {
-    entry->spill_first = first;
-    entry->spill_count = positions->positions.size();
-    entry->positions.reset();
-  }
+  // Swap in the disk-backed twin. Readers still holding the resident
+  // overlay drain naturally — copy-on-write all the way down.
+  entry->overlay = storage::PositionOverlay::SpilledTwin(
+      *overlay, std::move(overlay_ids), spill_->pool());
   entry->spilled = true;
   entry->resident = 0;
   if (journal_ != nullptr) {
@@ -295,14 +246,6 @@ void EpochStore::EnforceRetention() {
       const bool over_count = resident_count > options_.retention_epochs;
       const bool over_bytes = resident_bytes > options_.retention_bytes;
       if (!over_count && !over_bytes) break;
-      if (entry.overlay == nullptr && entry.positions == nullptr) {
-        // The overlay-less initial epoch: its state is the base
-        // snapshot (or the static mesh); nothing resident to move.
-        entry.spilled = true;
-        entry.resident = 0;
-        --resident_count;
-        continue;
-      }
       if (spill_ == nullptr || entry.spill_failed) {
         if (entry.pins > 0) {
           // Pinned and unspillable: stays resident, exempt — and

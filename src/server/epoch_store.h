@@ -1,16 +1,16 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // The epoch retention layer: a bounded ring of recently published mesh
-// epochs. PR 4 made epochs fire-and-forget — each step's state was
-// reachable only until the next step replaced it, and a long run kept
-// no queryable history. The store turns "stale but live" into "stale,
-// live, *and* repeatable": the newest epochs stay memory-resident
-// (count- and byte-capped retention window), older epochs are spilled
-// to an on-disk `.oct2d` sidecar and transparently reloaded through a
-// byte-capped BufferManager when queried, and epochs past the history
-// cap are evicted entirely — unless a session pinned them, which exempts
-// them from eviction (never from spilling: pins cost disk, not memory)
-// until the pin is released or the session dies. Querying an
-// evicted-and-unpinned epoch is a typed EPOCH_GONE error, not silence.
+// epochs, each one a `PositionOverlay` (storage/delta_overlay.h) — the
+// single epoch representation of both backends. The store turns "stale
+// but live" into "stale, live, *and* repeatable": the newest epochs stay
+// memory-resident (count- and byte-capped retention window), older
+// epochs have their overlay pages spilled to an on-disk `.oct2d` sidecar
+// and read back through a byte-capped BufferManager when queried, and
+// epochs past the history cap are evicted entirely — unless a session
+// pinned them, which exempts them from eviction (never from spilling:
+// pins cost disk, not memory) until the pin is released or the session
+// dies. Querying an evicted-and-unpinned epoch is a typed EPOCH_GONE
+// error, not silence.
 //
 // Thread model: `Publish` belongs to the stepper (one at a time);
 // `PinNewest` / `PinEpoch` / `AddPin` / `ReleasePin` are safe from any
@@ -33,7 +33,6 @@
 #include "common/thread_annotations.h"
 #include "engine/mesh_epoch.h"
 #include "obs/event_journal.h"
-#include "sim/versioned_mesh.h"
 #include "storage/delta_overlay.h"
 #include "storage/epoch_spill.h"
 
@@ -44,7 +43,7 @@ struct EpochRetentionOptions {
   /// Epochs kept memory-resident, newest first. The serving hot path
   /// (current-epoch queries) never touches the sidecar. Must be >= 1.
   size_t retention_epochs = 8;
-  /// Byte cap on resident overlay/position memory: when the resident
+  /// Byte cap on resident overlay memory: when the resident
   /// epochs' bytes exceed it, the oldest are spilled early even inside
   /// the count window (the newest epoch is always exempt). Must be >= 1.
   size_t retention_bytes = 256u << 20;
@@ -64,13 +63,11 @@ struct EpochRetentionOptions {
 };
 
 /// \brief What a query pins: one epoch's identity plus its position
-/// state — a delta overlay (paged backend) or a full position buffer
-/// (in-memory backend). Plain value; the shared_ptrs keep the state
-/// alive and immutable for the duration of the batch.
+/// overlay (never null once published). Plain value; the shared_ptr
+/// keeps the overlay alive and immutable for the duration of the batch.
 struct PinnedEpochState {
   engine::EpochInfo info;
   std::shared_ptr<const storage::PositionOverlay> overlay;
-  std::shared_ptr<const PositionEpoch> positions;
 };
 
 /// \brief One ring entry as the `/epochs` introspection endpoint sees
@@ -100,8 +97,9 @@ struct EpochStoreView {
 
 class EpochStore {
  public:
-  /// `page_bytes` sizes the spill sidecar's pages (the snapshot's page
-  /// size on the paged backend; a default for in-memory).
+  /// `page_bytes` is the page size of the published overlays, which the
+  /// spill sidecar pages with too (the snapshot's page size on the
+  /// paged backend; a default for in-memory).
   EpochStore(uint32_t page_bytes, EpochRetentionOptions options);
   ~EpochStore();
 
@@ -127,14 +125,11 @@ class EpochStore {
   std::optional<PinnedEpochState> PinNewest() const;
   engine::EpochInfo CurrentInfo() const;
 
-  /// Pins epoch `id` for one batch: resident state is returned as-is;
-  /// a spilled paged epoch returns its sidecar-backed overlay (reads
-  /// price page I/O into the executing contexts' stats); a spilled
-  /// in-memory epoch is rematerialized transiently from the sidecar,
-  /// with the reload I/O counted into `reload_stats`. NotFound = the
-  /// epoch was evicted (or never existed): the EPOCH_GONE case.
-  Result<PinnedEpochState> PinEpoch(engine::EpochId id,
-                                    storage::PageIOStats* reload_stats);
+  /// Pins epoch `id` for one batch: its resident overlay, or once
+  /// spilled its sidecar-backed twin (whose reads price page I/O into
+  /// the reader's stats). NotFound = the epoch was evicted (or never
+  /// existed): the EPOCH_GONE case.
+  Result<PinnedEpochState> PinEpoch(engine::EpochId id);
 
   /// Session-pin accounting: a pinned epoch is exempt from eviction
   /// until every pin is released. Returns the pinned epoch's identity;
@@ -151,7 +146,7 @@ class EpochStore {
   Status ReleasePin(engine::EpochId id);
 
   // --- Observability (tests, bench, STATS) ---
-  /// Resident overlay/position bytes attributable to stored epochs
+  /// Resident overlay bytes attributable to stored epochs
   /// (per-epoch sum; structurally shared pages count once per epoch
   /// sharing them, an upper bound). The O(window) quantity.
   size_t resident_bytes() const;
@@ -176,16 +171,12 @@ class EpochStore {
   EpochStoreView View() const;
 
   const EpochRetentionOptions& options() const { return options_; }
+  uint32_t page_bytes() const { return page_bytes_; }
 
  private:
   struct Entry {
     engine::EpochInfo info;
     std::shared_ptr<const storage::PositionOverlay> overlay;
-    std::shared_ptr<const PositionEpoch> positions;
-    /// In-memory spill record: first sidecar page of the packed
-    /// position array (kInvalidPageId while resident) and its length.
-    storage::PageId spill_first = storage::kInvalidPageId;
-    size_t spill_count = 0;
     uint32_t pins = 0;
     bool spilled = false;
     /// A spill's disk I/O is in flight for this entry (the ring mutex
@@ -203,7 +194,7 @@ class EpochStore {
   /// I/O, so concurrent pins never wait out an fwrite — publication
   /// stays the O(1) pointer work the serving path was promised.
   void EnforceRetention() REQUIRES(mu_);
-  /// Writes one entry's state to the sidecar: snapshots it under the
+  /// Writes one entry's overlay to the sidecar: snapshots it under the
   /// lock, appends + syncs unlocked (serialized by `spill_io_mu_`),
   /// then relocks and installs the disk-backed twin — unless the entry
   /// was evicted meanwhile (its orphaned sidecar pages are the cost of

@@ -30,13 +30,6 @@ constexpr size_t kReadChunkBytes = 64 * 1024;
 /// (2 segments per query) plus a run of small inline frames.
 constexpr int kMaxIov = 64;
 
-/// Zero-copy RESULT encoding splices raw `std::vector<VertexId>` bytes
-/// onto the wire, which is only the wire format (little-endian u32 ids)
-/// when the host matches. Anything else falls back to the copying
-/// `AppendResult` — same bytes, one extra memcpy.
-constexpr bool kZeroCopyResults =
-    std::endian::native == std::endian::little && sizeof(VertexId) == 4;
-
 Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
@@ -406,15 +399,20 @@ void QueryServer::IoLoop(size_t index) {
       break;  // unrecoverable; fall through to the drain
     }
 
+    // Drain the wakeup counter BEFORE swapping the inbox. A message
+    // posted after the drain re-arms the eventfd; draining after the
+    // swap would swallow the wakeup of a message posted in between,
+    // leaving it stranded until the next socket event.
+    for (int i = 0; i < ready; ++i) {
+      if (events[i].data.fd != io.event_fd) continue;
+      uint64_t counter = 0;
+      while (read(io.event_fd, &counter, sizeof(counter)) > 0) {
+      }
+    }
     ProcessInbox(io, &draining);
     for (int i = 0; i < ready; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == io.event_fd) {
-        uint64_t counter = 0;
-        while (read(io.event_fd, &counter, sizeof(counter)) > 0) {
-        }
-        continue;
-      }
+      if (fd == io.event_fd) continue;
       auto it = io.by_fd.find(fd);
       if (it == io.by_fd.end()) continue;
       Session* session = it->second;
@@ -1184,15 +1182,16 @@ void QueryServer::DeliverCompleted(CompletedRequest done) {
     metrics_.errors_sent += 1;
   } else {
     Timer timer;
-    if constexpr (kZeroCopyResults) {
-      // Encode only header + stats + count words; the id vectors ride
-      // the frame by move and hit the socket as iovec segments.
-      AppendResultMeta(&frame.bytes, done.request_id, stats,
-                       done.per_query);
-      frame.vecs = std::move(done.per_query);
-    } else {
-      AppendResult(&frame.bytes, done.request_id, stats, done.per_query);
-    }
+    // Encode only header + stats + count words; the id vectors ride the
+    // frame by move and hit the socket as iovec segments. Raw
+    // `std::vector<VertexId>` bytes are the wire format (little-endian
+    // u32 ids) only on a matching host.
+    static_assert(std::endian::native == std::endian::little &&
+                      sizeof(VertexId) == 4,
+                  "zero-copy RESULT ids need a little-endian host and "
+                  "32-bit vertex ids");
+    AppendResultMeta(&frame.bytes, done.request_id, stats, done.per_query);
+    frame.vecs = std::move(done.per_query);
     // Clamped ≥ 1: the meta-only encode can beat the clock tick, and a
     // recorded serialization took nonzero time by definition.
     serialize_nanos = std::max<int64_t>(timer.ElapsedNanos(), 1);

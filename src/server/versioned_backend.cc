@@ -41,27 +41,6 @@ Status ReadAllPositions(const std::string& path,
   return Status::OK();
 }
 
-/// Mean edge length through the paged store (amplitude default when the
-/// spec left it unresolved): a bounded vertex sample read through a
-/// throwaway accessor.
-float EstimateMeanEdgeLengthPaged(const storage::PagedMeshStore& store,
-                                  std::span<const Vec3> positions) {
-  storage::PageIOStats scratch_stats;
-  storage::PagedMeshAccessor accessor(&store, &scratch_stats);
-  const size_t v_count = store.num_vertices();
-  const size_t stride = std::max<size_t>(1, v_count / 1024);
-  double total = 0.0;
-  size_t edges = 0;
-  for (size_t v = 0; v < v_count; v += stride) {
-    const Vec3 p = positions[v];
-    for (VertexId n : accessor.neighbors(static_cast<VertexId>(v))) {
-      total += Distance(p, positions[n]);
-      ++edges;
-    }
-  }
-  return edges == 0 ? 0.0f : static_cast<float>(total / edges);
-}
-
 }  // namespace
 
 Result<std::unique_ptr<VersionedBackend>> VersionedBackend::OpenMeshFile(
@@ -75,10 +54,10 @@ std::unique_ptr<VersionedBackend> VersionedBackend::FromMesh(TetraMesh mesh,
                                                              int threads) {
   std::unique_ptr<VersionedBackend> backend(new VersionedBackend(threads));
   backend->num_vertices_ = mesh.num_vertices();
-  backend->mesh_ = std::make_unique<VersionedMesh>(std::move(mesh));
+  backend->mesh_ = std::make_unique<TetraMesh>(std::move(mesh));
   // The one-time build the paper prices: after this the index is never
   // maintained, however many steps the mesh advances.
-  backend->surface_index_.Build(backend->mesh_->base());
+  backend->surface_index_.Build(*backend->mesh_);
   backend->contexts_.set_num_vertices(backend->num_vertices_);
   return backend;
 }
@@ -113,101 +92,77 @@ Status VersionedBackend::BindDeformer(const DeformerSpec& spec) {
   if (dynamic()) {
     return Status::InvalidArgument("a deformer is already bound");
   }
-  // The sidecar pages with the snapshot's geometry on the paged
-  // backend; in-memory picks the default (positions are packed into
-  // whatever page size the sidecar uses — it only talks to itself).
-  const uint32_t spill_page_bytes =
+  // Overlays (and the sidecar they spill to) page with the snapshot's
+  // geometry on the paged backend; in-memory picks the default.
+  const uint32_t epoch_page_bytes =
       page_bytes_ != 0 ? page_bytes_
                        : static_cast<uint32_t>(storage::kDefaultPageBytes);
   auto store =
-      std::make_unique<EpochStore>(spill_page_bytes, retention_options_);
+      std::make_unique<EpochStore>(epoch_page_bytes, retention_options_);
   OCTOPUS_RETURN_NOT_OK(store->Init());
   store->AttachJournal(journal_);
 
-  if (mesh_ != nullptr) {
-    OCTOPUS_RETURN_NOT_OK(mesh_->BindDeformer(spec));
-    store->Publish(
-        PinnedEpochState{engine::EpochInfo{1, 0}, nullptr, mesh_->Pin()});
-    store_ = std::move(store);
-    dynamic_.store(true, std::memory_order_release);
-    return Status::OK();
+  // The simulation array and the diff base. In memory the loaded mesh
+  // is both the array and the connectivity, and there is no base. Paged,
+  // the array is the snapshot's positions (the black-box solver's
+  // working copy, read once, not through the query pool) and the base
+  // is the snapshot itself.
+  float mean_edge_length = 0.0f;
+  if (paged_ != nullptr) {
+    OCTOPUS_RETURN_NOT_OK(ReadAllPositions(
+        snapshot_path_, paged_->store().header(), &base_positions_));
+    mesh_ = std::make_unique<TetraMesh>(base_positions_, std::vector<Tet>{});
+    storage::PageIOStats scratch_stats;
+    storage::PagedMeshAccessor accessor(&paged_->store(), &scratch_stats);
+    mean_edge_length = EstimateMeanEdgeLength(accessor);
+  } else {
+    mean_edge_length = EstimateMeanEdgeLength(*mesh_);
   }
-
-  // Paged path: materialize the simulation-side position state (the
-  // black-box solver's working copy), bind the deformer to it, and
-  // publish epoch 1 with no overlay (the base file IS the initial
-  // state; id 0 stays the wire's "current" sentinel).
-  const storage::SnapshotHeader& header = paged_->store().header();
-  std::vector<Vec3> positions;
-  OCTOPUS_RETURN_NOT_OK(
-      ReadAllPositions(snapshot_path_, header, &positions));
   DeformerSpec resolved = spec;
-  auto deformer = MakeDeformerResolving(
-      &resolved, EstimateMeanEdgeLengthPaged(paged_->store(), positions));
+  auto deformer = MakeDeformerResolving(&resolved, mean_edge_length);
   if (!deformer.ok()) return deformer.status();
+  deformer_ = deformer.MoveValue();
+  deformer_->Bind(*mesh_);
+  spec_ = resolved;
 
-  {
-    // Init-time write; no stepper exists yet, the lock is for the
-    // thread-safety analysis (the field is guarded by step_mu_).
-    common::MutexLock step_lock(step_mu_);
-    paged_prev_positions_ = positions;
-  }
-  paged_sim_mesh_ =
-      std::make_unique<TetraMesh>(std::move(positions), std::vector<Tet>{});
-  paged_deformer_ = deformer.MoveValue();
-  paged_deformer_->Bind(*paged_sim_mesh_);
-  paged_spec_ = resolved;
-  store->Publish(
-      PinnedEpochState{engine::EpochInfo{1, 0}, nullptr, nullptr});
+  // Epoch ids start at 1: the wire reserves 0 for "whatever is
+  // current", so id 1 keeps the initial (step-0) state addressable
+  // even after later steps supersede it.
+  store->Publish(PinnedEpochState{
+      engine::EpochInfo{1, 0},
+      storage::PositionOverlay::BuildNext(num_vertices_, epoch_page_bytes,
+                                          nullptr, base_positions_,
+                                          mesh_->positions(), nullptr)});
   store_ = std::move(store);
   dynamic_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
 DeformerKind VersionedBackend::deformer_kind() const {
-  if (!dynamic()) return DeformerKind::kNone;
-  return mesh_ != nullptr ? mesh_->deformer_kind() : paged_spec_.kind;
+  return dynamic() ? spec_.kind : DeformerKind::kNone;
 }
 
 engine::EpochInfo VersionedBackend::AdvanceStep() {
   assert(dynamic() && "AdvanceStep requires a bound deformer");
   common::MutexLock step_lock(step_mu_);
-
-  if (mesh_ != nullptr) {
-    const engine::EpochInfo info = mesh_->AdvanceStep();
-    if (journal_ != nullptr) {
-      journal_->Emit(obs::EventKind::kStepApplied, 0, 0, info.step, 0);
-    }
-    // Mirror the publication into the history store; the store is what
-    // queries (current and historical) actually read, so this is the
-    // externally visible publication point — one atomic swap inside.
-    store_->Publish(PinnedEpochState{info, nullptr, mesh_->Pin()});
-    return info;
-  }
-
   const std::optional<PinnedEpochState> prev = store_->PinNewest();
-  engine::EpochInfo info;
-  info.epoch = prev->info.epoch + 1;
-  info.step = prev->info.step + 1;
-  // SIMULATE: O(V) deformation of the live array, outside any lock the
-  // query path takes.
-  paged_deformer_->ApplyStep(static_cast<int>(info.step),
-                             paged_sim_mesh_.get());
-  // Delta pages: rewrite only position pages whose bytes changed;
-  // unchanged pages are shared with the previous epoch (or stay in the
-  // base file). Adjacency and surface pages are never touched.
+  const engine::EpochInfo info{prev->info.epoch + 1, prev->info.step + 1};
+  // SIMULATE: O(V) in-place deformation of the live array, outside any
+  // lock the query path takes (queries read published overlays only).
+  deformer_->ApplyStep(static_cast<int>(info.step), mesh_.get());
+  // Pages equal to the previous epoch's are shared with it; only
+  // changed pages get fresh bytes. Connectivity is never touched.
   size_t rewritten = 0;
   std::shared_ptr<const storage::PositionOverlay> overlay =
       storage::PositionOverlay::BuildNext(
-          paged_->store().header(), prev->overlay.get(),
-          paged_prev_positions_, paged_sim_mesh_->positions(), &rewritten);
-  paged_prev_positions_ = paged_sim_mesh_->positions();
+          num_vertices_, store_->page_bytes(), prev->overlay.get(),
+          base_positions_, mesh_->positions(), &rewritten);
   last_step_pages_rewritten_.store(rewritten, std::memory_order_release);
   if (journal_ != nullptr) {
     journal_->Emit(obs::EventKind::kStepApplied, 0, 0, info.step,
-                   rewritten);
+                   last_step_pages_rewritten());
   }
-  store_->Publish(PinnedEpochState{info, std::move(overlay), nullptr});
+  store_->Publish(PinnedEpochState{info, std::move(overlay)});
   return info;
 }
 
@@ -225,12 +180,29 @@ void VersionedBackend::ExecutePinned(const PinnedEpochState* pin,
                             pin != nullptr ? pin->overlay.get() : nullptr);
     *batch_stats = paged_->stats();
   } else {
-    const MeshGraphView graph = mesh_->PinnedGraph(
-        pin != nullptr ? pin->positions.get() : nullptr);
+    common::MutexLock lock(scratch_mu_);
+    MeshGraphView graph = mesh_->Graph();
+    storage::PageIOStats refill_io;
+    if (pin != nullptr) {
+      // The flat executor reads one array: refill it from the overlay
+      // only when the pinned overlay changes (once per step on the
+      // current-epoch path; resident pages are free memory copies).
+      if (scratch_source_ != pin->overlay) {
+        scratch_.resize(num_vertices_);
+        pin->overlay->CopyPositions(scratch_, &refill_io);
+        scratch_source_ = pin->overlay;
+        if (journal_ != nullptr && pin->overlay->spilled_pages() > 0) {
+          journal_->Emit(obs::EventKind::kEpochReloaded, pin->info.epoch,
+                         0, pin->overlay->spilled_pages());
+        }
+      }
+      graph.positions = scratch_;
+    }
     contexts_.ResetStats();
     ExecuteOctopusBatch(graph, surface_index_, octopus_options_, boxes,
                         out, engine_.pool(), &contexts_);
     *batch_stats = contexts_.stats();
+    batch_stats->page_io.Merge(refill_io);
   }
   if (pin != nullptr) {
     out->epoch = pin->info;
@@ -269,13 +241,9 @@ Status VersionedBackend::ExecuteAt(engine::EpochId wire_epoch,
         "epoch " + std::to_string(wire_epoch) +
         " is gone: a static server has only its load-time state");
   }
-  storage::PageIOStats reload_io;
-  auto pinned = store_->PinEpoch(wire_epoch, &reload_io);
+  auto pinned = store_->PinEpoch(wire_epoch);
   if (!pinned.ok()) return pinned.status();
   ExecutePinned(&pinned.Value(), boxes, out, batch_stats);
-  // Price the in-memory rematerialization (paged reloads already landed
-  // in the executing contexts' counters via the sidecar pool).
-  batch_stats->page_io.Merge(reload_io);
   return Status::OK();
 }
 

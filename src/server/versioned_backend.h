@@ -1,15 +1,17 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // The server's query backend, epoch-versioned with bounded history: one
 // OCTOPUS executor — in-memory mesh or paged OCT2 snapshot — plus,
-// optionally, a bound deformer that `AdvanceStep` drives. Every step
-// publishes a fresh position epoch copy-on-write (in-memory: a
-// position-buffer swap; paged: an OCT2 delta-page overlay that rewrites
-// only displaced-position pages) into an `EpochStore`: recent epochs
-// stay resident, older ones spill to a `.oct2d` sidecar and remain
-// queryable (`ExecuteAt`), and epochs past the history cap are evicted
-// unless pinned. The surface index built at load time is never touched —
-// the paper's stale-index claim, serving a mesh that moves *and*
-// remembers where it has been.
+// optionally, a bound deformer that `AdvanceStep` drives. Both backends
+// share one simulation side (the deformer advancing a positions array in
+// place) and one epoch representation: every step publishes a
+// `PositionOverlay` of the pages that differ from the previous epoch
+// into an `EpochStore`, where recent epochs stay resident, older ones
+// spill to a `.oct2d` sidecar and remain queryable (`ExecuteAt`), and
+// epochs past the history cap are evicted unless pinned. Paged queries
+// read through the overlay; in-memory queries read a flat copy of it,
+// refilled only when the pinned epoch changes. The surface index built
+// at load time is never touched — the paper's stale-index claim, serving
+// a mesh that moves *and* remembers where it has been.
 //
 // Thread model: `Execute`/`ExecuteAt`/`PinEpoch`/`UnpinEpoch` belong to
 // the event-loop thread; `AdvanceStep` may run on a dedicated stepper
@@ -34,8 +36,8 @@
 #include "octopus/paged_executor.h"
 #include "octopus/query_executor.h"
 #include "server/epoch_store.h"
+#include "sim/deformer.h"
 #include "sim/deformer_spec.h"
-#include "sim/versioned_mesh.h"
 #include "storage/delta_overlay.h"
 
 namespace octopus::server {
@@ -70,10 +72,10 @@ class VersionedBackend {
   Status ConfigureRetention(const EpochRetentionOptions& options);
 
   /// Binds the spec'd deformer, making the backend dynamic: the epoch
-  /// store is created, epoch 0 (the state the index was built from) is
-  /// published and `AdvanceStep` becomes available. An unresolved
-  /// amplitude (0) is derived from the mesh. Call before serving; at
-  /// most once.
+  /// store is created, epoch 1 (step 0, the state the index was built
+  /// from) is published and `AdvanceStep` becomes available. An
+  /// unresolved amplitude (0) is derived from the mesh. Call before
+  /// serving; at most once.
   Status BindDeformer(const DeformerSpec& spec);
 
   /// Points lifecycle events (step applied here; epoch lifecycle in the
@@ -90,19 +92,21 @@ class VersionedBackend {
   DeformerKind deformer_kind() const;
 
   /// SIMULATE phase: advances the bound deformer one step and publishes
-  /// the new positions as a fresh epoch (copy-on-write; on the paged
-  /// backend only displaced-position delta pages are rewritten), then
-  /// lets the store enforce retention (spill + evict). Requires
-  /// `dynamic()`. Serialized internally; safe concurrently with
-  /// `Execute`.
+  /// the new positions as a fresh overlay (copy-on-write: pages equal to
+  /// the previous epoch's are shared), then lets the store enforce
+  /// retention (spill + evict). Requires `dynamic()`. Serialized
+  /// internally; safe concurrently with `Execute`.
   engine::EpochInfo AdvanceStep();
 
   engine::EpochInfo CurrentEpoch() const;
 
-  /// Position pages rewritten by the most recent step (paged backends;
-  /// always 0 in-memory).
+  /// Snapshot position pages superseded by the most recent step: 0 in
+  /// memory, where there is no snapshot (every overlay there is a full
+  /// copy of the live array, not a delta of a file).
   uint64_t last_step_pages_rewritten() const {
-    return last_step_pages_rewritten_.load(std::memory_order_acquire);
+    return paged() ? last_step_pages_rewritten_.load(
+                         std::memory_order_acquire)
+                   : 0;
   }
 
   /// Executes one coalesced batch against the pinned current epoch.
@@ -148,34 +152,47 @@ class VersionedBackend {
   explicit VersionedBackend(int threads)
       : engine_(engine::QueryEngineOptions{.threads = threads}) {}
 
-  /// Runs `boxes` against one pinned epoch state (current or
-  /// historical) on whichever executor this backend owns.
+  /// Runs `boxes` against one pinned epoch (current or historical; null
+  /// = the static load-time state) on whichever executor this backend
+  /// owns.
   void ExecutePinned(const PinnedEpochState* pin,
                      std::span<const AABB> boxes,
                      engine::QueryBatchResult* out,
                      PhaseStats* batch_stats);
 
   engine::QueryEngine engine_;
-  // Exactly one of the two backends is set.
-  // In-memory: the versioned mesh owns connectivity, live positions and
-  // the deformer; the executor state (stale surface index + per-shard
-  // contexts) is built once at load and shared by every epoch.
-  std::unique_ptr<VersionedMesh> mesh_;
+  // Exactly one executor is set.
+  // In-memory: the stale surface index and per-shard contexts, built
+  // once at load over `mesh_` and shared by every epoch.
   OctopusOptions octopus_options_;
   SurfaceIndex surface_index_;
   mutable engine::ContextPool contexts_;
-  // Paged: the stale snapshot executor plus the live simulation
-  // positions the bound deformer advances (the monitoring side reads
-  // through the pool + overlay; this array is the simulation black box).
+  // Paged: the stale snapshot executor.
   std::unique_ptr<PagedOctopus> paged_;
   std::string snapshot_path_;
-  DeformerSpec paged_spec_;
-  std::unique_ptr<Deformer> paged_deformer_;
-  std::unique_ptr<TetraMesh> paged_sim_mesh_;  // positions only, no tets
-  common::Mutex step_mu_;  // serializes AdvanceStep (both backends)
-  /// The previous step's positions — the delta diff base. Owned by the
-  /// stepper; queries never read it.
-  std::vector<Vec3> paged_prev_positions_ GUARDED_BY(step_mu_);
+
+  // Simulation side. `mesh_` is the array the deformer advances in
+  // place: in memory the loaded mesh itself (also the executor's
+  // connectivity), paged a positions-only mesh read from the snapshot
+  // at bind. Queries never read its positions once a deformer is bound.
+  std::unique_ptr<TetraMesh> mesh_;
+  DeformerSpec spec_;  ///< resolved amplitude; set once by BindDeformer
+  std::unique_ptr<Deformer> deformer_;
+  /// The overlays' diff base: the snapshot's positions (paged), or
+  /// empty in memory, where every overlay covers every page.
+  std::vector<Vec3> base_positions_;
+  common::Mutex step_mu_;  // serializes AdvanceStep
+
+  // In-memory read side: one flat copy of the overlay `scratch_source_`
+  // (null = none yet). The tag is the overlay itself, held so its
+  // identity cannot be recycled: a spilled epoch's sidecar twin is a new
+  // overlay, so reading it again is a priced reload. Only the scheduler
+  // thread executes, so the lock is uncontended; it makes that
+  // ownership checkable.
+  common::Mutex scratch_mu_;
+  std::vector<Vec3> scratch_ GUARDED_BY(scratch_mu_);
+  std::shared_ptr<const storage::PositionOverlay> scratch_source_
+      GUARDED_BY(scratch_mu_);
 
   /// Epoch history: publication, retention, spill, pins. The store's
   /// single mutex makes every publication one atomic swap as observed

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <utility>
 
+#include "storage/snapshot.h"
+
 namespace octopus::storage {
 
 size_t PositionOverlay::resident_bytes() const {
@@ -35,19 +37,40 @@ bool PositionOverlay::ReadBytes(uint64_t index, size_t offset, size_t len,
   return false;
 }
 
+void PositionOverlay::CopyPositions(std::span<Vec3> out,
+                                    PageIOStats* stats) const {
+  const size_t per_page = positions_per_page_;
+  for (size_t page = 0, begin = 0; begin < out.size();
+       ++page, begin += per_page) {
+    const size_t bytes =
+        std::min(per_page, out.size() - begin) * sizeof(Vec3);
+    if (const std::byte* resident = Lookup(page)) {
+      assert(resident_page_bytes(page) == bytes && "page geometry mismatch");
+      std::memcpy(out.data() + begin, resident, bytes);
+      continue;
+    }
+    [[maybe_unused]] const bool covered =
+        ReadBytes(page, 0, bytes, out.data() + begin, stats);
+    assert(covered && "a full overlay covers every page");
+  }
+}
+
 std::shared_ptr<const PositionOverlay> PositionOverlay::BuildNext(
-    const SnapshotHeader& header, const PositionOverlay* prev,
-    std::span<const Vec3> old_positions,
-    std::span<const Vec3> new_positions, size_t* pages_rewritten) {
-  assert(old_positions.size() == header.num_vertices &&
-         new_positions.size() == header.num_vertices &&
-         "position arrays must match the snapshot");
-  const size_t per_page = header.PositionsPerPage();
+    size_t num_vertices, size_t page_bytes, const PositionOverlay* prev,
+    std::span<const Vec3> base, std::span<const Vec3> positions,
+    size_t* pages_rewritten) {
+  assert(positions.size() == num_vertices &&
+         (base.empty() || base.size() == num_vertices) &&
+         "position arrays must match the vertex count");
+  assert((prev == nullptr || prev->spilled_.empty()) &&
+         "the previous epoch is the newest, which is never spilled");
+  const size_t per_page = page_bytes / sizeof(Vec3);
   const uint64_t num_pages =
-      PagesForEntries(header.num_vertices, sizeof(Vec3), header.page_bytes);
+      PagesForEntries(num_vertices, sizeof(Vec3), page_bytes);
 
   auto overlay = std::make_shared<PositionOverlay>();
   overlay->pages_.resize(num_pages);
+  overlay->positions_per_page_ = per_page;
   size_t rewritten = 0;
   for (uint64_t page = 0; page < num_pages; ++page) {
     const size_t begin = page * per_page;
@@ -55,33 +78,27 @@ std::shared_ptr<const PositionOverlay> PositionOverlay::BuildNext(
     // real entry bytes — the zero pad the OCT2 writer emits past them
     // is implicit, never garbage, so an unchanged tail page is never
     // spuriously rewritten.
-    const size_t count =
-        std::min<size_t>(per_page, header.num_vertices - begin);
-    const bool changed =
-        std::memcmp(old_positions.data() + begin,
-                    new_positions.data() + begin, count * sizeof(Vec3)) != 0;
-    if (!changed) {
-      // Share the previous epoch's bytes — resident or spilled — (no
-      // entry at all = base file still valid).
-      if (prev != nullptr && page < prev->pages_.size() &&
-          prev->pages_[page] != nullptr) {
-        overlay->pages_[page] = prev->pages_[page];
-      } else if (prev != nullptr && page < prev->spilled_.size() &&
-                 prev->spilled_[page] != kInvalidPageId) {
-        if (overlay->spilled_.empty()) {
-          overlay->spilled_.assign(num_pages, kInvalidPageId);
-          overlay->spill_pool_ = prev->spill_pool_;
-        }
-        overlay->spilled_[page] = prev->spilled_[page];
+    const size_t bytes =
+        std::min<size_t>(per_page, num_vertices - begin) * sizeof(Vec3);
+    const auto* fresh =
+        reinterpret_cast<const std::byte*>(positions.data() + begin);
+    // Diff against what a reader of the previous epoch sees on this
+    // page: prev's bytes where it covers the page, else the base.
+    if (prev != nullptr && page < prev->pages_.size() &&
+        prev->pages_[page] != nullptr) {
+      const std::shared_ptr<const PageBytes>& prev_page = prev->pages_[page];
+      assert(prev_page->size() == bytes && "page geometry mismatch");
+      if (std::memcmp(prev_page->data(), fresh, bytes) == 0) {
+        overlay->pages_[page] = prev_page;  // shared, copy-on-write
+        continue;
       }
-      continue;
+    } else if (!base.empty() &&
+               std::memcmp(base.data() + begin, fresh, bytes) == 0) {
+      continue;  // the base is still valid
     }
     // Serialize exactly like the OCT2 writer: packed entries (the zero
     // tail materializes only when the page is spilled to disk).
-    auto bytes = std::make_shared<PageBytes>(count * sizeof(Vec3));
-    std::memcpy(bytes->data(), new_positions.data() + begin,
-                count * sizeof(Vec3));
-    overlay->pages_[page] = std::move(bytes);
+    overlay->pages_[page] = std::make_shared<PageBytes>(fresh, fresh + bytes);
     ++rewritten;
   }
   if (pages_rewritten != nullptr) *pages_rewritten = rewritten;
@@ -89,15 +106,20 @@ std::shared_ptr<const PositionOverlay> PositionOverlay::BuildNext(
 }
 
 std::shared_ptr<const PositionOverlay> PositionOverlay::SpilledTwin(
-    [[maybe_unused]] const PositionOverlay& src,
-    std::vector<PageId> sidecar_ids, std::shared_ptr<BufferManager> pool) {
-  assert(sidecar_ids.size() ==
-             std::max(src.pages_.size(), src.spilled_.size()) &&
-         "one sidecar id slot per overlay page");
+    const PositionOverlay& src, std::vector<PageId> sidecar_ids,
+    std::shared_ptr<BufferManager> pool) {
+  assert(src.spilled_.empty() && sidecar_ids.size() == src.pages_.size() &&
+         "a resident overlay, one sidecar id slot per page");
   auto overlay = std::make_shared<PositionOverlay>();
-  overlay->pages_.resize(sidecar_ids.size());  // all null: nothing resident
+  overlay->pages_.resize(sidecar_ids.size());
+  for (size_t page = 0; page < src.pages_.size(); ++page) {
+    if (sidecar_ids[page] == kInvalidPageId) {
+      overlay->pages_[page] = src.pages_[page];
+    }
+  }
   overlay->spilled_ = std::move(sidecar_ids);
-  overlay->spill_pool_ = std::move(pool);
+  overlay->positions_per_page_ = src.positions_per_page_;
+  if (overlay->spilled_pages() > 0) overlay->spill_pool_ = std::move(pool);
   return overlay;
 }
 

@@ -1,12 +1,18 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
-// OCT2 delta pages: the out-of-core face of mesh dynamism. A snapshot
-// file is the frozen state of one simulation step; advancing an epoch
-// must not rewrite it — adjacency, CSR offsets and the surface list are
-// untouched by deformation, and only the *position* pages whose content
-// actually changed need fresh bytes. A `PositionOverlay` is the
-// immutable set of those rewritten pages for one epoch: readers check it
-// before the buffer pool, epochs share unchanged pages structurally
-// (copy-on-write), and the base file stays the step-0 source of truth.
+// Position epochs as delta pages: the one representation of a published
+// epoch on both backends. Deformation moves vertices but never touches
+// connectivity, so an epoch is fully described by the position pages
+// that differ from a base. A `PositionOverlay` is the immutable set of
+// those pages for one epoch: epochs share unchanged pages structurally
+// (copy-on-write) and readers fall back to the base for pages the
+// overlay does not cover.
+//
+// On the paged backend the base is the OCT2 snapshot, the step-0
+// source of truth, and a step rewrites only the position pages whose
+// bytes changed; paged readers consult the overlay before the buffer
+// pool. In memory there is no base file (the mesh array is the live
+// simulation state), so every overlay covers every page, and the
+// executor reads a flat copy (`CopyPositions`).
 //
 // An overlay's pages live in one of two places: in memory (the hot,
 // recent epochs) or in an on-disk spill sidecar reached through a
@@ -26,20 +32,20 @@
 #include "common/vec3.h"
 #include "storage/buffer_manager.h"
 #include "storage/page.h"
-#include "storage/snapshot.h"
 
 namespace octopus::storage {
 
 /// \brief Immutable per-epoch overlay of rewritten position pages.
 ///
-/// Entry `i` covers absolute page `positions_start_page + i`; an entry
-/// with no bytes (memory or spilled) means "read the base snapshot (or,
-/// transitively, nothing ever rewrote this page)". Page content is
-/// byte-identical to what an OCT2 writer would emit for the same
-/// positions (entries never straddle a page, zero-padded tail), so
-/// overlay reads and base reads are interchangeable. Resident pages
-/// store only their entry bytes (the zero pad is implicit), so
-/// `resident_bytes` counts actual data, not page capacity.
+/// Entry `i` covers position page `i` (on the paged backend, absolute
+/// snapshot page `positions_start_page + i`); an entry with no bytes
+/// (memory or spilled) means "read the base snapshot (or, transitively,
+/// nothing ever rewrote this page)". Page content is byte-identical to
+/// what an OCT2 writer would emit for the same positions (entries never
+/// straddle a page, zero-padded tail), so overlay reads and base reads
+/// are interchangeable. Resident pages store only their entry bytes (the
+/// zero pad is implicit), so `resident_bytes` counts actual data, not
+/// page capacity.
 class PositionOverlay {
  public:
   using PageBytes = std::vector<std::byte>;
@@ -113,27 +119,34 @@ class PositionOverlay {
                : 0;
   }
 
-  /// Derives the next epoch's overlay: compares `old_positions` (the
-  /// previous epoch's state, which `prev` is consistent with) against
-  /// `new_positions` page by page, serializes fresh bytes for changed
-  /// pages and shares `prev`'s entries for unchanged ones. Returns the
-  /// overlay plus, via `pages_rewritten`, how many pages got fresh
-  /// bytes this step — the delta the paper's out-of-core story prices.
-  /// `prev` may be null (first step) and may itself be partially
-  /// spilled (unchanged spilled pages stay spilled in the result).
-  /// Position counts must match the header's `num_vertices`.
-  static std::shared_ptr<const PositionOverlay> BuildNext(
-      const SnapshotHeader& header, const PositionOverlay* prev,
-      std::span<const Vec3> old_positions,
-      std::span<const Vec3> new_positions, size_t* pages_rewritten);
+  /// Copies the whole epoch into `out` (one entry per vertex). Resident
+  /// pages are plain memory copies and count nothing; spilled pages read
+  /// through the sidecar pool and price their I/O into `stats`. The
+  /// overlay must cover every page — true of in-memory epochs, whose
+  /// diff base is empty.
+  void CopyPositions(std::span<Vec3> out, PageIOStats* stats) const;
 
-  /// Builds the disk-backed twin of `src`: every page `src` covers is
-  /// recorded as spilled at the caller-provided sidecar page id
-  /// (`sidecar_ids[i]` for overlay page `i`, `kInvalidPageId` where
-  /// `src` has no bytes), served through `pool` on read. The twin holds
-  /// no resident bytes — callers swap it in for `src` and let readers
-  /// still holding `src` drain naturally (copy-on-write, like the
-  /// overlays themselves).
+  /// Derives the next epoch's overlay for `positions` (`num_vertices`
+  /// entries packed `page_bytes / 12` to a page, like an OCT2 positions
+  /// section). Each page is compared with `prev`'s bytes where `prev`
+  /// covers it, else with `base`: equal pages are shared with `prev`
+  /// (or left to the base), changed ones get fresh bytes. `prev` is the
+  /// newest epoch, which retention never spills, so it must be fully
+  /// resident; it may be null (the first epoch). An empty `base` means
+  /// there is none: every page `prev` does not cover is fresh. Returns
+  /// the overlay plus, via `pages_rewritten`, how many pages got fresh
+  /// bytes this step — the delta the paper's out-of-core story prices.
+  static std::shared_ptr<const PositionOverlay> BuildNext(
+      size_t num_vertices, size_t page_bytes, const PositionOverlay* prev,
+      std::span<const Vec3> base, std::span<const Vec3> positions,
+      size_t* pages_rewritten);
+
+  /// Builds the disk-backed twin of `src`: page `i` is recorded as
+  /// spilled at the caller-provided sidecar page id `sidecar_ids[i]`,
+  /// served through `pool` on read; where the id is `kInvalidPageId`
+  /// the twin keeps `src`'s resident bytes (if any). Callers swap the
+  /// twin in for `src` and let readers still holding `src` drain
+  /// naturally (copy-on-write, like the overlays themselves).
   static std::shared_ptr<const PositionOverlay> SpilledTwin(
       const PositionOverlay& src, std::vector<PageId> sidecar_ids,
       std::shared_ptr<BufferManager> pool);
@@ -145,6 +158,7 @@ class PositionOverlay {
   std::vector<PageId> spilled_;
   /// Read pool over the spill sidecar; set iff any page is spilled.
   std::shared_ptr<BufferManager> spill_pool_;
+  size_t positions_per_page_ = 0;
 };
 
 }  // namespace octopus::storage

@@ -1,7 +1,6 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 #include "storage/epoch_spill.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -97,34 +96,6 @@ Status EpochSpillFile::Sync() {
     return Status::IOError("spill flush failed: " + path_);
   }
   pool_->ExtendTo(next_page_);
-  return Status::OK();
-}
-
-Result<PageId> EpochSpillFile::AppendPositions(
-    std::span<const Vec3> positions) {
-  const size_t per_page = page_bytes_ / sizeof(Vec3);
-  const PageId first = static_cast<PageId>(next_page_);
-  for (size_t done = 0; done < positions.size();) {
-    const size_t chunk = std::min(per_page, positions.size() - done);
-    auto page_span = std::span<const std::byte>(
-        reinterpret_cast<const std::byte*>(positions.data() + done),
-        chunk * sizeof(Vec3));
-    auto appended = AppendPage(page_span);
-    if (!appended.ok()) return appended.status();
-    done += chunk;
-  }
-  return first;
-}
-
-Status EpochSpillFile::ReadPositions(PageId first, size_t count, Vec3* out,
-                                     PageIOStats* stats) const {
-  const size_t per_page = page_bytes_ / sizeof(Vec3);
-  PageId page = first;
-  for (size_t done = 0; done < count; ++page) {
-    const size_t chunk = std::min(per_page, count - done);
-    pool_->CopyOut(page, 0, chunk * sizeof(Vec3), out + done, stats);
-    done += chunk;
-  }
   return Status::OK();
 }
 

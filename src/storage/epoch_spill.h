@@ -1,12 +1,12 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // The epoch spill sidecar (`.oct2d`): an append-only paged file that
-// holds delta-overlay pages (and, for in-memory backends, whole
-// position arrays) of epochs evicted from the retention window. The
-// base OCT2 snapshot stays the step-0 source of truth and is never
-// written; the sidecar is a cache of *history* — created per serving
-// run, deleted on close — whose pages are read back on demand through
-// a byte-capped `BufferManager`, so reloading a spilled epoch costs
-// measurable page I/O instead of resident memory.
+// holds the overlay pages of epochs that left the retention window —
+// one format for both backends, since every epoch is a
+// `PositionOverlay`. The base OCT2 snapshot stays the step-0 source of
+// truth and is never written; the sidecar is a cache of *history* —
+// created per serving run, deleted on close — whose pages are read back
+// on demand through a byte-capped `BufferManager`, so reloading a
+// spilled epoch costs measurable page I/O instead of resident memory.
 //
 // Layout: page 0 is a small header ("OC2D", version, page size);
 // spilled pages are appended after it, each zero-padded to the page
@@ -21,7 +21,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "common/vec3.h"
 #include "storage/buffer_manager.h"
 #include "storage/file_util.h"
 #include "storage/page.h"
@@ -56,17 +55,6 @@ class EpochSpillFile {
 
   /// Flushes appended pages and extends the read pool over them.
   Status Sync();
-
-  /// Appends a whole position array (packed per page like an OCT2
-  /// positions section) and returns the first sidecar page id. Used by
-  /// the in-memory backend, whose epochs are full arrays, not deltas.
-  Result<PageId> AppendPositions(std::span<const Vec3> positions);
-
-  /// Reads back `count` positions starting at sidecar page `first`
-  /// through the pool (page I/O lands in `stats` — the reload cost the
-  /// epoch-history bench prices).
-  Status ReadPositions(PageId first, size_t count, Vec3* out,
-                       PageIOStats* stats) const;
 
   const std::shared_ptr<BufferManager>& pool() const { return pool_; }
   uint32_t page_bytes() const { return page_bytes_; }

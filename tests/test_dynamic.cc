@@ -1,7 +1,7 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // The dynamic dimension, end to end: epoch-versioned backends serving
 // queries while a deformer advances the mesh. Copy-on-write epoch
-// semantics (pinned buffers never change), OCT2 delta pages (a step
+// semantics (pinned epochs never change), OCT2 delta pages (a step
 // rewrites only displaced-position pages), K-step epoch parity between
 // remote execution and the in-process engine on the same deformer
 // trajectory — for both backends and 1/4 threads — and torn-read
@@ -30,7 +30,6 @@
 #include "server/versioned_backend.h"
 #include "sim/deformer_spec.h"
 #include "sim/random_deformer.h"
-#include "sim/versioned_mesh.h"
 #include "sim/workload.h"
 #include "storage/delta_overlay.h"
 #include "test_util.h"
@@ -101,44 +100,79 @@ std::unique_ptr<RemoteClient> MustConnect(uint16_t port) {
 
 // --- Copy-on-write epoch semantics ---
 
-TEST(VersionedMeshTest, PinnedEpochsAreImmutableAcrossSteps) {
-  VersionedMesh versioned(MakeBox(5));
-  EXPECT_FALSE(versioned.dynamic());
-  EXPECT_EQ(versioned.Pin(), nullptr);  // static: zero-overhead path
-
-  ASSERT_TRUE(
-      versioned.BindDeformer(ParitySpec(DeformerKind::kRandom)).ok());
-  ASSERT_TRUE(versioned.dynamic());
-  const auto pin0 = versioned.Pin();
-  ASSERT_NE(pin0, nullptr);
-  EXPECT_EQ(pin0->info, (engine::EpochInfo{1, 0}));
-  const std::vector<Vec3> epoch0_positions = pin0->positions;
-
-  const engine::EpochInfo info1 = versioned.AdvanceStep();
-  EXPECT_EQ(info1, (engine::EpochInfo{2, 1}));
-  EXPECT_EQ(versioned.CurrentEpoch(), info1);
-
-  // The buffer pinned before the step is bit-identical afterwards:
-  // copy-on-write, not in-place mutation.
-  ASSERT_EQ(pin0->positions.size(), epoch0_positions.size());
-  for (size_t v = 0; v < epoch0_positions.size(); ++v) {
-    EXPECT_EQ(pin0->positions[v].x, epoch0_positions[v].x);
-    EXPECT_EQ(pin0->positions[v].y, epoch0_positions[v].y);
-    EXPECT_EQ(pin0->positions[v].z, epoch0_positions[v].z);
+/// A pinned epoch answers bit-identically however far the mesh moves on
+/// (even after it spilled to the sidecar); published ids start at 1;
+/// a second deformer is refused.
+void RunPinnedEpochImmutability(bool paged) {
+  const TetraMesh mesh = MakeBox(5);
+  std::unique_ptr<VersionedBackend> backend;
+  std::string path;
+  if (paged) {
+    path = ::testing::TempDir() + "/immutable.oct2";
+    ASSERT_TRUE(SaveSnapshot(mesh, path,
+                             storage::SnapshotOptions{.page_bytes = 256})
+                    .ok());
+    auto opened =
+        VersionedBackend::OpenSnapshot(path, /*pool_bytes=*/64 * 1024, 1);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    backend = opened.MoveValue();
+  } else {
+    backend = VersionedBackend::FromMesh(mesh, 1);
   }
+  EXPECT_FALSE(backend->dynamic());
+  EXPECT_EQ(backend->CurrentEpoch(), engine::EpochInfo{});  // static
 
-  // The new epoch actually moved (a random deformer displaces ~all).
-  const auto pin1 = versioned.Pin();
-  ASSERT_EQ(pin1->info.epoch, 2u);
-  size_t moved = 0;
-  for (size_t v = 0; v < pin1->positions.size(); ++v) {
-    if (pin1->positions[v].x != epoch0_positions[v].x) ++moved;
-  }
-  EXPECT_GT(moved, pin1->positions.size() / 2);
+  server::EpochRetentionOptions retention;
+  retention.retention_epochs = 2;
+  retention.spill_path = ::testing::TempDir() + "/immutable_" +
+                         (paged ? "p" : "m") + ".oct2d";
+  ASSERT_TRUE(backend->ConfigureRetention(retention).ok());
+  DeformerSpec spec = ParitySpec(DeformerKind::kRandom);
+  spec.amplitude = 0.08f;  // a third of an edge: answers must change
+  ASSERT_TRUE(backend->BindDeformer(spec).ok());
+  ASSERT_TRUE(backend->dynamic());
+  EXPECT_EQ(backend->CurrentEpoch(), (engine::EpochInfo{1, 0}));
+  auto pinned = backend->PinEpoch(0);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(pinned.Value(), (engine::EpochInfo{1, 0}));
 
-  // Rebinding is refused.
-  EXPECT_FALSE(
-      versioned.BindDeformer(ParitySpec(DeformerKind::kWave)).ok());
+  QueryGenerator gen(mesh);
+  Rng rng(0x1A1);
+  const std::vector<AABB> queries = gen.MakeQueries(&rng, 12, 0.02, 0.1);
+  engine::QueryBatchResult before;
+  PhaseStats stats;
+  backend->Execute(queries, &before, &stats);
+  EXPECT_EQ(before.epoch, (engine::EpochInfo{1, 0}));
+
+  EXPECT_EQ(backend->AdvanceStep(), (engine::EpochInfo{2, 1}));
+  EXPECT_EQ(backend->CurrentEpoch(), (engine::EpochInfo{2, 1}));
+  for (int s = 0; s < 4; ++s) backend->AdvanceStep();
+
+  // The mesh really moved: the current epoch answers differently.
+  engine::QueryBatchResult current;
+  backend->Execute(queries, &current, &stats);
+  EXPECT_EQ(current.epoch, (engine::EpochInfo{6, 5}));
+  EXPECT_NE(current.per_query, before.per_query);
+
+  // The pinned epoch, spilled by now, answers exactly as it did while
+  // it was current: copy-on-write, not in-place mutation.
+  EXPECT_GT(backend->epoch_store()->spilled_epochs(), 0u);
+  engine::QueryBatchResult replay;
+  ASSERT_TRUE(backend->ExecuteAt(1, queries, &replay, &stats).ok());
+  EXPECT_EQ(replay.epoch, (engine::EpochInfo{1, 0}));
+  EXPECT_EQ(replay.per_query, before.per_query);
+
+  EXPECT_FALSE(backend->BindDeformer(ParitySpec(DeformerKind::kWave)).ok());
+  backend.reset();
+  if (!path.empty()) std::remove(path.c_str());
+}
+
+TEST(VersionedBackendTest, PinnedEpochsAreImmutableAcrossStepsInMemory) {
+  RunPinnedEpochImmutability(/*paged=*/false);
+}
+
+TEST(VersionedBackendTest, PinnedEpochsAreImmutableAcrossStepsPaged) {
+  RunPinnedEpochImmutability(/*paged=*/true);
 }
 
 // --- OCT2 delta pages ---
@@ -158,13 +192,14 @@ TEST(DeltaOverlayTest, StepRewritesOnlyDisplacedPositionPages) {
   ASSERT_GT(position_pages, 2u);
 
   // Step 1: displace exactly one vertex -> exactly one page rewritten.
-  std::vector<Vec3> old_positions = mesh.positions();
-  std::vector<Vec3> new_positions = old_positions;
+  std::vector<Vec3> base = mesh.positions();
+  std::vector<Vec3> new_positions = base;
   const size_t victim = per_page + 1;  // lives in position page 1
   new_positions[victim] += Vec3(0.5f, 0, 0);
   size_t rewritten = 0;
   auto overlay1 = storage::PositionOverlay::BuildNext(
-      h, nullptr, old_positions, new_positions, &rewritten);
+      h.num_vertices, h.page_bytes, nullptr, base, new_positions,
+      &rewritten);
   EXPECT_EQ(rewritten, 1u);
   EXPECT_EQ(overlay1->resident_pages(), 1u);
   EXPECT_EQ(overlay1->Lookup(0), nullptr);
@@ -181,7 +216,8 @@ TEST(DeltaOverlayTest, StepRewritesOnlyDisplacedPositionPages) {
   std::vector<Vec3> step2 = new_positions;
   step2[0] += Vec3(0, 0.25f, 0);
   auto overlay2 = storage::PositionOverlay::BuildNext(
-      h, overlay1.get(), new_positions, step2, &rewritten);
+      h.num_vertices, h.page_bytes, overlay1.get(), base, step2,
+      &rewritten);
   EXPECT_EQ(rewritten, 1u);
   EXPECT_EQ(overlay2->resident_pages(), 2u);
   EXPECT_EQ(overlay2->Lookup(1), overlay1->Lookup(1));  // shared bytes

@@ -116,24 +116,6 @@ TEST(EpochSpillFileTest, AppendedPagesReloadByteIdentically) {
     EXPECT_EQ(read_back[i], std::byte{0}) << "pad byte " << i;
   }
 
-  // Whole position arrays (the in-memory backend's epochs) round-trip.
-  std::vector<Vec3> positions(41);  // not a multiple of 256/12 = 21
-  for (size_t i = 0; i < positions.size(); ++i) {
-    positions[i] = Vec3(static_cast<float>(i), 2.5f, -1.0f);
-  }
-  auto first = spill.Value()->AppendPositions(positions);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_TRUE(spill.Value()->Sync().ok());
-  std::vector<Vec3> reloaded(positions.size());
-  ASSERT_TRUE(spill.Value()
-                  ->ReadPositions(first.Value(), reloaded.size(),
-                                  reloaded.data(), &stats)
-                  .ok());
-  for (size_t i = 0; i < positions.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&reloaded[i], &positions[i], sizeof(Vec3)), 0)
-        << "vertex " << i;
-  }
-
   // The sidecar is a per-run cache: closing deletes it.
   spill.Value().reset();
   std::FILE* gone = std::fopen(path.c_str(), "rb");
@@ -171,7 +153,8 @@ TEST(DeltaOverlayTest, TailPageIsStableAndWriterIdentical) {
   // tail (the regression a garbage-past-end memcmp would cause).
   size_t rewritten = 99;
   auto unchanged = storage::PositionOverlay::BuildNext(
-      h, nullptr, mesh.positions(), mesh.positions(), &rewritten);
+      h.num_vertices, h.page_bytes, nullptr, mesh.positions(),
+      mesh.positions(), &rewritten);
   EXPECT_EQ(rewritten, 0u);
   EXPECT_EQ(unchanged->resident_pages(), 0u);
   EXPECT_EQ(unchanged->resident_bytes(), 0u);
@@ -181,7 +164,8 @@ TEST(DeltaOverlayTest, TailPageIsStableAndWriterIdentical) {
   std::vector<Vec3> moved = mesh.positions();
   moved.back() += Vec3(0.5f, 0, 0);
   auto overlay = storage::PositionOverlay::BuildNext(
-      h, nullptr, mesh.positions(), moved, &rewritten);
+      h.num_vertices, h.page_bytes, nullptr, mesh.positions(), moved,
+      &rewritten);
   EXPECT_EQ(rewritten, 1u);
   EXPECT_EQ(overlay->resident_pages(), 1u);
   EXPECT_EQ(overlay->resident_bytes(), tail_entries * sizeof(Vec3));
@@ -215,8 +199,9 @@ TEST(DeltaOverlayTest, TailPageIsStableAndWriterIdentical) {
   }
 
   // A second identical step shares the tail page instead of rewriting.
-  auto next = storage::PositionOverlay::BuildNext(h, overlay.get(), moved,
-                                                  moved, &rewritten);
+  auto next = storage::PositionOverlay::BuildNext(
+      h.num_vertices, h.page_bytes, overlay.get(), mesh.positions(), moved,
+      &rewritten);
   EXPECT_EQ(rewritten, 0u);
   EXPECT_EQ(next->Lookup(tail_page), overlay->Lookup(tail_page));
 
@@ -240,7 +225,8 @@ TEST(DeltaOverlayTest, SpilledPagesReadBackIdentically) {
   for (Vec3& p : moved) p += Vec3(0.01f, 0.02f, -0.01f);
   size_t rewritten = 0;
   auto overlay = storage::PositionOverlay::BuildNext(
-      h, nullptr, mesh.positions(), moved, &rewritten);
+      h.num_vertices, h.page_bytes, nullptr, mesh.positions(), moved,
+      &rewritten);
   ASSERT_GT(rewritten, 1u);
 
   auto spill = storage::EpochSpillFile::Create(
@@ -285,15 +271,78 @@ TEST(DeltaOverlayTest, SpilledPagesReadBackIdentically) {
   std::remove(snap_path.c_str());
 }
 
+// The in-memory executor's flat copy of an epoch: exact positions from
+// an overlay mixing fresh, shared and spilled pages, with only the
+// spilled pages priced as page I/O (resident pages are plain memory).
+TEST(DeltaOverlayTest, CopyPositionsPricesOnlySpilledPages) {
+  constexpr size_t kPageBytes = 128;  // 10 positions per page
+  constexpr size_t kVertices = 47;    // 5 pages, a 7-entry tail
+  std::vector<Vec3> epoch1(kVertices);
+  for (size_t v = 0; v < kVertices; ++v) {
+    epoch1[v] = Vec3(static_cast<float>(v), 0.5f, -1.0f);
+  }
+  // No base: every page of the first overlay is fresh.
+  auto first = storage::PositionOverlay::BuildNext(
+      kVertices, kPageBytes, nullptr, {}, epoch1, nullptr);
+  std::vector<Vec3> epoch2 = epoch1;
+  epoch2[3].y = 7.0f;   // page 0
+  epoch2[15].z = 7.0f;  // page 1
+  size_t rewritten = 0;
+  auto second = storage::PositionOverlay::BuildNext(
+      kVertices, kPageBytes, first.get(), {}, epoch2, &rewritten);
+  ASSERT_EQ(rewritten, 2u);  // pages 0, 1 fresh; 2, 3, 4 shared
+  EXPECT_EQ(second->Lookup(2), first->Lookup(2));
+
+  // Spill one fresh page (1) and one shared page (3); the rest stay
+  // resident in the twin.
+  auto spill = storage::EpochSpillFile::Create(
+      TempPath("copy_positions.oct2d"), kPageBytes, 4 * kPageBytes);
+  ASSERT_TRUE(spill.ok()) << spill.status().ToString();
+  std::vector<storage::PageId> ids(second->num_page_slots(),
+                                   storage::kInvalidPageId);
+  for (const uint64_t page : {1u, 3u}) {
+    auto id = spill.Value()->AppendPage(std::span<const std::byte>(
+        second->Lookup(page), second->resident_page_bytes(page)));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids[page] = id.Value();
+  }
+  ASSERT_TRUE(spill.Value()->Sync().ok());
+  auto mixed = storage::PositionOverlay::SpilledTwin(
+      *second, std::move(ids), spill.Value()->pool());
+  ASSERT_EQ(mixed->spilled_pages(), 2u);
+  ASSERT_EQ(mixed->resident_pages(), 3u);
+
+  std::vector<Vec3> copy(kVertices);
+  storage::PageIOStats io;
+  mixed->CopyPositions(copy, &io);
+  EXPECT_EQ(std::memcmp(copy.data(), epoch2.data(),
+                        kVertices * sizeof(Vec3)),
+            0);
+  EXPECT_EQ(io.PageAccesses(), 2u);  // the two spilled pages, nothing else
+  EXPECT_EQ(io.page_misses, 2u);
+}
+
 // --- EpochStore retention policy ---
 
+/// An in-memory epoch: every vertex at (epoch, 0.5, -2), as a full
+/// overlay (no base), exactly what the in-memory backend publishes.
 PinnedEpochState InMemoryEpoch(uint64_t epoch, size_t vertices) {
-  auto positions = std::make_shared<PositionEpoch>();
-  positions->info = engine::EpochInfo{epoch,
-                                      static_cast<uint32_t>(epoch)};
-  positions->positions.assign(
+  const std::vector<Vec3> positions(
       vertices, Vec3(static_cast<float>(epoch), 0.5f, -2.0f));
-  return PinnedEpochState{positions->info, nullptr, positions};
+  return PinnedEpochState{
+      engine::EpochInfo{epoch, static_cast<uint32_t>(epoch)},
+      storage::PositionOverlay::BuildNext(vertices,
+                                          storage::kDefaultPageBytes,
+                                          nullptr, {}, positions, nullptr)};
+}
+
+/// The pinned epoch's positions as the in-memory executor copies them
+/// (spilled pages price their reload into `io`).
+std::vector<Vec3> Positions(const PinnedEpochState& pin, size_t vertices,
+                            storage::PageIOStats* io) {
+  std::vector<Vec3> positions(vertices);
+  pin.overlay->CopyPositions(positions, io);
+  return positions;
 }
 
 TEST(EpochStoreTest, SpillsPastWindowEvictsPastHistoryPinsExempt) {
@@ -323,29 +372,29 @@ TEST(EpochStoreTest, SpillsPastWindowEvictsPastHistoryPinsExempt) {
   EXPECT_EQ(store.CurrentInfo().epoch, 6u);
   auto newest = store.PinNewest();
   ASSERT_TRUE(newest.has_value());
-  EXPECT_EQ(newest->positions->positions[0].x, 6.0f);
-
-  // A spilled epoch inside the history window rematerializes exactly,
-  // with the reload priced as page I/O.
   storage::PageIOStats reload;
-  auto spilled = store.PinEpoch(4, &reload);
+  EXPECT_EQ(Positions(*newest, kVertices, &reload)[0].x, 6.0f);
+  EXPECT_EQ(reload.PageAccesses(), 0u);  // resident: no page I/O
+
+  // A spilled epoch inside the history window reads back exactly, with
+  // the reload priced as page I/O.
+  auto spilled = store.PinEpoch(4);
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-  ASSERT_EQ(spilled.Value().positions->positions.size(), kVertices);
-  EXPECT_EQ(spilled.Value().positions->positions[0].x, 4.0f);
+  EXPECT_EQ(Positions(spilled.Value(), kVertices, &reload)[0].x, 4.0f);
   EXPECT_GT(reload.PageAccesses(), 0u);
 
   // The pinned epoch survived past the history cap; epoch 0/1 did not.
-  auto pinned = store.PinEpoch(2, &reload);
+  auto pinned = store.PinEpoch(2);
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-  EXPECT_EQ(pinned.Value().positions->positions[0].x, 2.0f);
-  EXPECT_EQ(store.PinEpoch(0, &reload).status().code(),
+  EXPECT_EQ(Positions(pinned.Value(), kVertices, &reload)[0].x, 2.0f);
+  EXPECT_EQ(store.PinEpoch(0).status().code(),
             Status::Code::kNotFound);
-  EXPECT_EQ(store.PinEpoch(1, &reload).status().code(),
+  EXPECT_EQ(store.PinEpoch(1).status().code(),
             Status::Code::kNotFound);
 
   // Releasing the pin evicts immediately (not at the next publish).
   ASSERT_TRUE(store.ReleasePin(2).ok());
-  EXPECT_EQ(store.PinEpoch(2, &reload).status().code(),
+  EXPECT_EQ(store.PinEpoch(2).status().code(),
             Status::Code::kNotFound);
   EXPECT_EQ(store.ReleasePin(2).code(), Status::Code::kNotFound);
 }
@@ -367,10 +416,10 @@ TEST(EpochStoreTest, ByteCapSpillsEarlyInsideTheCountWindow) {
   // Nothing was lost: every epoch in the history is still queryable.
   storage::PageIOStats reload;
   for (uint64_t e = 0; e <= 5; ++e) {
-    auto pinned = store.PinEpoch(e, &reload);
+    auto pinned = store.PinEpoch(e);
     ASSERT_TRUE(pinned.ok()) << "epoch " << e << ": "
                              << pinned.status().ToString();
-    EXPECT_EQ(pinned.Value().positions->positions[0].x,
+    EXPECT_EQ(Positions(pinned.Value(), kVertices, &reload)[0].x,
               static_cast<float>(e));
   }
 }
@@ -390,13 +439,13 @@ TEST(EpochStoreTest, WithoutSidecarOldEpochsEvictButPinsStayResident) {
   }
   storage::PageIOStats reload;
   // Unpinned epoch 0 left the window with nowhere to spill: gone.
-  EXPECT_EQ(store.PinEpoch(0, &reload).status().code(),
+  EXPECT_EQ(store.PinEpoch(0).status().code(),
             Status::Code::kNotFound);
   // The pinned epoch stayed resident (the documented memory cost of
   // pinning without a sidecar).
-  auto pinned = store.PinEpoch(1, &reload);
+  auto pinned = store.PinEpoch(1);
   ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(pinned.Value().positions->positions[0].x, 1.0f);
+  EXPECT_EQ(Positions(pinned.Value(), 50, &reload)[0].x, 1.0f);
   EXPECT_EQ(reload.PageAccesses(), 0u);  // no sidecar involved
 }
 
@@ -419,11 +468,11 @@ TEST(EpochStoreTest, PinnedUnspillableEpochDoesNotStealWindowSlots) {
   // squarely inside the window of 2, and must have survived even
   // though the pinned epoch 0 is also still resident.
   storage::PageIOStats reload;
-  auto in_window = store.PinEpoch(2, &reload);
+  auto in_window = store.PinEpoch(2);
   ASSERT_TRUE(in_window.ok()) << in_window.status().ToString();
-  EXPECT_EQ(in_window.Value().positions->positions[0].x, 2.0f);
-  EXPECT_TRUE(store.PinEpoch(0, &reload).ok());   // pin-kept
-  EXPECT_FALSE(store.PinEpoch(1, &reload).ok());  // left the window
+  EXPECT_EQ(Positions(in_window.Value(), 50, &reload)[0].x, 2.0f);
+  EXPECT_TRUE(store.PinEpoch(0).ok());   // pin-kept
+  EXPECT_FALSE(store.PinEpoch(1).ok());  // left the window
   EXPECT_EQ(store.resident_epochs(), 3u);  // window(2) + pinned(1)
 }
 

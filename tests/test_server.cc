@@ -11,6 +11,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -620,6 +621,61 @@ TEST(ServerIntegrationTest, HalfClosedClientStillGetsItsResults) {
   // After delivering everything it owed, the server closes its side.
   uint8_t byte;
   EXPECT_EQ(recv(fd, &byte, 1, 0), 0);
+  close(fd);
+}
+
+// A RESULT the serializer posts while the I/O thread is between its
+// eventfd drain and its inbox swap must not lose its wakeup: a client
+// that pipelines and then waits in silence sends no socket event that
+// would deliver it late. Every answer it is owed must arrive.
+TEST(ServerIntegrationTest, PipelinedRequestsAllAnsweredAfterSilence) {
+  constexpr int kRounds = 40;
+  constexpr uint64_t kRequestsPerRound = 16;
+  const TetraMesh mesh = MakeBox(6);
+  ServerOptions options;
+  options.scheduler.window_nanos = 0;  // one batch per request: many posts
+  ServerFixture fixture(VersionedBackend::FromMesh(mesh, 2), options);
+
+  const int fd = RawConnect(fixture.port());
+  const timeval recv_timeout{.tv_sec = 5, .tv_usec = 0};
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+                       sizeof(recv_timeout)),
+            0);
+  SendRaw(fd, ValidHello());
+  FrameType type;
+  server::Buffer payload;
+  ASSERT_TRUE(ReadFrameRaw(fd, &type, &payload));
+  ASSERT_EQ(type, FrameType::kWelcome);
+
+  const std::vector<AABB> queries = {AABB(Vec3(0, 0, 0), Vec3(0.5f, 1, 1)),
+                                     AABB(Vec3(0.5f, 0, 0), Vec3(1, 1, 1))};
+  uint64_t next_id = 1;
+  for (int round = 0; round < kRounds; ++round) {
+    server::Buffer bytes;
+    for (uint64_t r = 0; r < kRequestsPerRound; ++r) {
+      server::AppendQueryBatch(&bytes, next_id + r, queries);
+    }
+    SendRaw(fd, bytes);
+    // Silence from here on: only the server's own wakeups deliver.
+    std::vector<bool> answered(kRequestsPerRound, false);
+    for (uint64_t r = 0; r < kRequestsPerRound; ++r) {
+      ASSERT_TRUE(ReadFrameRaw(fd, &type, &payload))
+          << "round " << round << ": answer " << r << " of "
+          << kRequestsPerRound << " never arrived";
+      ASSERT_EQ(type, FrameType::kResult);
+      uint64_t request_id = 0;
+      server::BatchStatsWire stats;
+      std::vector<std::vector<VertexId>> per_query;
+      ASSERT_TRUE(
+          server::ParseResult(payload, &request_id, &stats, &per_query)
+              .ok());
+      ASSERT_GE(request_id, next_id);
+      ASSERT_LT(request_id, next_id + kRequestsPerRound);
+      EXPECT_FALSE(answered[request_id - next_id]) << "duplicate answer";
+      answered[request_id - next_id] = true;
+    }
+    next_id += kRequestsPerRound;
+  }
   close(fd);
 }
 
