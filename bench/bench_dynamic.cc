@@ -52,6 +52,9 @@ struct RunSummary {
   std::vector<StepRecord> steps;
   double total_wall_seconds = 0.0;
   bool parity_ok = true;
+  /// Surface positions the backend's fused probe read, over all steps.
+  uint64_t probe_position_reads = 0;
+  size_t surface_vertices = 0;
 };
 
 /// Steps one backend K times, querying at every epoch and checking
@@ -66,6 +69,7 @@ RunSummary RunBackend(server::VersionedBackend* backend,
   TetraMesh reference_mesh = mesh;
   Octopus reference;
   reference.Build(reference_mesh);
+  summary.surface_vertices = reference.surface_index().num_surface_vertices();
   engine::QueryEngine reference_engine;
   auto deformer = MakeDeformer(spec);
   if (!deformer.ok()) {
@@ -105,6 +109,7 @@ RunSummary RunBackend(server::VersionedBackend* backend,
     record.pages_leased = stats.page_io.pages_leased;
     record.pages_distinct = stats.page_io.pages_distinct;
     record.pages_rewritten = backend->last_step_pages_rewritten();
+    summary.probe_position_reads += stats.probe_position_reads;
     // Warm-regime accounting: step 0 is the cold batch that faults the
     // whole snapshot in from disk; the steady-state comparison starts
     // once the pool is populated.
@@ -130,6 +135,7 @@ int main() {
   const double scale = bench::ScaleFromEnv();
   const int steps = bench::StepsFromEnv(24);
   constexpr int kQueriesPerStep = 48;
+  constexpr int kThreads = 1;
 
   auto mesh_result = MakeNeuroMesh(0, 0.4 * scale);
   if (!mesh_result.ok()) {
@@ -181,11 +187,13 @@ int main() {
   uint64_t total_page_accesses = 0;
   uint64_t total_pages_distinct = 0;
   uint64_t total_lease_hits = 0;
+  uint64_t total_probe_position_reads = 0;
+  size_t surface_vertices = 0;
   for (const bool paged : {false, true}) {
     std::unique_ptr<server::VersionedBackend> backend;
     if (paged) {
       auto opened = server::VersionedBackend::OpenSnapshot(
-          snapshot_path, pool_bytes, /*threads=*/1);
+          snapshot_path, pool_bytes, kThreads);
       if (!opened.ok()) {
         std::fprintf(stderr, "open snapshot: %s\n",
                      opened.status().ToString().c_str());
@@ -193,7 +201,7 @@ int main() {
       }
       backend = opened.MoveValue();
     } else {
-      backend = server::VersionedBackend::FromMesh(mesh, /*threads=*/1);
+      backend = server::VersionedBackend::FromMesh(mesh, kThreads);
     }
     const Status bound = backend->BindDeformer(spec);
     if (!bound.ok()) {
@@ -205,6 +213,8 @@ int main() {
         RunBackend(backend.get(), mesh, spec, steps, kQueriesPerStep);
     all_parity_ok &= summary.parity_ok;
     backend_seconds[paged ? 1 : 0] = summary.total_wall_seconds;
+    total_probe_position_reads += summary.probe_position_reads;
+    surface_vertices = summary.surface_vertices;
     if (paged) {
       for (const StepRecord& r : summary.steps) {
         total_page_accesses += r.page_accesses;
@@ -289,6 +299,19 @@ int main() {
              static_cast<int64_t>(total_pages_distinct));
   json.Field("lease_hits", static_cast<int64_t>(total_lease_hits));
   json.Field("access_over_distinct", access_ratio);
+  // Fused-probe read accounting: every batch (both backends, every
+  // step) gathers ceil(surface / stride) positions once per shard,
+  // however many queries it holds. Deterministic; the CI perf smoke
+  // checks the identity exactly.
+  json.Field("batches", static_cast<int64_t>(2 * (steps + 1)));
+  json.Field("shards", static_cast<int64_t>(
+                           std::min(kThreads, kQueriesPerStep)));
+  json.Field("surface_vertices", static_cast<int64_t>(surface_vertices));
+  json.Field("probe_stride",
+             static_cast<int64_t>(ProbeStride(
+                 OctopusOptions{}.surface_sample_fraction)));
+  json.Field("probe_position_reads",
+             static_cast<int64_t>(total_probe_position_reads));
   json.EndObject();
 
   table.Print();

@@ -284,6 +284,12 @@ int main() {
     json.Field(
         "pages_distinct",
         static_cast<int64_t>(m.engine_total.page_io.pages_distinct));
+    // Logical surface-probe work (one probe per query) against the
+    // positions physically read (one gather per shard per batch).
+    json.Field("probed_vertices",
+               static_cast<int64_t>(m.engine_total.probed_vertices));
+    json.Field("probe_position_reads",
+               static_cast<int64_t>(m.engine_total.probe_position_reads));
     // Per-phase engine timing: where the batch sweep's time went.
     json.Field("engine_probe_seconds",
                static_cast<double>(m.engine_total.probe_nanos) / 1e9);

@@ -1,6 +1,6 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // Per-thread mutable query-execution state. All scratch that the seed
-// kept inside the index objects (crawler visited-epoch array, start
+// kept inside the index objects (crawler visited-epoch array, probe
 // scratch, phase stats) lives here instead, making the index objects
 // read-only during query execution and a batch embarrassingly parallel:
 // one context per shard, zero shared mutation.
@@ -15,21 +15,22 @@
 #include "mesh/types.h"
 #include "octopus/crawler.h"
 #include "octopus/phase_stats.h"
+#include "octopus/surface_probe.h"
 #include "storage/paged_mesh.h"
 
 namespace octopus::engine {
 
 /// \brief Everything one executing thread needs to run OCTOPUS queries:
-/// a crawler (with its visited-epoch scratch), the probe's start-vertex
-/// scratch, a local `PhaseStats` accumulator, and — for out-of-core
-/// execution — the thread's paged mesh accessor.
+/// a crawler (with its visited-epoch scratch), the fused surface probe's
+/// SoA positions and per-tile starts, a local `PhaseStats` accumulator,
+/// and — for out-of-core execution — the thread's paged mesh accessor.
 ///
 /// Contexts are never shared between concurrently executing queries.
 /// After a parallel batch, per-context stats are merged into the
 /// index-level aggregate in deterministic shard order.
 struct ExecutionContext {
   Crawler crawler;
-  std::vector<VertexId> start_scratch;
+  SurfaceProbe probe;
   PhaseStats stats;
   /// The per-thread out-of-core read handle, created (and rebound) by
   /// `PagedOctopus` on first use of this context and reused across
@@ -45,7 +46,7 @@ struct ExecutionContext {
   /// Bytes of scratch held by this context (footprint accounting).
   size_t ScratchBytes() const {
     return crawler.ScratchBytes() +
-           start_scratch.capacity() * sizeof(VertexId) +
+           probe.ScratchBytes() +
            (paged_accessor ? paged_accessor->ScratchBytes() : 0);
   }
 };

@@ -91,6 +91,14 @@ class TetraMesh {
     return adj_offsets_[v + 1] - adj_offsets_[v];
   }
 
+  /// Frees the tet list and incidence counts, keeping positions and
+  /// adjacency (all that deforming and querying read). For holders that
+  /// never restructure; `ApplyRestructure` cannot be used afterwards.
+  void ReleaseTetrahedra() {
+    tets_ = std::vector<Tet>();
+    tet_count_ = std::vector<uint32_t>();
+  }
+
   /// Number of tetrahedra incident to `v`. Zero means the vertex is
   /// orphaned (never produced by well-formed construction/restructuring).
   uint32_t incident_tet_count(VertexId v) const { return tet_count_[v]; }

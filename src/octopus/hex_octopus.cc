@@ -22,10 +22,10 @@ void HexOctopus::Build(const HexaMesh& mesh) {
 
 void HexOctopus::RangeQuery(const HexaMesh& mesh, const AABB& box,
                             std::vector<VertexId>* out) const {
-  contexts_.Ensure(1);
-  ExecuteOctopusQuery(mesh.Graph(), surface_index_, options_, box,
-                      contexts_.context(0), out);
-  contexts_.MergeStats(1);
+  engine::QueryBatchResult batch;
+  RangeQueryBatch(mesh, std::span<const AABB>(&box, 1), &batch);
+  out->insert(out->end(), batch.per_query[0].begin(),
+              batch.per_query[0].end());
 }
 
 void HexOctopus::RangeQueryBatch(const HexaMesh& mesh,

@@ -41,8 +41,8 @@ class HexOctopus {
   /// Builds the surface index from the hexahedral quad-face surface.
   void Build(const HexaMesh& mesh);
 
-  /// Appends the ids of exactly the vertices inside `box`. Single-query
-  /// convenience path through context 0; not safe to call concurrently.
+  /// Appends the ids of exactly the vertices inside `box`: a batch of
+  /// one; not safe to call concurrently.
   void RangeQuery(const HexaMesh& mesh, const AABB& box,
                   std::vector<VertexId>* out) const;
 

@@ -1,6 +1,8 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 #include "octopus/octopus_con.h"
 
+#include <span>
+
 #include "common/timer.h"
 
 namespace octopus {
@@ -32,9 +34,8 @@ void OctopusCon::RangeQuery(const TetraMesh& mesh, const AABB& box,
   // --- Crawl from the single interior start ---
   timer.Restart();
   context_.EnsureSize(num_vertices_);
-  context_.start_scratch.assign(1, walk.found);
-  const CrawlStats crawl =
-      context_.crawler.Crawl(mesh, box, context_.start_scratch, out);
+  const CrawlStats crawl = context_.crawler.Crawl(
+      mesh, box, std::span<const VertexId>(&walk.found, 1), out);
   stats_.crawl_edges += crawl.edges_traversed;
   stats_.result_vertices += crawl.vertices_inside;
   stats_.crawl_nanos += timer.ElapsedNanos();

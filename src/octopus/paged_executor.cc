@@ -39,13 +39,10 @@ storage::PagedMeshAccessor& PagedOctopus::AccessorFor(
 
 void PagedOctopus::RangeQuery(const AABB& box,
                               std::vector<VertexId>* out) const {
-  contexts_.Ensure(1);
-  engine::ExecutionContext* context = contexts_.context(0);
-  storage::PagedMeshAccessor& accessor = AccessorFor(context, nullptr, 1);
-  ExecuteOctopusQuery(accessor, surface_index_, options_.executor, box,
-                      context, out);
-  accessor.EndBatch();
-  contexts_.MergeStats(1);
+  engine::QueryBatchResult batch;
+  RangeQueryBatch(std::span<const AABB>(&box, 1), &batch);
+  out->insert(out->end(), batch.per_query[0].begin(),
+              batch.per_query[0].end());
 }
 
 void PagedOctopus::RangeQueryBatch(

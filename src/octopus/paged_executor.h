@@ -30,8 +30,8 @@ namespace octopus {
 /// \brief Out-of-core OCTOPUS over a paged snapshot.
 ///
 /// Same mutation model as `Octopus`: read-only after `Open`, all query
-/// scratch in per-shard contexts, `RangeQueryBatch` parallel-safe,
-/// single-query `RangeQuery` routed through context 0 (not concurrent).
+/// scratch in per-shard contexts, one batch sharded across a pool,
+/// `RangeQuery` a batch of one; calls must not overlap.
 /// The buffer pool is shared by all shards; per-context page-I/O
 /// counters merge into `stats().page_io` in shard order.
 class PagedOctopus {
@@ -49,8 +49,8 @@ class PagedOctopus {
 
   std::string Name() const { return "OCTOPUS-PAGED"; }
 
-  /// Single-query convenience path through context 0; not safe to call
-  /// concurrently.
+  /// A batch of one over the base snapshot, appended to `out`; not safe
+  /// to call concurrently.
   void RangeQuery(const AABB& box, std::vector<VertexId>* out) const;
 
   /// Batch path, sharded across `pool` when given (null = sequential).

@@ -27,11 +27,16 @@ struct PhaseStats {
   /// Batch-end fold of per-context stats into the aggregate (the merge
   /// phase of a sharded batch). Timed on the calling thread by
   /// `engine::ContextPool::MergeStats`, so it lands in the aggregate —
-  /// not in any context-local instance — and is zero for single-query
-  /// paths that never fold.
+  /// not in any context-local instance — and is zero for executors
+  /// that never fold (`OctopusCon`).
   int64_t merge_nanos = 0;
   size_t queries = 0;
   size_t probed_vertices = 0;   ///< surface vertices inspected
+  /// Surface positions physically read by the fused probe: one gather
+  /// of ceil(surface / stride) per shard per batch, however many queries
+  /// the shard tests against it (`probed_vertices` counts per query).
+  /// In-process only: not part of the wire stats.
+  size_t probe_position_reads = 0;
   size_t walk_invocations = 0;  ///< queries that needed a directed walk
   size_t walk_vertices = 0;     ///< vertices expanded during walks
   size_t crawl_edges = 0;       ///< adjacency entries inspected
@@ -59,6 +64,7 @@ struct PhaseStats {
     merge_nanos += other.merge_nanos;
     queries += other.queries;
     probed_vertices += other.probed_vertices;
+    probe_position_reads += other.probe_position_reads;
     walk_invocations += other.walk_invocations;
     walk_vertices += other.walk_vertices;
     crawl_edges += other.crawl_edges;

@@ -43,7 +43,7 @@ class AdaptiveExecutor : public SpatialIndex {
   /// No-op (neither sub-approach needs per-step maintenance).
   void BeforeQueries(const TetraMesh& mesh) override { (void)mesh; }
 
-  /// Routes through `Octopus::RangeQuery` (context 0); `const` but not
+  /// Routes through `Octopus::RangeQuery` (a batch of one); `const` but not
   /// safe to call concurrently. Inherits the sequential batch default.
   void RangeQuery(const TetraMesh& mesh, const AABB& box,
                   std::vector<VertexId>* out) const override;

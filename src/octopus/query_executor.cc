@@ -5,15 +5,6 @@
 
 namespace octopus {
 
-void ExecuteOctopusQuery(const MeshGraphView& graph,
-                         const SurfaceIndex& surface_index,
-                         const OctopusOptions& options, const AABB& box,
-                         engine::ExecutionContext* context,
-                         std::vector<VertexId>* out) {
-  storage::InMemoryMeshAccessor accessor(graph);
-  ExecuteOctopusQuery(accessor, surface_index, options, box, context, out);
-}
-
 void ExecuteOctopusBatch(const MeshGraphView& graph,
                          const SurfaceIndex& surface_index,
                          const OctopusOptions& options,
@@ -45,13 +36,10 @@ void Octopus::Build(const TetraMesh& mesh) {
 
 void Octopus::RangeQuery(const TetraMesh& mesh, const AABB& box,
                          std::vector<VertexId>* out) const {
-  contexts_.Ensure(1);
-  ExecuteOctopusQuery(mesh.Graph(), surface_index_, options_, box,
-                      contexts_.context(0), out);
-  // Single-query path: fold the context delta into the aggregate
-  // immediately so `stats()` stays live between calls, as it was when the
-  // stats lived inside the index.
-  contexts_.MergeStats(1);
+  engine::QueryBatchResult batch;
+  RangeQueryBatch(mesh, std::span<const AABB>(&box, 1), &batch);
+  out->insert(out->end(), batch.per_query[0].begin(),
+              batch.per_query[0].end());
 }
 
 void Octopus::RangeQueryBatch(const TetraMesh& mesh,

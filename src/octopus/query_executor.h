@@ -3,28 +3,31 @@
 // surface probe -> (directed walk if needed) -> crawling. No maintenance
 // on deformation; incremental surface-index maintenance on restructuring.
 //
-// The phase cores are templates over `storage::MeshAccessor`, so the
-// identical algorithm executes over the resident mesh (zero overhead)
-// and over a paged out-of-core snapshot (see octopus/paged_executor.h).
+// Every query runs in a batch (a single `RangeQuery` is a batch of one)
+// through one core, `ExecuteOctopusBatch`, templated over
+// `storage::MeshAccessor`, so the identical algorithm executes over the
+// resident mesh and over a paged out-of-core snapshot (see
+// octopus/paged_executor.h). Each shard reads the surface once and
+// probes all its queries against that copy (octopus/surface_probe.h);
+// walk and crawl then run per query.
 //
 // Thread-safety invariant (engine layer): after `Build`, the index object
 // (`options_`, `surface_index_`) is read-only during query execution. All
-// mutable query state — crawler visited-epochs, start scratch, phase
+// mutable query state — crawler visited-epochs, probe scratch, phase
 // stats — lives in per-thread `engine::ExecutionContext`s. During a
 // parallel `RangeQueryBatch`, each shard accumulates stats into its own
 // context-local `PhaseStats`; the locals are merged into the index-level
 // aggregate `stats_` on the calling thread after the pool joins, in
-// shard order — never shared mutation while queries are in flight. The
-// single-query `RangeQuery` is `const` but routes through context 0, so
-// it must not be called concurrently; use `RangeQueryBatch` for that.
+// shard order — never shared mutation while queries are in flight. Calls
+// on one executor (`RangeQuery` included) reuse its contexts, so they
+// must not overlap; parallelism comes from sharding one batch.
 #ifndef OCTOPUS_OCTOPUS_QUERY_EXECUTOR_H_
 #define OCTOPUS_OCTOPUS_QUERY_EXECUTOR_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/timer.h"
@@ -35,6 +38,7 @@
 #include "octopus/directed_walk.h"
 #include "octopus/phase_stats.h"
 #include "octopus/surface_index.h"
+#include "octopus/surface_probe.h"
 
 namespace octopus {
 
@@ -56,87 +60,68 @@ struct OctopusOptions {
   VisitedMode visited_mode = VisitedMode::kEpochArray;
 };
 
-/// Core of Algorithm 1 over any mesh accessor: surface probe (with
-/// optional equidistant sampling) -> directed walk fallback -> crawl.
-/// Appends the result to `out` and accumulates into `context->stats`.
-/// Re-entrant: concurrent calls are safe as long as each uses its own
-/// context and accessor (the backing store and surface index are only
-/// read).
+/// One shard's share of a batch, Algorithm 1 over any mesh accessor:
+/// fused surface probe (with optional equidistant sampling) -> directed
+/// walk fallback -> crawl, per query. Query `q`'s result is appended to
+/// `out[q]`; stats accumulate into `context->stats`. Re-entrant:
+/// concurrent shards are safe as long as each uses its own context and
+/// accessor (the backing store and surface index are only read).
 template <storage::MeshAccessor Accessor>
-void ExecuteOctopusQuery(Accessor& mesh, const SurfaceIndex& surface_index,
-                         const OctopusOptions& options, const AABB& box,
+void ExecuteOctopusShard(Accessor& mesh, const SurfaceIndex& surface_index,
+                         const OctopusOptions& options,
+                         std::span<const AABB> boxes,
                          engine::ExecutionContext* context,
                          std::vector<VertexId>* out) {
-  Timer timer;
   PhaseStats* stats = &context->stats;
-  ++stats->queries;
+  SurfaceProbe& probe = context->probe;
 
-  // --- Phase 1: surface probe (Sec. IV-C) ---
-  // Scan the surface vertices in ascending-id order (streaming access over
-  // the position array); collect those inside the query as crawl starts,
-  // and track the closest one as a fallback walk start. Under surface
-  // approximation (Sec. IV-H2) only every `stride`-th vertex is probed —
-  // the paper's "equidistant sample" of the surface.
-  std::vector<VertexId>* start_scratch = &context->start_scratch;
-  start_scratch->clear();
-  const std::span<const VertexId> surface = surface_index.probe_order();
-  const size_t stride =
-      options.surface_sample_fraction >= 1.0
-          ? 1
-          : std::max<size_t>(
-                1, static_cast<size_t>(std::llround(
-                       1.0 / options.surface_sample_fraction)));
-  VertexId closest = kInvalidVertex;
-  float closest_d2 = std::numeric_limits<float>::max();
-  size_t probed = 0;
-  constexpr size_t kPrefetchAhead = 16;
-  for (size_t i = 0; i < surface.size(); i += stride) {
-    // The probe is a strided gather through the probe-order positions;
-    // software prefetch hides most of the per-entry miss latency. The
-    // probe-specific read path matters out of core: the paged accessor
-    // serves undeformed probe positions from index-resident data, so
-    // probing costs page accesses only for overlay-covered (deformed)
-    // pages.
-    if (i + kPrefetchAhead * stride < surface.size()) {
-      const size_t ahead = i + kPrefetchAhead * stride;
-      if constexpr (requires { mesh.PrefetchProbePosition(ahead,
-                                                          surface[ahead]); }) {
-        mesh.PrefetchProbePosition(ahead, surface[ahead]);
-      }
-    }
-    const VertexId v = surface[i];
-    ++probed;
-    const float d2 = box.SquaredDistanceTo(mesh.ProbePosition(i, v));
-    if (d2 == 0.0f) {
-      start_scratch->push_back(v);
-    } else if (start_scratch->empty() && d2 < closest_d2) {
-      closest_d2 = d2;
-      closest = v;
-    }
-  }
-  stats->probed_vertices += probed;
+  // --- Phase 1: surface probe (Sec. IV-C), fused across the shard ---
+  // The shard reads the surface positions once, in probe order (every
+  // `stride`-th vertex under the Sec. IV-H2 approximation), then tests
+  // each tile of boxes against that copy. `probe_nanos` is the shard's
+  // fused-pass time: the gather plus every tile's probe.
+  Timer timer;
+  probe.Gather(mesh, surface_index.probe_order(),
+               ProbeStride(options.surface_sample_fraction));
+  stats->probe_position_reads += probe.size();
   stats->probe_nanos += timer.ElapsedNanos();
 
-  // --- Phase 2: directed walk (Sec. IV-D), only if the probe was dry ---
-  if (start_scratch->empty()) {
+  for (size_t tile = 0; tile < boxes.size(); tile += kProbeTileBoxes) {
+    const std::span<const AABB> tile_boxes = boxes.subspan(
+        tile, std::min(kProbeTileBoxes, boxes.size() - tile));
     timer.Restart();
-    ++stats->walk_invocations;
-    const WalkResult walk = DirectedWalk(mesh, box, closest);
-    stats->walk_vertices += walk.vertices_visited;
-    stats->walk_nanos += timer.ElapsedNanos();
-    if (!walk.ok()) {
-      return;  // query does not intersect the mesh: empty result
-    }
-    start_scratch->push_back(walk.found);
-  }
+    probe.ProbeTile(tile_boxes);
+    stats->probe_nanos += timer.ElapsedNanos();
 
-  // --- Phase 3: crawling (Sec. IV-B) ---
-  timer.Restart();
-  const CrawlStats crawl =
-      context->crawler.Crawl(mesh, box, *start_scratch, out);
-  stats->crawl_edges += crawl.edges_traversed;
-  stats->result_vertices += crawl.vertices_inside;
-  stats->crawl_nanos += timer.ElapsedNanos();
+    for (size_t b = 0; b < tile_boxes.size(); ++b) {
+      const AABB& box = tile_boxes[b];
+      std::vector<VertexId>* starts = probe.starts(b);
+      ++stats->queries;
+      stats->probed_vertices += probe.size();
+
+      // --- Phase 2: directed walk (Sec. IV-D), only if the probe was
+      // dry; it starts from the closest probed vertex ---
+      if (starts->empty()) {
+        timer.Restart();
+        ++stats->walk_invocations;
+        const WalkResult walk = DirectedWalk(mesh, box, probe.closest(b));
+        stats->walk_vertices += walk.vertices_visited;
+        stats->walk_nanos += timer.ElapsedNanos();
+        if (!walk.ok()) {
+          continue;  // query does not intersect the mesh: empty result
+        }
+        starts->push_back(walk.found);
+      }
+
+      // --- Phase 3: crawling (Sec. IV-B) ---
+      timer.Restart();
+      const CrawlStats crawl =
+          context->crawler.Crawl(mesh, box, *starts, &out[tile + b]);
+      stats->crawl_edges += crawl.edges_traversed;
+      stats->result_vertices += crawl.vertices_inside;
+      stats->crawl_nanos += timer.ElapsedNanos();
+    }
+  }
 }
 
 /// Batch core shared by every OCTOPUS executor (`Octopus`, `HexOctopus`,
@@ -176,9 +161,10 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
     const size_t end = boxes.size() * (shard + 1) / shards;
     engine::ExecutionContext* context = contexts->context(shard);
     decltype(auto) accessor = make_accessor(context);
-    for (size_t q = begin; q < end; ++q) {
-      ExecuteOctopusQuery(accessor, surface_index, options, boxes[q],
-                          context, &out->per_query[q]);
+    if (begin < end) {
+      ExecuteOctopusShard(accessor, surface_index, options,
+                          boxes.subspan(begin, end - begin), context,
+                          out->per_query.data() + begin);
     }
     // Batch-scoped leases (paged accessors) are released before the
     // shard retires: deterministic counters, and an idle accessor holds
@@ -199,13 +185,7 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
   contexts->MergeStats(shards);
 }
 
-/// Resident-mesh wrappers (the historical entry points).
-void ExecuteOctopusQuery(const MeshGraphView& graph,
-                         const SurfaceIndex& surface_index,
-                         const OctopusOptions& options, const AABB& box,
-                         engine::ExecutionContext* context,
-                         std::vector<VertexId>* out);
-
+/// Resident-mesh wrapper over the in-memory accessor.
 void ExecuteOctopusBatch(const MeshGraphView& graph,
                          const SurfaceIndex& surface_index,
                          const OctopusOptions& options,
@@ -233,8 +213,9 @@ class Octopus : public SpatialIndex {
   /// No-op: deformation never invalidates OCTOPUS's structures.
   void BeforeQueries(const TetraMesh& mesh) override { (void)mesh; }
 
-  /// Single-query convenience path through context 0. Not safe to call
-  /// concurrently (see the header invariant); `RangeQueryBatch` is.
+  /// A batch of one, appended to `out`. Like every batch it mutates
+  /// the executor's contexts and stats, so it is not safe to call
+  /// concurrently (see the header invariant).
   void RangeQuery(const TetraMesh& mesh, const AABB& box,
                   std::vector<VertexId>* out) const override;
 

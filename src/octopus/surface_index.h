@@ -18,12 +18,14 @@ namespace octopus {
 
 /// \brief Hash index of the surface vertices plus an id-sorted probe array.
 ///
-/// The probe array is kept sorted by vertex id: the surface probe then
-/// streams forward through the position array instead of gathering at
-/// random, which is what lets its per-vertex cost approach the sequential
-/// scan cost CS assumed by the analytical model (Sec. IV-G). Probing every
-/// k-th entry yields the "sample of equidistant vertices on the surface"
-/// of the surface-approximation optimization (Sec. IV-H2).
+/// The probe array is kept sorted by vertex id: the fused surface probe
+/// (octopus/surface_probe.h) gathers the surface positions in that order
+/// once per batch shard, moving forward through the position array
+/// instead of at random, into a copy every query of the shard is then
+/// tested against — the sequential scan cost CS of the analytical model
+/// (Sec. IV-G), shared by the batch. Probing every k-th entry yields the
+/// "sample of equidistant vertices on the surface" of the
+/// surface-approximation optimization (Sec. IV-H2).
 class SurfaceIndex {
  public:
   struct Options {

@@ -58,6 +58,9 @@ std::unique_ptr<VersionedBackend> VersionedBackend::FromMesh(TetraMesh mesh,
   // The one-time build the paper prices: after this the index is never
   // maintained, however many steps the mesh advances.
   backend->surface_index_.Build(*backend->mesh_);
+  // Serving deforms and queries but never restructures: the tetrahedra
+  // were only needed to extract the surface.
+  backend->mesh_->ReleaseTetrahedra();
   backend->contexts_.set_num_vertices(backend->num_vertices_);
   return backend;
 }

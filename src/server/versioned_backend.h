@@ -173,7 +173,8 @@ class VersionedBackend {
 
   // Simulation side. `mesh_` is the array the deformer advances in
   // place: in memory the loaded mesh itself (also the executor's
-  // connectivity), paged a positions-only mesh read from the snapshot
+  // connectivity; its tetrahedra are released once the surface index is
+  // built), paged a positions-only mesh read from the snapshot
   // at bind. Queries never read its positions once a deformer is bound.
   std::unique_ptr<TetraMesh> mesh_;
   DeformerSpec spec_;  ///< resolved amplitude; set once by BindDeformer

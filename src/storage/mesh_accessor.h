@@ -19,7 +19,11 @@
 //  * `ProbePosition(rank, v)` is the surface probe's read: `v` is the
 //    `rank`-th vertex of the probe order. Must return the same value as
 //    `position(v)`; the split lets the paged accessor serve undeformed
-//    probe reads from index-resident data instead of page I/O.
+//    probe reads from index-resident data instead of page I/O. The
+//    fused probe calls it once per sampled surface vertex per shard per
+//    batch (its gather), not once per query.
+//  * `PrefetchProbePosition(rank, v)`, optional, hints that gather's
+//    read ahead of demand.
 //  * `neighbors(v)` returns a span that remains valid until the NEXT
 //    `neighbors` call on the same accessor; `position` calls never
 //    invalidate it. Callers must not hold a span across `neighbors`

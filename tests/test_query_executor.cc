@@ -2,18 +2,31 @@
 // Property tests for the OCTOPUS executor: the central invariant is
 // exactness — OCTOPUS returns precisely the linear-scan result — across
 // mesh types, deformation steps and query shapes. Also covers the
-// surface-approximation accuracy trade-off and OCTOPUS-CON.
+// surface-approximation accuracy trade-off, OCTOPUS-CON, and the fused
+// surface probe's parity with the sequential per-query scan it replaced.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+
+#include "engine/thread_pool.h"
 #include "mesh/generators/datasets.h"
 #include "mesh/generators/grid_generator.h"
+#include "mesh/mesh_io.h"
 #include "octopus/octopus_con.h"
+#include "octopus/paged_executor.h"
 #include "octopus/query_executor.h"
+#include "octopus/surface_probe.h"
 #include "sim/plasticity_deformer.h"
 #include "sim/random_deformer.h"
 #include "sim/restructurer.h"
 #include "sim/wave_deformer.h"
 #include "sim/workload.h"
+#include "storage/delta_overlay.h"
+#include "storage/paged_mesh.h"
+#include "storage/snapshot.h"
 #include "test_util.h"
 
 namespace octopus {
@@ -207,6 +220,9 @@ TEST(OctopusTest, StatsAccumulateAcrossQueries) {
   EXPECT_EQ(s.probed_vertices,
             10u * octopus.surface_index().num_surface_vertices());
   EXPECT_GT(s.probe_nanos, 0);
+  // Ten batches of one: one gather each.
+  EXPECT_EQ(s.probe_position_reads,
+            10u * octopus.surface_index().num_surface_vertices());
   EXPECT_GT(s.crawl_edges, 0u);
   EXPECT_GT(s.result_vertices, 0u);
   octopus.ResetStats();
@@ -276,6 +292,340 @@ TEST(ApproximationTest, ProbesFewerVertices) {
                     &got);
   const size_t surface = approx.surface_index().num_surface_vertices();
   EXPECT_LE(approx.stats().probed_vertices, surface / 9);
+}
+
+// ---------- Fused surface probe vs the per-query scan ----------
+
+/// Outcome of one box's sequential surface probe.
+struct ReferenceProbe {
+  std::vector<VertexId> starts;
+  VertexId closest = kInvalidVertex;
+  size_t probed = 0;
+};
+
+/// The reference oracle: the per-query probe loop the fused probe
+/// replaced, verbatim but for its prefetch hint (which changes no value).
+template <storage::MeshAccessor Accessor>
+ReferenceProbe ReferenceSurfaceProbe(Accessor& mesh,
+                                     const SurfaceIndex& surface_index,
+                                     const OctopusOptions& options,
+                                     const AABB& box) {
+  ReferenceProbe reference;
+  std::vector<VertexId>* start_scratch = &reference.starts;
+  const std::span<const VertexId> surface = surface_index.probe_order();
+  const size_t stride =
+      options.surface_sample_fraction >= 1.0
+          ? 1
+          : std::max<size_t>(
+                1, static_cast<size_t>(std::llround(
+                       1.0 / options.surface_sample_fraction)));
+  VertexId closest = kInvalidVertex;
+  float closest_d2 = std::numeric_limits<float>::max();
+  size_t probed = 0;
+  for (size_t i = 0; i < surface.size(); i += stride) {
+    const VertexId v = surface[i];
+    ++probed;
+    const float d2 = box.SquaredDistanceTo(mesh.ProbePosition(i, v));
+    if (d2 == 0.0f) {
+      start_scratch->push_back(v);
+    } else if (start_scratch->empty() && d2 < closest_d2) {
+      closest_d2 = d2;
+      closest = v;
+    }
+  }
+  reference.closest = closest;
+  reference.probed = probed;
+  return reference;
+}
+
+/// Algorithm 1 for one query around the reference probe, accumulating
+/// the logical counters the executor keeps.
+void ReferenceQuery(const TetraMesh& mesh, const SurfaceIndex& surface_index,
+                    const OctopusOptions& options, const AABB& box,
+                    Crawler* crawler, PhaseStats* stats,
+                    std::vector<VertexId>* out) {
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  ++stats->queries;
+  ReferenceProbe probe =
+      ReferenceSurfaceProbe(accessor, surface_index, options, box);
+  stats->probed_vertices += probe.probed;
+  if (probe.starts.empty()) {
+    ++stats->walk_invocations;
+    const WalkResult walk = DirectedWalk(accessor, box, probe.closest);
+    stats->walk_vertices += walk.vertices_visited;
+    if (!walk.ok()) return;
+    probe.starts.push_back(walk.found);
+  }
+  const CrawlStats crawl = crawler->Crawl(accessor, box, probe.starts, out);
+  stats->crawl_edges += crawl.edges_traversed;
+  stats->result_vertices += crawl.vertices_inside;
+}
+
+/// `box` with each face moved onto the nearest vertex coordinate of its
+/// axis, so vertices lie exactly on its faces.
+AABB SnapToVertexCoordinates(const TetraMesh& mesh, AABB box) {
+  float* faces[6] = {&box.min.x, &box.min.y, &box.min.z,
+                     &box.max.x, &box.max.y, &box.max.z};
+  for (int f = 0; f < 6; ++f) {
+    float best = 0.0f;
+    float best_gap = std::numeric_limits<float>::max();
+    for (const Vec3& p : mesh.positions()) {
+      const float c = f % 3 == 0 ? p.x : f % 3 == 1 ? p.y : p.z;
+      if (std::abs(c - *faces[f]) < best_gap) {
+        best_gap = std::abs(c - *faces[f]);
+        best = c;
+      }
+    }
+    *faces[f] = best;
+  }
+  return box;
+}
+
+/// `count` boxes: every 4th slot holds an edge case (a dry box outside
+/// the +x side whose closest surface vertices tie, zero-extent boxes at a
+/// surface and at an interior vertex, faces on vertex coordinates, a box
+/// far outside the mesh), the rest are monitoring-sized random boxes.
+std::vector<AABB> ParityBoxes(const TetraMesh& mesh,
+                              const SurfaceIndex& surface_index,
+                              size_t count, uint64_t seed) {
+  const AABB bounds = mesh.ComputeBounds();
+  const std::span<const VertexId> surface = surface_index.probe_order();
+  VertexId interior = 0;
+  while (surface_index.Contains(interior)) ++interior;
+  QueryGenerator gen(mesh);
+  Rng rng(seed);
+  const Vec3 far = bounds.max + Vec3(5, 5, 5);
+  const std::vector<AABB> edge_cases = {
+      AABB(Vec3(bounds.max.x + 0.5f, bounds.min.y - 0.1f,
+                bounds.min.z - 0.1f),
+           Vec3(bounds.max.x + 1.0f, bounds.max.y + 0.1f,
+                bounds.max.z + 0.1f)),
+      AABB(mesh.position(surface[surface.size() / 3]),
+           mesh.position(surface[surface.size() / 3])),
+      SnapToVertexCoordinates(mesh, gen.MakeQuery(&rng, 0.01)),
+      AABB(mesh.position(interior), mesh.position(interior)),
+      AABB(far, far + Vec3(1, 1, 1)),
+      SnapToVertexCoordinates(mesh, gen.MakeQuery(&rng, 0.002)),
+  };
+  std::vector<AABB> boxes;
+  for (size_t i = 0; i < count; ++i) {
+    if (i % 4 == 0 && i / 4 < edge_cases.size()) {
+      boxes.push_back(edge_cases[i / 4]);
+    } else {
+      boxes.push_back(gen.MakeQuery(&rng, 0.001 + 0.01 * rng.NextDouble()));
+    }
+  }
+  return boxes;
+}
+
+/// The fused probe over `accessor`'s positions, tile by tile, must give
+/// every box the reference's starts (in order) and, when dry, its
+/// closest vertex; `mesh` holds the same positions in memory.
+template <storage::MeshAccessor Accessor>
+void ExpectProbeMatchesReference(Accessor& accessor, const TetraMesh& mesh,
+                                 const SurfaceIndex& surface_index,
+                                 const OctopusOptions& options,
+                                 std::span<const AABB> boxes) {
+  SurfaceProbe probe;
+  probe.Gather(accessor, surface_index.probe_order(),
+               ProbeStride(options.surface_sample_fraction));
+  storage::InMemoryMeshAccessor reference_accessor(mesh.Graph());
+  for (size_t tile = 0; tile < boxes.size(); tile += kProbeTileBoxes) {
+    const auto tile_boxes = boxes.subspan(
+        tile, std::min(kProbeTileBoxes, boxes.size() - tile));
+    probe.ProbeTile(tile_boxes);
+    for (size_t b = 0; b < tile_boxes.size(); ++b) {
+      const ReferenceProbe reference = ReferenceSurfaceProbe(
+          reference_accessor, surface_index, options, tile_boxes[b]);
+      ASSERT_EQ(probe.size(), reference.probed);
+      ASSERT_EQ(*probe.starts(b), reference.starts) << "box " << tile + b;
+      if (reference.starts.empty()) {
+        ASSERT_EQ(probe.closest(b), reference.closest) << "box " << tile + b;
+      }
+    }
+  }
+}
+
+/// Per-query results and every logical counter of an executed batch
+/// equal the reference's over `mesh`.
+void ExpectBatchMatchesReference(const engine::QueryBatchResult& results,
+                                 const PhaseStats& stats,
+                                 const TetraMesh& mesh,
+                                 const SurfaceIndex& surface_index,
+                                 const OctopusOptions& options,
+                                 std::span<const AABB> boxes) {
+  Crawler crawler;
+  crawler.EnsureSize(mesh.num_vertices());
+  PhaseStats expected;
+  ASSERT_EQ(results.size(), boxes.size());
+  for (size_t q = 0; q < boxes.size(); ++q) {
+    std::vector<VertexId> out;
+    ReferenceQuery(mesh, surface_index, options, boxes[q], &crawler,
+                   &expected, &out);
+    ASSERT_EQ(results.per_query[q], out) << "query " << q;
+  }
+  EXPECT_EQ(stats.queries, expected.queries);
+  EXPECT_EQ(stats.probed_vertices, expected.probed_vertices);
+  EXPECT_EQ(stats.walk_invocations, expected.walk_invocations);
+  EXPECT_EQ(stats.walk_vertices, expected.walk_vertices);
+  EXPECT_EQ(stats.crawl_edges, expected.crawl_edges);
+  EXPECT_EQ(stats.result_vertices, expected.result_vertices);
+  EXPECT_EQ(stats.stale_steps, expected.stale_steps);
+}
+
+// Batch sizes crossing the tile edge (64) and spanning many tiles; the
+// 20^3 grid's 2,402 surface vertices span three probe blocks.
+constexpr size_t kParityBatchSizes[] = {1, 3, 7, 64, 65, 1024};
+constexpr double kParityFractions[] = {1.0, 0.5, 0.1};
+
+TEST(FusedProbeParityTest, InMemoryMatchesPerQueryScan) {
+  const TetraMesh mesh = MakeBox(20);
+  engine::ThreadPool pool(4);
+  for (const double fraction : kParityFractions) {
+    const OctopusOptions options{.surface_sample_fraction = fraction};
+    Octopus octopus(options);
+    octopus.Build(mesh);
+    const SurfaceIndex& surface_index = octopus.surface_index();
+    for (const size_t n : kParityBatchSizes) {
+      SCOPED_TRACE("fraction " + std::to_string(fraction) + " batch " +
+                   std::to_string(n));
+      const std::vector<AABB> boxes = ParityBoxes(mesh, surface_index, n, n);
+      storage::InMemoryMeshAccessor accessor(mesh.Graph());
+      ExpectProbeMatchesReference(accessor, mesh, surface_index, options,
+                                  boxes);
+      for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                    &pool}) {
+        SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+        octopus.ResetStats();
+        engine::QueryBatchResult results;
+        octopus.RangeQueryBatch(mesh, boxes, &results, p);
+        ExpectBatchMatchesReference(results, octopus.stats(), mesh,
+                                    surface_index, options, boxes);
+      }
+    }
+  }
+}
+
+TEST(FusedProbeParityTest, PagedDeformedOverlayMatchesPerQueryScan) {
+  TetraMesh mesh = MakeBox(20);
+  const std::string path = ::testing::TempDir() + "/fused_probe.oct2";
+  constexpr size_t kPageBytes = 1024;
+  ASSERT_TRUE(SaveSnapshot(
+                  mesh, path, storage::SnapshotOptions{.page_bytes =
+                                                           kPageBytes})
+                  .ok());
+  // Deform, then pin the batch to an overlay holding the new positions;
+  // `mesh` carries the same positions for the reference.
+  const std::vector<Vec3> base = mesh.positions();
+  RandomDeformer deformer(0.01f, 5);
+  deformer.Bind(mesh);
+  deformer.ApplyStep(1, &mesh);
+  size_t rewritten = 0;
+  const auto overlay = storage::PositionOverlay::BuildNext(
+      mesh.num_vertices(), kPageBytes, nullptr, base, mesh.positions(),
+      &rewritten);
+  ASSERT_GT(rewritten, 0u);
+
+  engine::ThreadPool pool(4);
+  for (const double fraction : kParityFractions) {
+    PagedOctopus::Options options;
+    options.executor.surface_sample_fraction = fraction;
+    auto paged = PagedOctopus::Open(path, options);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    const SurfaceIndex& surface_index = paged.Value()->surface_index();
+    auto store = storage::PagedMeshStore::Open(path, options.pool);
+    ASSERT_TRUE(store.ok());
+    storage::PageIOStats io;
+    storage::PagedMeshAccessor accessor(store.Value().get(), &io);
+    for (const size_t n : kParityBatchSizes) {
+      SCOPED_TRACE("fraction " + std::to_string(fraction) + " batch " +
+                   std::to_string(n));
+      const std::vector<AABB> boxes = ParityBoxes(mesh, surface_index, n, n);
+      accessor.BeginBatch(overlay.get(), 1);
+      ExpectProbeMatchesReference(accessor, mesh, surface_index,
+                                  options.executor, boxes);
+      accessor.EndBatch();
+      for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                    &pool}) {
+        SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+        paged.Value()->ResetStats();
+        engine::QueryBatchResult results;
+        paged.Value()->RangeQueryBatch(boxes, &results, p, overlay.get());
+        ExpectBatchMatchesReference(results, paged.Value()->stats(), mesh,
+                                    surface_index, options.executor, boxes);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FusedProbeParityTest, TiedFallbackPicksLowestProbeRank) {
+  // The grid's whole +x face is equidistant from a box beyond it: the
+  // fallback must be the face's first vertex in probe order.
+  const TetraMesh mesh = MakeBox(20);
+  Octopus octopus;
+  octopus.Build(mesh);
+  const SurfaceIndex& surface_index = octopus.surface_index();
+  const AABB bounds = mesh.ComputeBounds();
+  const AABB box(
+      Vec3(bounds.max.x + 0.5f, bounds.min.y - 0.1f, bounds.min.z - 0.1f),
+      Vec3(bounds.max.x + 1.0f, bounds.max.y + 0.1f, bounds.max.z + 0.1f));
+  float best = std::numeric_limits<float>::max();
+  VertexId first = kInvalidVertex;
+  size_t ties = 0;
+  for (const VertexId v : surface_index.probe_order()) {
+    const float d2 = box.SquaredDistanceTo(mesh.position(v));
+    if (d2 < best) {
+      best = d2;
+      first = v;
+      ties = 1;
+    } else if (d2 == best) {
+      ++ties;
+    }
+  }
+  ASSERT_GT(ties, kProbeBlockVertices / 4);  // ties span probe blocks
+  // Place the tie box in the middle of a tile, behind boxes with starts.
+  std::vector<AABB> boxes(5, bounds);
+  boxes.push_back(box);
+  SurfaceProbe probe;
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  probe.Gather(accessor, surface_index.probe_order(), 1);
+  probe.ProbeTile(boxes);
+  EXPECT_TRUE(probe.starts(5)->empty());
+  EXPECT_EQ(probe.closest(5), first);
+  storage::InMemoryMeshAccessor reference_accessor(mesh.Graph());
+  EXPECT_EQ(ReferenceSurfaceProbe(reference_accessor, surface_index,
+                                  OctopusOptions{}, box)
+                .closest,
+            first);
+}
+
+TEST(FusedProbeParityTest, PositionReadsArePerShardNotPerQuery) {
+  const TetraMesh mesh = MakeBox(12);
+  engine::ThreadPool pool(4);
+  QueryGenerator gen(mesh);
+  Rng rng(21);
+  for (const double fraction : kParityFractions) {
+    Octopus octopus(OctopusOptions{.surface_sample_fraction = fraction});
+    octopus.Build(mesh);
+    const size_t surface = octopus.surface_index().num_surface_vertices();
+    const size_t stride = ProbeStride(fraction);
+    const size_t per_gather = (surface + stride - 1) / stride;
+    for (const size_t n : kParityBatchSizes) {
+      const std::vector<AABB> boxes =
+          gen.MakeQueries(&rng, static_cast<int>(n), 0.001, 0.01);
+      for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                    &pool}) {
+        const size_t shards = p == nullptr ? 1 : std::min<size_t>(4, n);
+        octopus.ResetStats();
+        engine::QueryBatchResult results;
+        octopus.RangeQueryBatch(mesh, boxes, &results, p);
+        EXPECT_EQ(octopus.stats().probe_position_reads, shards * per_gather)
+            << "fraction " << fraction << " batch " << n;
+        EXPECT_EQ(octopus.stats().probed_vertices, n * per_gather);
+      }
+    }
+  }
 }
 
 // ---------- OCTOPUS-CON ----------

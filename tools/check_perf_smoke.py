@@ -13,6 +13,12 @@ Reads BENCH_dynamic.json and enforces the lease-economy guarantees:
     the bound is deliberately loose; it exists to catch the paged path
     falling off a cliff (an accidental per-read pin round trip shows up
     as >3x immediately), not to police single-digit percentages.
+  * `probe_position_reads` — surface positions the fused probe read.
+    Deterministic: every batch gathers ceil(surface / stride) positions
+    once per shard, however many queries it holds, so the summary must
+    satisfy probe_position_reads == batches * shards *
+    ceil(surface_vertices / probe_stride) exactly. A regression to
+    per-query surface reads multiplies it by the queries per shard.
 
 When also given BENCH_server.json, additionally enforces:
 
@@ -79,6 +85,20 @@ def main() -> int:
             f"(bound {MAX_PAGED_OVER_IN_MEMORY}): warm-pool paged "
             f"execution fell off a cliff vs in-memory")
 
+    reads = s.get("probe_position_reads")
+    fields = [s.get(k) for k in ("batches", "shards", "surface_vertices",
+                                 "probe_stride")]
+    expected_reads = None
+    if all(isinstance(v, int) and v > 0 for v in fields):
+        batches, shards, surface, stride = fields
+        expected_reads = batches * shards * (-(-surface // stride))
+    if expected_reads is None or reads != expected_reads:
+        failures.append(
+            f"probe_position_reads = {reads}, expected {expected_reads} "
+            f"(batches * shards * ceil(surface_vertices / probe_stride)):"
+            f" the surface probe no longer reads the surface once per "
+            f"shard per batch")
+
     def fmt(v):
         return f"{v:.3f}" if isinstance(v, (int, float)) else str(v)
 
@@ -87,6 +107,8 @@ def main() -> int:
           f"(bound {MAX_ACCESS_OVER_DISTINCT})")
     print(f"  paged_over_in_memory_warm = {fmt(slowdown)} "
           f"(bound {MAX_PAGED_OVER_IN_MEMORY})")
+    print(f"  probe_position_reads      = {reads} "
+          f"(expected {expected_reads})")
     if server_path is not None:
         check_server(server_path, failures)
     for msg in failures:
