@@ -7,7 +7,9 @@
 // from the step-0 surface geometry), in-memory and paged (where each
 // step's cost is the OCT2 delta pages it rewrites). Every step's
 // results are parity-checked against the in-process engine on the same
-// trajectory. Emits BENCH_dynamic.json.
+// trajectory. Emits BENCH_dynamic.json; its summary record carries the
+// run's deterministic traversal totals, which tools/check_perf_smoke.py
+// compares with the committed baseline.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -40,6 +42,7 @@ struct StepRecord {
   uint64_t walk_invocations = 0;
   uint64_t walk_vertices = 0;
   uint64_t crawl_edges = 0;
+  uint64_t result_vertices = 0;
   uint64_t page_accesses = 0;
   uint64_t lease_hits = 0;
   uint64_t pages_leased = 0;
@@ -104,6 +107,7 @@ RunSummary RunBackend(server::VersionedBackend* backend,
     record.walk_invocations = stats.walk_invocations;
     record.walk_vertices = stats.walk_vertices;
     record.crawl_edges = stats.crawl_edges;
+    record.result_vertices = stats.result_vertices;
     record.page_accesses = stats.page_io.PageAccesses();
     record.lease_hits = stats.page_io.lease_hits;
     record.pages_leased = stats.page_io.pages_leased;
@@ -184,6 +188,14 @@ int main() {
   bool all_parity_ok = true;
 
   double backend_seconds[2] = {0.0, 0.0};  // [in-memory, paged]
+  // Run totals of the traversal counters, per backend.
+  struct TraversalTotals {
+    uint64_t walk_invocations = 0;
+    uint64_t walk_vertices = 0;
+    uint64_t crawl_edges = 0;
+    uint64_t result_vertices = 0;
+  };
+  TraversalTotals traversal[2];
   uint64_t total_page_accesses = 0;
   uint64_t total_pages_distinct = 0;
   uint64_t total_lease_hits = 0;
@@ -215,6 +227,13 @@ int main() {
     backend_seconds[paged ? 1 : 0] = summary.total_wall_seconds;
     total_probe_position_reads += summary.probe_position_reads;
     surface_vertices = summary.surface_vertices;
+    for (const StepRecord& r : summary.steps) {
+      TraversalTotals& totals = traversal[paged ? 1 : 0];
+      totals.walk_invocations += r.walk_invocations;
+      totals.walk_vertices += r.walk_vertices;
+      totals.crawl_edges += r.crawl_edges;
+      totals.result_vertices += r.result_vertices;
+    }
     if (paged) {
       for (const StepRecord& r : summary.steps) {
         total_page_accesses += r.page_accesses;
@@ -263,6 +282,8 @@ int main() {
       json.Field("walk_vertices",
                  static_cast<int64_t>(r.walk_vertices));
       json.Field("crawl_edges", static_cast<int64_t>(r.crawl_edges));
+      json.Field("result_vertices",
+                 static_cast<int64_t>(r.result_vertices));
       json.Field("page_accesses",
                  static_cast<int64_t>(r.page_accesses));
       json.Field("lease_hits", static_cast<int64_t>(r.lease_hits));
@@ -312,6 +333,24 @@ int main() {
                  OctopusOptions{}.surface_sample_fraction)));
   json.Field("probe_position_reads",
              static_cast<int64_t>(total_probe_position_reads));
+  // Traversal totals per backend. Deterministic for a given scale, step
+  // count and query count (any thread count); the CI perf smoke requires
+  // them to equal the committed baseline for these settings exactly.
+  json.Field("scale", scale);
+  json.Field("steps", static_cast<int64_t>(steps));
+  json.Field("queries_per_step", static_cast<int64_t>(kQueriesPerStep));
+  for (const bool paged : {false, true}) {
+    const std::string prefix = paged ? "paged_" : "in_memory_";
+    const TraversalTotals& totals = traversal[paged ? 1 : 0];
+    json.Field(prefix + "walk_invocations",
+               static_cast<int64_t>(totals.walk_invocations));
+    json.Field(prefix + "walk_vertices",
+               static_cast<int64_t>(totals.walk_vertices));
+    json.Field(prefix + "crawl_edges",
+               static_cast<int64_t>(totals.crawl_edges));
+    json.Field(prefix + "result_vertices",
+               static_cast<int64_t>(totals.result_vertices));
+  }
   json.EndObject();
 
   table.Print();

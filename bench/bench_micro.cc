@@ -152,8 +152,13 @@ BENCHMARK(BM_Crawl);
 void BM_DirectedWalk(benchmark::State& state) {
   const TetraMesh& mesh = BenchMesh();
   const AABB q = BenchQuery(0.001);
+  // Marks and heap reused across walks, as in an execution context.
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  VisitedMarks marks;
+  marks.EnsureSize(mesh.num_vertices());
+  std::vector<WalkFrontier> heap;
   for (auto _ : state) {
-    const WalkResult r = DirectedWalk(mesh, q, 0);
+    const WalkResult r = DirectedWalk(accessor, q, 0, &marks, &heap);
     benchmark::DoNotOptimize(r.found);
   }
 }

@@ -1,6 +1,6 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // Per-thread mutable query-execution state. All scratch that the seed
-// kept inside the index objects (crawler visited-epoch array, probe
+// kept inside the index objects (visited marks, walk heap, probe
 // scratch, phase stats) lives here instead, making the index objects
 // read-only during query execution and a batch embarrassingly parallel:
 // one context per shard, zero shared mutation.
@@ -14,6 +14,7 @@
 #include "common/timer.h"
 #include "mesh/types.h"
 #include "octopus/crawler.h"
+#include "octopus/directed_walk.h"
 #include "octopus/phase_stats.h"
 #include "octopus/surface_probe.h"
 #include "storage/paged_mesh.h"
@@ -21,15 +22,19 @@
 namespace octopus::engine {
 
 /// \brief Everything one executing thread needs to run OCTOPUS queries:
-/// a crawler (with its visited-epoch scratch), the fused surface probe's
-/// SoA positions and per-tile starts, a local `PhaseStats` accumulator,
-/// and — for out-of-core execution — the thread's paged mesh accessor.
+/// a crawler (whose visited marks are the context's one mark set, used
+/// by the directed walk too), the walk's frontier heap, the fused
+/// surface probe's SoA positions and per-tile starts, a local
+/// `PhaseStats` accumulator, and — for out-of-core execution — the
+/// thread's paged mesh accessor. Scratch is reused across queries, so a
+/// warmed-up context allocates nothing per query.
 ///
 /// Contexts are never shared between concurrently executing queries.
 /// After a parallel batch, per-context stats are merged into the
 /// index-level aggregate in deterministic shard order.
 struct ExecutionContext {
   Crawler crawler;
+  std::vector<WalkFrontier> walk_heap;
   SurfaceProbe probe;
   PhaseStats stats;
   /// The per-thread out-of-core read handle, created (and rebound) by
@@ -40,12 +45,13 @@ struct ExecutionContext {
   ExecutionContext() = default;
   explicit ExecutionContext(VisitedMode mode) : crawler(mode) {}
 
-  /// Grows the crawler scratch to cover `num_vertices`.
+  /// Grows the visited marks to cover `num_vertices`.
   void EnsureSize(size_t num_vertices) { crawler.EnsureSize(num_vertices); }
 
   /// Bytes of scratch held by this context (footprint accounting).
   size_t ScratchBytes() const {
     return crawler.ScratchBytes() +
+           walk_heap.capacity() * sizeof(WalkFrontier) +
            probe.ScratchBytes() +
            (paged_accessor ? paged_accessor->ScratchBytes() : 0);
   }

@@ -5,36 +5,28 @@
 // the reason OCTOPUS scales sublinearly with dataset size.
 //
 // The BFS core is a template over any `storage::MeshAccessor`, so the
-// same code crawls the resident mesh (zero overhead — the in-memory
-// accessor inlines to the historical loads) and a paged out-of-core
-// snapshot (every access routed through the buffer pool).
+// same code crawls the resident mesh and a paged out-of-core snapshot
+// (every access routed through the buffer pool). Its per-edge work — the
+// visited test (octopus/visited_marks.h) and the accessor's position and
+// prefetch calls — is all defined in headers, so it inlines without
+// link-time optimization: with the default epoch-array marks, the
+// in-memory crawl makes no function call per edge.
 #ifndef OCTOPUS_OCTOPUS_CRAWLER_H_
 #define OCTOPUS_OCTOPUS_CRAWLER_H_
 
-#include <algorithm>
 #include <cassert>
-#include <cstdint>
+#include <cstddef>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/aabb.h"
 #include "mesh/graph_view.h"
 #include "mesh/tetra_mesh.h"
 #include "mesh/types.h"
+#include "octopus/visited_marks.h"
 #include "storage/mesh_accessor.h"
 
 namespace octopus {
-
-/// How the crawler tracks visited vertices.
-enum class VisitedMode {
-  /// O(V) epoch-stamped array: fastest, memory proportional to the mesh.
-  kEpochArray,
-  /// Hash set of visited ids: memory proportional to the *result
-  /// neighborhood* — the behaviour behind the paper's Fig. 10(b)
-  /// footprint-vs-results correlation — at some speed cost.
-  kHashSet,
-};
 
 /// \brief Per-crawl counters (feed the analytical model and Fig. 10).
 struct CrawlStats {
@@ -43,21 +35,21 @@ struct CrawlStats {
   size_t edges_traversed = 0;    ///< adjacency entries inspected
 };
 
-/// \brief Reusable BFS engine with epoch-stamped visited marks.
+/// \brief Reusable BFS engine: the visited marks plus the FIFO.
 ///
-/// The visited array is O(V) but is *not* cleared between queries — a per
-/// -query epoch stamp makes clearing O(1). This scratch space is counted
-/// in OCTOPUS's memory footprint (paper Fig. 10(b)).
+/// The marks are the execution context's one visited-mark set; the
+/// directed walk borrows them through `marks()` (a query walks, then
+/// crawls, never both at once).
 class Crawler {
  public:
   Crawler() = default;
-  explicit Crawler(VisitedMode mode) : mode_(mode) {}
+  explicit Crawler(VisitedMode mode) : marks_(mode) {}
 
-  /// Grows the scratch arrays to cover `num_vertices` (no-op in
+  /// Grows the visited marks to cover `num_vertices` (no-op in
   /// kHashSet mode).
-  void EnsureSize(size_t num_vertices);
+  void EnsureSize(size_t num_vertices) { marks_.EnsureSize(num_vertices); }
 
-  VisitedMode mode() const { return mode_; }
+  VisitedMarks& marks() { return marks_; }
 
   /// BFS from `starts`; appends every vertex inside `box` reachable from
   /// a start through vertices inside `box`. Starts outside the box are
@@ -68,21 +60,13 @@ class Crawler {
                    std::span<const VertexId> starts,
                    std::vector<VertexId>* out) {
     CrawlStats stats;
-    if (mode_ == VisitedMode::kEpochArray) {
-      assert(visit_epoch_.size() >= mesh.num_vertices() &&
-             "EnsureSize not called for this mesh");
-      if (++epoch_ == 0) {
-        // Epoch counter wrapped: reset all stamps once, then continue.
-        std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0u);
-        epoch_ = 1;
-      }
-    } else {
-      visited_set_.clear();
-    }
+    assert(marks_.Covers(mesh.num_vertices()) &&
+           "EnsureSize not called for this mesh");
+    marks_.Begin();
 
     queue_.clear();
     for (VertexId s : starts) {
-      if (!MarkVisited(s)) continue;
+      if (!marks_.Mark(s)) continue;
       ++stats.vertices_touched;
       if (!box.Contains(mesh.position(s))) continue;
       queue_.push_back(s);
@@ -96,16 +80,16 @@ class Crawler {
       const VertexId v = queue_[head];
       const std::span<const VertexId> ns = mesh.neighbors(v);
       for (size_t i = 0; i < ns.size(); ++i) {
-        // Look ahead within the neighbor run: in memory a cache-line
-        // prefetch, out of core a lease of the next position page before
-        // the frontier demands it (Hilbert layout keeps runs page-local,
-        // so this is the paper's sequential-crawl advantage made real).
+        // Look ahead within the neighbor run: out of core, lease the next
+        // position page before the frontier demands it (Hilbert layout
+        // keeps runs page-local, so this is the paper's sequential-crawl
+        // advantage made real). In memory the hint is a no-op.
         if (i + kPrefetchAhead < ns.size()) {
           mesh.PrefetchPosition(ns[i + kPrefetchAhead]);
         }
         const VertexId n = ns[i];
         ++stats.edges_traversed;
-        if (!MarkVisited(n)) continue;
+        if (!marks_.Mark(n)) continue;
         ++stats.vertices_touched;
         // Stop criteria: do not expand past vertices outside the query.
         if (!box.Contains(mesh.position(n))) continue;
@@ -131,26 +115,13 @@ class Crawler {
     return Crawl(mesh.Graph(), box, starts, out);
   }
 
-  /// Current visited-mark epoch (kEpochArray mode). Exposed with the
-  /// setter below so tests can drive the counter to its wraparound
-  /// (2^32 crawls would otherwise be needed to reach the reset path).
-  uint32_t epoch() const { return epoch_; }
-  void set_epoch_for_testing(uint32_t epoch) { epoch_ = epoch; }
-
   /// Bytes of visited marks + queue.
   size_t ScratchBytes() const {
-    return visit_epoch_.capacity() * sizeof(uint32_t) +
-           queue_.capacity() * sizeof(VertexId) +
-           visited_set_.size() * (sizeof(VertexId) + 16);
+    return marks_.ScratchBytes() + queue_.capacity() * sizeof(VertexId);
   }
 
  private:
-  bool MarkVisited(VertexId v);
-
-  VisitedMode mode_ = VisitedMode::kEpochArray;
-  std::vector<uint32_t> visit_epoch_;
-  uint32_t epoch_ = 0;
-  std::unordered_set<VertexId> visited_set_;
+  VisitedMarks marks_;
   std::vector<VertexId> queue_;
 };
 

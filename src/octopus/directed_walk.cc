@@ -6,7 +6,9 @@ namespace octopus {
 WalkResult DirectedWalk(const MeshGraphView& graph, const AABB& box,
                         VertexId start) {
   storage::InMemoryMeshAccessor accessor(graph);
-  return DirectedWalk(accessor, box, start);
+  VisitedMarks marks(VisitedMode::kHashSet);
+  std::vector<WalkFrontier> heap;
+  return DirectedWalk(accessor, box, start, &marks, &heap);
 }
 
 }  // namespace octopus

@@ -9,19 +9,25 @@
 //
 // Like the crawler, the walk is a template over any
 // `storage::MeshAccessor`: identical code (and identical expansion
-// order, hence identical counters) in memory and out of core.
+// order, hence identical counters) in memory and out of core. It owns
+// no per-call containers: the visited marks are the execution context's
+// (the same set the crawl uses; octopus/visited_marks.h) and the
+// frontier heap is a vector the context keeps across queries, so a warm
+// context walks without allocating (epoch-array marks).
 #ifndef OCTOPUS_OCTOPUS_DIRECTED_WALK_H_
 #define OCTOPUS_OCTOPUS_DIRECTED_WALK_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <queue>
-#include <unordered_set>
+#include <functional>
 #include <vector>
 
 #include "common/aabb.h"
 #include "mesh/graph_view.h"
 #include "mesh/tetra_mesh.h"
 #include "mesh/types.h"
+#include "octopus/visited_marks.h"
 #include "storage/mesh_accessor.h"
 
 namespace octopus {
@@ -54,18 +60,25 @@ float LocalMeanEdgeLength(Accessor& mesh, VertexId v) {
   return count == 0 ? 0.0f : total / static_cast<float>(count);
 }
 
+}  // namespace internal
+
+/// One entry of the walk's frontier: a discovered vertex and its squared
+/// distance to the query box.
 struct WalkFrontier {
   float d2;
   VertexId vertex;
   bool operator>(const WalkFrontier& o) const { return d2 > o.d2; }
 };
 
-}  // namespace internal
-
 /// Walk from `start` toward `box` using current vertex positions.
 /// Primitive- and residency-agnostic (works on any `MeshAccessor`).
+/// `marks` (covering the mesh) and `heap` are caller-owned scratch: the
+/// walk starts a new traversal on `marks` and leaves both in an
+/// unspecified state.
 template <storage::MeshAccessor Accessor>
-WalkResult DirectedWalk(Accessor& mesh, const AABB& box, VertexId start) {
+WalkResult DirectedWalk(Accessor& mesh, const AABB& box, VertexId start,
+                        VisitedMarks* marks,
+                        std::vector<WalkFrontier>* heap) {
   WalkResult result;
   if (start == kInvalidVertex || mesh.num_vertices() == 0) return result;
 
@@ -87,17 +100,20 @@ WalkResult DirectedWalk(Accessor& mesh, const AABB& box, VertexId start) {
   const float margin = 3.0f * internal::LocalMeanEdgeLength(mesh, start);
   const float limit = std::sqrt(start_d2) + margin;
   const float limit_d2 = limit * limit;
+  assert(marks->Covers(mesh.num_vertices()));
 
-  std::priority_queue<internal::WalkFrontier,
-                      std::vector<internal::WalkFrontier>, std::greater<>>
-      heap;
-  std::unordered_set<VertexId> visited;
-  heap.push({start_d2, start});
-  visited.insert(start);
+  // A binary min-heap on `heap` (the std::priority_queue operations,
+  // spelled out so the vector's capacity survives across walks).
+  const std::greater<> later{};
+  heap->clear();
+  heap->push_back({start_d2, start});
+  marks->Begin();
+  marks->Mark(start);
 
-  while (!heap.empty()) {
-    const internal::WalkFrontier current = heap.top();
-    heap.pop();
+  while (!heap->empty()) {
+    std::pop_heap(heap->begin(), heap->end(), later);
+    const WalkFrontier current = heap->back();
+    heap->pop_back();
     if (current.d2 == 0.0f) {
       result.found = current.vertex;
       return result;
@@ -108,15 +124,18 @@ WalkResult DirectedWalk(Accessor& mesh, const AABB& box, VertexId start) {
     }
     ++result.vertices_visited;
     for (VertexId n : mesh.neighbors(current.vertex)) {
-      if (visited.insert(n).second) {
-        heap.push({box.SquaredDistanceTo(mesh.position(n)), n});
+      if (marks->Mark(n)) {
+        heap->push_back({box.SquaredDistanceTo(mesh.position(n)), n});
+        std::push_heap(heap->begin(), heap->end(), later);
       }
     }
   }
   return result;  // exhausted the component without entering the box
 }
 
-/// Resident-mesh convenience overloads.
+/// Resident-mesh convenience overloads for tests and tools: the same
+/// walk with call-local scratch (hash-set marks, so the cost stays
+/// proportional to the walk, not the mesh).
 WalkResult DirectedWalk(const MeshGraphView& graph, const AABB& box,
                         VertexId start);
 

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "common/timer.h"
+#include "storage/mesh_accessor.h"
 
 namespace octopus {
 
@@ -17,6 +18,7 @@ void OctopusCon::RangeQuery(const TetraMesh& mesh, const AABB& box,
                             std::vector<VertexId>* out) const {
   Timer timer;
   ++stats_.queries;
+  context_.EnsureSize(num_vertices_);
 
   // --- Directed walk from a grid-suggested start ---
   // The grid maps the query center to a vertex that was nearby when the
@@ -24,7 +26,10 @@ void OctopusCon::RangeQuery(const TetraMesh& mesh, const AABB& box,
   // vertex; the walk covers the remaining (drift) distance.
   ++stats_.walk_invocations;
   const VertexId hint = grid_.FindNearbyVertex(box.Center());
-  const WalkResult walk = DirectedWalk(mesh, box, hint);
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  const WalkResult walk =
+      DirectedWalk(accessor, box, hint, &context_.crawler.marks(),
+                   &context_.walk_heap);
   stats_.walk_vertices += walk.vertices_visited;
   stats_.walk_nanos += timer.ElapsedNanos();
   if (!walk.ok()) {
@@ -33,9 +38,8 @@ void OctopusCon::RangeQuery(const TetraMesh& mesh, const AABB& box,
 
   // --- Crawl from the single interior start ---
   timer.Restart();
-  context_.EnsureSize(num_vertices_);
   const CrawlStats crawl = context_.crawler.Crawl(
-      mesh, box, std::span<const VertexId>(&walk.found, 1), out);
+      accessor, box, std::span<const VertexId>(&walk.found, 1), out);
   stats_.crawl_edges += crawl.edges_traversed;
   stats_.result_vertices += crawl.vertices_inside;
   stats_.crawl_nanos += timer.ElapsedNanos();

@@ -13,7 +13,7 @@
 //
 // Thread-safety invariant (engine layer): after `Build`, the index object
 // (`options_`, `surface_index_`) is read-only during query execution. All
-// mutable query state — crawler visited-epochs, probe scratch, phase
+// mutable query state — visited marks, walk heap, probe scratch, phase
 // stats — lives in per-thread `engine::ExecutionContext`s. During a
 // parallel `RangeQueryBatch`, each shard accumulates stats into its own
 // context-local `PhaseStats`; the locals are merged into the index-level
@@ -104,7 +104,9 @@ void ExecuteOctopusShard(Accessor& mesh, const SurfaceIndex& surface_index,
       if (starts->empty()) {
         timer.Restart();
         ++stats->walk_invocations;
-        const WalkResult walk = DirectedWalk(mesh, box, probe.closest(b));
+        const WalkResult walk =
+            DirectedWalk(mesh, box, probe.closest(b),
+                         &context->crawler.marks(), &context->walk_heap);
         stats->walk_vertices += walk.vertices_visited;
         stats->walk_nanos += timer.ElapsedNanos();
         if (!walk.ok()) {

@@ -23,13 +23,16 @@
 //    fused probe calls it once per sampled surface vertex per shard per
 //    batch (its gather), not once per query.
 //  * `PrefetchProbePosition(rank, v)`, optional, hints that gather's
-//    read ahead of demand.
+//    read ahead of demand (in memory a cache-line prefetch: the gather
+//    reads surface positions by id, scattered over the array).
 //  * `neighbors(v)` returns a span that remains valid until the NEXT
 //    `neighbors` call on the same accessor; `position` calls never
 //    invalidate it. Callers must not hold a span across `neighbors`
 //    calls (the crawler and directed walk naturally comply).
-//  * `PrefetchPosition(v)` is a best-effort latency hint, free to no-op
-//    (the paged accessor leases the page ahead of demand).
+//  * `PrefetchPosition(v)` is the crawl's look-ahead hint, free to
+//    no-op. The paged accessor leases the page ahead of demand; the
+//    in-memory accessor does nothing, since most neighbours the crawl
+//    looks ahead to are already visited and never read.
 //  * Accessors are single-threaded handles; concurrent shards each use
 //    their own (the backing store may be shared).
 #ifndef OCTOPUS_STORAGE_MESH_ACCESSOR_H_
@@ -79,12 +82,10 @@ class InMemoryMeshAccessor {
     return graph_.neighbors(v);
   }
 
-  void PrefetchPosition(VertexId v) const {
-    __builtin_prefetch(graph_.positions.data() + v);
-  }
+  void PrefetchPosition(VertexId) const {}
 
   void PrefetchProbePosition(size_t, VertexId v) const {
-    PrefetchPosition(v);
+    __builtin_prefetch(graph_.positions.data() + v);
   }
 
  private:

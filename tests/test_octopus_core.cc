@@ -213,10 +213,10 @@ TEST(CrawlerTest, EpochCounterWraparoundResetsVisitedMarks) {
   crawler.EnsureSize(mesh.num_vertices());
   // Stamp every reachable vertex with the maximum epoch value — the
   // exact value stale marks would hold right before the wrap.
-  crawler.set_epoch_for_testing(0xFFFFFFFEu);
+  crawler.marks().set_epoch_for_testing(0xFFFFFFFEu);
   std::vector<VertexId> got;
   crawler.Crawl(mesh, q, starts, &got);
-  EXPECT_EQ(crawler.epoch(), 0xFFFFFFFFu);
+  EXPECT_EQ(crawler.marks().epoch(), 0xFFFFFFFFu);
   EXPECT_EQ(Sorted(got), expected);
 
   // This crawl increments 0xFFFFFFFF -> 0: the wrap path must reset all
@@ -225,7 +225,7 @@ TEST(CrawlerTest, EpochCounterWraparoundResetsVisitedMarks) {
   // mark equal to the *new* epoch from eons ago would be skipped.
   got.clear();
   crawler.Crawl(mesh, q, starts, &got);
-  EXPECT_EQ(crawler.epoch(), 1u);
+  EXPECT_EQ(crawler.marks().epoch(), 1u);
   EXPECT_EQ(Sorted(got), expected);
 
   // And the post-wrap epoch sequence keeps deduplicating correctly: a
@@ -236,7 +236,7 @@ TEST(CrawlerTest, EpochCounterWraparoundResetsVisitedMarks) {
   const std::vector<VertexId> starts2 = {expected2.front()};
   got.clear();
   crawler.Crawl(mesh, q2, starts2, &got);
-  EXPECT_EQ(crawler.epoch(), 2u);
+  EXPECT_EQ(crawler.marks().epoch(), 2u);
   EXPECT_EQ(Sorted(got), expected2);
 }
 

@@ -2,14 +2,19 @@
 // Property tests for the OCTOPUS executor: the central invariant is
 // exactness — OCTOPUS returns precisely the linear-scan result — across
 // mesh types, deformation steps and query shapes. Also covers the
-// surface-approximation accuracy trade-off, OCTOPUS-CON, and the fused
-// surface probe's parity with the sequential per-query scan it replaced.
+// surface-approximation accuracy trade-off, OCTOPUS-CON, the fused
+// surface probe's parity with the sequential per-query scan it replaced,
+// and the directed walk's parity with the allocating walk it replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <string>
+#include <unordered_set>
 
 #include "engine/thread_pool.h"
 #include "mesh/generators/datasets.h"
@@ -19,6 +24,7 @@
 #include "octopus/paged_executor.h"
 #include "octopus/query_executor.h"
 #include "octopus/surface_probe.h"
+#include "sim/deformer.h"
 #include "sim/plasticity_deformer.h"
 #include "sim/random_deformer.h"
 #include "sim/restructurer.h"
@@ -237,6 +243,22 @@ TEST(OctopusTest, FootprintIncludesSurfaceIndexAndScratch) {
             octopus.surface_index().FootprintBytes());
   // Far below the mesh itself (the whole point of Fig. 6(b)).
   EXPECT_LT(octopus.FootprintBytes(), mesh.MemoryBytes());
+
+  // After a walking query, a context's scratch includes the walk heap
+  // it keeps for the next walk.
+  engine::ExecutionContext context;
+  context.EnsureSize(mesh.num_vertices());
+  const AABB enclosed(Vec3(0.4f, 0.4f, 0.4f), Vec3(0.6f, 0.6f, 0.6f));
+  std::vector<VertexId> out;
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  ExecuteOctopusShard(accessor, octopus.surface_index(), OctopusOptions{},
+                      std::span<const AABB>(&enclosed, 1), &context, &out);
+  ASSERT_EQ(context.stats.walk_invocations, 1u);
+  const size_t heap_bytes = context.walk_heap.capacity() * sizeof(WalkFrontier);
+  EXPECT_GT(heap_bytes, 0u);
+  EXPECT_EQ(context.ScratchBytes(), context.crawler.ScratchBytes() +
+                                        heap_bytes +
+                                        context.probe.ScratchBytes());
 }
 
 // ---------- Surface approximation (Sec. IV-H2) ----------
@@ -338,6 +360,56 @@ ReferenceProbe ReferenceSurfaceProbe(Accessor& mesh,
   return reference;
 }
 
+/// The reference oracle for the directed walk: the walk as it was when
+/// every call built its own hash set and priority queue, verbatim but
+/// for its frontier type's name.
+struct ReferenceFrontier {
+  float d2;
+  VertexId vertex;
+  bool operator>(const ReferenceFrontier& o) const { return d2 > o.d2; }
+};
+
+template <storage::MeshAccessor Accessor>
+WalkResult ReferenceDirectedWalk(Accessor& mesh, const AABB& box,
+                                 VertexId start) {
+  WalkResult result;
+  if (start == kInvalidVertex || mesh.num_vertices() == 0) return result;
+  const float start_d2 = box.SquaredDistanceTo(mesh.position(start));
+  if (start_d2 == 0.0f) {
+    result.found = start;
+    return result;
+  }
+  const float margin = 3.0f * internal::LocalMeanEdgeLength(mesh, start);
+  const float limit = std::sqrt(start_d2) + margin;
+  const float limit_d2 = limit * limit;
+
+  std::priority_queue<ReferenceFrontier, std::vector<ReferenceFrontier>,
+                      std::greater<>>
+      heap;
+  std::unordered_set<VertexId> visited;
+  heap.push({start_d2, start});
+  visited.insert(start);
+
+  while (!heap.empty()) {
+    const ReferenceFrontier current = heap.top();
+    heap.pop();
+    if (current.d2 == 0.0f) {
+      result.found = current.vertex;
+      return result;
+    }
+    if (current.d2 > limit_d2) {
+      return result;
+    }
+    ++result.vertices_visited;
+    for (VertexId n : mesh.neighbors(current.vertex)) {
+      if (visited.insert(n).second) {
+        heap.push({box.SquaredDistanceTo(mesh.position(n)), n});
+      }
+    }
+  }
+  return result;
+}
+
 /// Algorithm 1 for one query around the reference probe, accumulating
 /// the logical counters the executor keeps.
 void ReferenceQuery(const TetraMesh& mesh, const SurfaceIndex& surface_index,
@@ -351,7 +423,8 @@ void ReferenceQuery(const TetraMesh& mesh, const SurfaceIndex& surface_index,
   stats->probed_vertices += probe.probed;
   if (probe.starts.empty()) {
     ++stats->walk_invocations;
-    const WalkResult walk = DirectedWalk(accessor, box, probe.closest);
+    const WalkResult walk =
+        ReferenceDirectedWalk(accessor, box, probe.closest);
     stats->walk_vertices += walk.vertices_visited;
     if (!walk.ok()) return;
     probe.starts.push_back(walk.found);
@@ -624,6 +697,272 @@ TEST(FusedProbeParityTest, PositionReadsArePerShardNotPerQuery) {
             << "fraction " << fraction << " batch " << n;
         EXPECT_EQ(octopus.stats().probed_vertices, n * per_gather);
       }
+    }
+  }
+}
+
+// ---------- Directed walk parity (shared marks, reused heap) ----------
+
+/// Neuro L0 after eight plasticity steps. The surface index depends on
+/// topology only, so it is the stale index a server keeps; `base` holds
+/// the undeformed positions a snapshot of the mesh is written from.
+struct DeformedNeuro {
+  TetraMesh mesh;
+  std::vector<Vec3> base;
+};
+
+DeformedNeuro MakeDeformedNeuro() {
+  DeformedNeuro neuro{MakeNeuroMesh(0, 0.4).MoveValue(), {}};
+  neuro.base = neuro.mesh.positions();
+  PlasticityDeformer deformer(0.3f * EstimateMeanEdgeLength(neuro.mesh));
+  deformer.Bind(neuro.mesh);
+  for (int step = 1; step <= 8; ++step) deformer.ApplyStep(step, &neuro.mesh);
+  return neuro;
+}
+
+struct WalkCase {
+  AABB box;
+  VertexId start;
+};
+
+bool HoldsSurfaceVertex(const TetraMesh& mesh,
+                        const SurfaceIndex& surface_index, const AABB& box) {
+  for (const VertexId v : surface_index.probe_order()) {
+    if (box.Contains(mesh.position(v))) return true;
+  }
+  return false;
+}
+
+VertexId ClosestSurfaceVertex(const TetraMesh& mesh,
+                              const SurfaceIndex& surface_index,
+                              const AABB& box) {
+  VertexId closest = kInvalidVertex;
+  float best = std::numeric_limits<float>::max();
+  for (const VertexId v : surface_index.probe_order()) {
+    const float d2 = box.SquaredDistanceTo(mesh.position(v));
+    if (d2 < best) {
+      best = d2;
+      closest = v;
+    }
+  }
+  return closest;
+}
+
+/// Walks on `mesh`: dry boxes inside it (no surface vertex, so the probe
+/// finds nothing), walked from their closest surface vertex and from a
+/// random vertex; boxes outside it (the failure path); and boxes that
+/// already hold their start.
+std::vector<WalkCase> WalkCases(const TetraMesh& mesh,
+                                const SurfaceIndex& surface_index,
+                                uint64_t seed) {
+  const float edge = EstimateMeanEdgeLength(mesh);
+  Rng rng(seed);
+  auto random_vertex = [&] {
+    return static_cast<VertexId>(rng.NextBelow(mesh.num_vertices()));
+  };
+  std::vector<WalkCase> cases;
+  for (int dry = 0, attempt = 0; dry < 12 && attempt < 1000; ++attempt) {
+    const VertexId v = random_vertex();
+    if (surface_index.Contains(v)) continue;
+    const float h = edge * (0.5f + 2.0f * static_cast<float>(rng.NextDouble()));
+    const AABB box =
+        AABB::FromCenterHalfExtent(mesh.position(v), Vec3(h, h, h));
+    if (HoldsSurfaceVertex(mesh, surface_index, box)) continue;
+    cases.push_back({box, ClosestSurfaceVertex(mesh, surface_index, box)});
+    cases.push_back({box, random_vertex()});
+    ++dry;
+  }
+  const AABB bounds = mesh.ComputeBounds();
+  const Vec3 extent = bounds.max - bounds.min;
+  const Vec3 e = extent * 0.6f;
+  for (const Vec3& shift : {Vec3(e.x, 0, 0), Vec3(-e.x, 0, 0),
+                            Vec3(0, e.y, 0), Vec3(0, -e.y, 0),
+                            Vec3(0, 0, e.z), Vec3(0, 0, -e.z)}) {
+    const AABB box = AABB::FromCenterHalfExtent(bounds.Center() + shift,
+                                                extent * 0.05f);
+    cases.push_back({box, ClosestSurfaceVertex(mesh, surface_index, box)});
+  }
+  for (int i = 0; i < 4; ++i) {
+    const VertexId v = random_vertex();
+    cases.push_back({AABB::FromCenterHalfExtent(mesh.position(v),
+                                                Vec3(edge, edge, edge)),
+                     v});
+  }
+  return cases;
+}
+
+std::vector<AABB> BoxesOf(std::span<const WalkCase> cases) {
+  std::vector<AABB> boxes;
+  for (const WalkCase& c : cases) boxes.push_back(c.box);
+  return boxes;
+}
+
+constexpr VisitedMode kVisitedModes[] = {VisitedMode::kEpochArray,
+                                         VisitedMode::kHashSet};
+
+TEST(WalkParityTest, InMemoryMatchesAllocatingWalk) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  SurfaceIndex surface_index;
+  surface_index.Build(mesh);
+  const std::vector<WalkCase> cases = WalkCases(mesh, surface_index, 41);
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  size_t found = 0;
+  size_t failed = 0;
+  for (const VisitedMode mode : kVisitedModes) {
+    // One set of marks and one heap for every walk, as in a context.
+    VisitedMarks marks(mode);
+    marks.EnsureSize(mesh.num_vertices());
+    std::vector<WalkFrontier> heap;
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const WalkCase& c = cases[i];
+      const WalkResult expected =
+          ReferenceDirectedWalk(accessor, c.box, c.start);
+      const WalkResult got =
+          DirectedWalk(accessor, c.box, c.start, &marks, &heap);
+      ASSERT_EQ(got.found, expected.found) << "case " << i;
+      ASSERT_EQ(got.vertices_visited, expected.vertices_visited)
+          << "case " << i;
+      (expected.ok() ? found : failed) += 1;
+    }
+  }
+  // The cases reach both outcomes, and the dry ones really walk.
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(failed, 0u);
+
+  // The executor walks from the probe's closest vertex; both marks modes
+  // give the reference's results and counters at 1 and 4 threads.
+  const std::vector<AABB> boxes = BoxesOf(cases);
+  engine::ThreadPool pool(4);
+  for (const VisitedMode mode : kVisitedModes) {
+    const OctopusOptions options{.visited_mode = mode};
+    Octopus octopus(options);
+    octopus.Build(mesh);
+    for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                  &pool}) {
+      octopus.ResetStats();
+      engine::QueryBatchResult results;
+      octopus.RangeQueryBatch(mesh, boxes, &results, p);
+      ExpectBatchMatchesReference(results, octopus.stats(), mesh,
+                                  octopus.surface_index(), options, boxes);
+      EXPECT_GT(octopus.stats().walk_vertices, 0u);
+    }
+  }
+}
+
+TEST(WalkParityTest, PagedDeformedOverlayMatchesAllocatingWalk) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  TetraMesh base_mesh = mesh;
+  base_mesh.mutable_positions() = neuro.base;
+  const std::string path = ::testing::TempDir() + "/walk_parity.oct2";
+  constexpr size_t kPageBytes = 4096;
+  ASSERT_TRUE(SaveSnapshot(base_mesh, path,
+                           storage::SnapshotOptions{.page_bytes = kPageBytes})
+                  .ok());
+  size_t rewritten = 0;
+  const auto overlay = storage::PositionOverlay::BuildNext(
+      mesh.num_vertices(), kPageBytes, nullptr, neuro.base, mesh.positions(),
+      &rewritten);
+  ASSERT_GT(rewritten, 0u);
+
+  engine::ThreadPool pool(4);
+  for (const VisitedMode mode : kVisitedModes) {
+    PagedOctopus::Options options;
+    options.executor.visited_mode = mode;
+    auto paged = PagedOctopus::Open(path, options);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    const SurfaceIndex& surface_index = paged.Value()->surface_index();
+    const std::vector<WalkCase> cases = WalkCases(mesh, surface_index, 43);
+
+    // Walk by walk over two private pools: the walk reads the same
+    // pages in the same order as the reference, so page counters agree.
+    auto store = storage::PagedMeshStore::Open(path, options.pool);
+    auto reference_store = storage::PagedMeshStore::Open(path, options.pool);
+    ASSERT_TRUE(store.ok() && reference_store.ok());
+    storage::PageIOStats io;
+    storage::PageIOStats reference_io;
+    storage::PagedMeshAccessor accessor(store.Value().get(), &io);
+    storage::PagedMeshAccessor reference_accessor(
+        reference_store.Value().get(), &reference_io);
+    accessor.BeginBatch(overlay.get(), 1);
+    reference_accessor.BeginBatch(overlay.get(), 1);
+    VisitedMarks marks(mode);
+    marks.EnsureSize(mesh.num_vertices());
+    std::vector<WalkFrontier> heap;
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const WalkCase& c = cases[i];
+      const WalkResult expected =
+          ReferenceDirectedWalk(reference_accessor, c.box, c.start);
+      const WalkResult got =
+          DirectedWalk(accessor, c.box, c.start, &marks, &heap);
+      ASSERT_EQ(got.found, expected.found) << "case " << i;
+      ASSERT_EQ(got.vertices_visited, expected.vertices_visited)
+          << "case " << i;
+    }
+    accessor.EndBatch();
+    reference_accessor.EndBatch();
+    EXPECT_EQ(io.page_hits, reference_io.page_hits);
+    EXPECT_EQ(io.page_misses, reference_io.page_misses);
+    EXPECT_EQ(io.lease_hits, reference_io.lease_hits);
+    EXPECT_EQ(io.pages_leased, reference_io.pages_leased);
+    EXPECT_EQ(io.pages_distinct, reference_io.pages_distinct);
+
+    const std::vector<AABB> boxes = BoxesOf(cases);
+    for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                  &pool}) {
+      paged.Value()->ResetStats();
+      engine::QueryBatchResult results;
+      paged.Value()->RangeQueryBatch(boxes, &results, p, overlay.get());
+      ExpectBatchMatchesReference(results, paged.Value()->stats(), mesh,
+                                  surface_index, options.executor, boxes);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WalkParityTest, SharedMarksSurviveEpochWrap) {
+  // The walk and the crawl advance one epoch counter. A first pass
+  // leaves low-epoch stamps behind; the second starts 0..5 traversals
+  // before the wrap, so the reset lands in the first queries' walks and
+  // crawls, with walking and crawling queries interleaved around it.
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  Octopus octopus;
+  octopus.Build(mesh);
+  const SurfaceIndex& surface_index = octopus.surface_index();
+  const std::vector<WalkCase> cases = WalkCases(mesh, surface_index, 47);
+  QueryGenerator gen(mesh);
+  Rng rng(48);
+  std::vector<AABB> boxes;
+  for (const WalkCase& c : cases) {
+    boxes.push_back(c.box);
+    boxes.push_back(gen.MakeQuery(&rng, 0.002 + 0.01 * rng.NextDouble()));
+  }
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  for (uint32_t before_wrap = 0; before_wrap < 6; ++before_wrap) {
+    SCOPED_TRACE("epoch UINT32_MAX - " + std::to_string(before_wrap));
+    engine::ExecutionContext context;
+    context.EnsureSize(mesh.num_vertices());
+    for (const bool wrap : {false, true}) {
+      if (wrap) {
+        context.crawler.marks().set_epoch_for_testing(
+            std::numeric_limits<uint32_t>::max() - before_wrap);
+      }
+      context.stats.Reset();
+      engine::QueryBatchResult results;
+      results.Reset(boxes.size());
+      // One query per call: each starts its walk and crawl from the
+      // previous query's marks.
+      for (size_t q = 0; q < boxes.size(); ++q) {
+        ExecuteOctopusShard(accessor, surface_index, OctopusOptions{},
+                            std::span<const AABB>(&boxes[q], 1), &context,
+                            &results.per_query[q]);
+      }
+      EXPECT_LE(context.crawler.marks().epoch(), 2 * boxes.size());
+      EXPECT_GT(context.stats.walk_invocations, 0u);
+      ExpectBatchMatchesReference(results, context.stats, mesh,
+                                  surface_index, OctopusOptions{}, boxes);
     }
   }
 }

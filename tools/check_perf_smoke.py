@@ -19,6 +19,13 @@ Reads BENCH_dynamic.json and enforces the lease-economy guarantees:
     satisfy probe_position_reads == batches * shards *
     ceil(surface_vertices / probe_stride) exactly. A regression to
     per-query surface reads multiplies it by the queries per shard.
+  * Traversal totals — walk invocations, walked vertices, crawl edges
+    and result vertices, per backend, over the whole run. Deterministic
+    for given settings (scale, steps, queries per step; any thread
+    count), so they must equal the committed baseline for those
+    settings, tools/perf_smoke_baseline.json, exactly. A change that
+    moves them changes what the engine computes: re-baseline on purpose,
+    in the same change, and say why.
 
 When also given BENCH_server.json, additionally enforces:
 
@@ -34,11 +41,50 @@ Usage: check_perf_smoke.py [BENCH_dynamic.json] [BENCH_server.json]
 """
 
 import json
+import os
 import sys
 
 MAX_ACCESS_OVER_DISTINCT = 2.0
 MAX_PAGED_OVER_IN_MEMORY = 3.0
 MAX_TRACING_OVERHEAD = 1.05
+BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "perf_smoke_baseline.json")
+TRAVERSAL_COUNTERS = [
+    f"{backend}_{counter}"
+    for backend in ("in_memory", "paged")
+    for counter in ("walk_invocations", "walk_vertices", "crawl_edges",
+                    "result_vertices")
+]
+
+
+def check_traversal_baseline(summary: dict, failures: list) -> None:
+    """Traversal totals must equal the baseline recorded for the run's
+    settings; a run with settings no baseline covers fails too."""
+    with open(BASELINE_PATH) as f:
+        baselines = json.load(f)["dynamic_summary"]
+    settings = {k: summary.get(k) for k in ("scale", "steps",
+                                            "queries_per_step")}
+    matches = [b for b in baselines
+               if b["settings"]["steps"] == settings["steps"]
+               and b["settings"]["queries_per_step"] ==
+               settings["queries_per_step"]
+               and isinstance(settings["scale"], (int, float))
+               and abs(b["settings"]["scale"] - settings["scale"]) < 1e-9]
+    if len(matches) != 1:
+        failures.append(
+            f"no traversal-counter baseline for {settings} in "
+            f"{BASELINE_PATH} (recorded: "
+            f"{[b['settings'] for b in baselines]})")
+        return
+    expected = matches[0]["counters"]
+    for name in TRAVERSAL_COUNTERS:
+        got = summary.get(name)
+        print(f"  {name:<26} = {got} (baseline {expected.get(name)})")
+        if got != expected.get(name):
+            failures.append(
+                f"{name} = {got}, baseline {expected.get(name)}: the "
+                f"engine's traversal work changed; re-baseline only if "
+                f"that is intended")
 
 
 def check_server(path: str, failures: list) -> None:
@@ -109,6 +155,7 @@ def main() -> int:
           f"(bound {MAX_PAGED_OVER_IN_MEMORY})")
     print(f"  probe_position_reads      = {reads} "
           f"(expected {expected_reads})")
+    check_traversal_baseline(s, failures)
     if server_path is not None:
         check_server(server_path, failures)
     for msg in failures:
