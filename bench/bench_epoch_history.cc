@@ -180,6 +180,7 @@ int main() {
       json.BeginObject();
       json.Field("name", std::string("epoch_history_") + name);
       json.Field("paged", static_cast<int64_t>(paged ? 1 : 0));
+      json.Field("scale", scale);
       json.Field("step", static_cast<int64_t>(r.step));
       json.Field("retention_epochs", static_cast<int64_t>(kWindow));
       json.Field("queries_per_step",

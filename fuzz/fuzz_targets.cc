@@ -1,6 +1,7 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 #include "fuzz/fuzz_targets.h"
 
+#include <algorithm>
 #include <cassert>
 #include <span>
 #include <string>
@@ -58,8 +59,21 @@ void ParsePayload(FrameType type, std::span<const uint8_t> payload) {
       break;
     }
     case FrameType::kStats: {
-      server::ServerStatsWire stats;
-      (void)server::ParseStats(payload, &stats);
+      server::StatsWire stats;
+      if (server::ParseStats(payload, &stats).ok()) {
+        // An accepted STATS re-encodes to the very same bytes and
+        // parses back to the same samples.
+        Buffer again;
+        server::AppendStats(&again, stats);
+        const std::span<const uint8_t> body =
+            std::span<const uint8_t>(again).subspan(
+                server::kFrameHeaderBytes);
+        assert(std::equal(body.begin(), body.end(), payload.begin(),
+                          payload.end()));
+        server::StatsWire reparsed;
+        const bool reparsed_ok = server::ParseStats(body, &reparsed).ok();
+        assert(reparsed_ok && reparsed.samples == stats.samples);
+      }
       break;
     }
     case FrameType::kError: {
@@ -127,6 +141,7 @@ void FuzzProtocolFrame(const uint8_t* data, size_t size) {
     }
     ParsePayload(FrameType::kQueryBatch, bytes.first(cut));
     ParsePayload(FrameType::kResult, bytes.first(cut));
+    ParsePayload(FrameType::kStats, bytes.first(cut));
     ParsePayload(FrameType::kTraceDump, bytes.first(cut));
   }
 }

@@ -316,7 +316,7 @@ Result<server::EpochInfoWire> RemoteClient::UnpinEpoch(uint64_t epoch) {
   return RoundTripEpochInfo(out);
 }
 
-Result<server::ServerStatsWire> RemoteClient::FetchStats() {
+Result<server::StatsWire> RemoteClient::FetchStats() {
   Buffer out;
   server::AppendStatsRequest(&out);
   OCTOPUS_RETURN_NOT_OK(SendAll(out));
@@ -332,7 +332,7 @@ Result<server::ServerStatsWire> RemoteClient::FetchStats() {
     Close();
     return Status::IOError("expected STATS frame");
   }
-  server::ServerStatsWire stats;
+  server::StatsWire stats;
   OCTOPUS_RETURN_NOT_OK(server::ParseStats(payload, &stats));
   return stats;
 }

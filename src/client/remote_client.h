@@ -86,8 +86,10 @@ class RemoteClient {
   /// Spans recorded so far, in call order.
   const std::vector<obs::ClientCallSpan>& spans() const { return spans_; }
 
-  /// Fetches the server's metrics snapshot.
-  Result<server::ServerStatsWire> FetchStats();
+  /// Fetches the server's metric samples (OCTP v7 STATS: every /metrics
+  /// counter and gauge, each histogram's `_count` and `_sum`; look one
+  /// up with `StatsWire::Find`).
+  Result<server::StatsWire> FetchStats();
 
   /// Fetches the server's flight-recorder ring (oldest record first).
   /// An empty dump is a valid answer — the server may be running with

@@ -27,18 +27,9 @@ void MetricsRegistry::Header(const std::string& name,
 }
 
 void MetricsRegistry::AddCounter(const std::string& name,
-                                 const std::string& help, uint64_t value) {
+                                 const std::string& help, double value) {
   Header(name, help, "counter");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", value);
-  text_.append(name).append(buf);
-}
-
-void MetricsRegistry::AddCounterSeconds(const std::string& name,
-                                        const std::string& help,
-                                        double seconds) {
-  Header(name, help, "counter");
-  text_.append(name).append(" ").append(FormatDouble(seconds)).append("\n");
+  text_.append(name).append(" ").append(FormatDouble(value)).append("\n");
 }
 
 void MetricsRegistry::AddGauge(const std::string& name,

@@ -5,12 +5,13 @@
 // `_sum`/`_count`).
 //
 // Usage model is build-render-discard: the scrape handler constructs a
-// fresh registry, adds every metric from the live single-writer
-// sources (`ServerMetrics`, `EpochStore`, `BufferManager`, ...), and
-// renders it. No retained state means no second writer and no staleness
-// — the scrape sees exactly the counters of the moment it was served,
-// the same values an OCTP STATS frame would carry (parity-tested in
-// tests/test_obs.cc).
+// fresh registry, adds every row of the server's metric table
+// (`server::EmitMetrics`) over one read of its sources, and renders it.
+// No retained state means no second writer and no staleness — the
+// scrape sees exactly the counters of the moment it was served. OCTP
+// STATS carries the same rows' values from the same loop
+// (ServerIntegrationTest.MetricsEndpointMatchesOctpStats in
+// tests/test_server.cc compares the two over a live server).
 #ifndef OCTOPUS_OBS_METRICS_REGISTRY_H_
 #define OCTOPUS_OBS_METRICS_REGISTRY_H_
 
@@ -26,14 +27,10 @@ namespace octopus::obs {
 /// CI; the registry itself trusts its callers).
 class MetricsRegistry {
  public:
-  /// Monotone counter. By convention the name ends in `_total`.
+  /// Monotone counter in its base unit (seconds for time). By
+  /// convention the name ends in `_total`.
   void AddCounter(const std::string& name, const std::string& help,
-                  uint64_t value);
-
-  /// Monotone time counter in seconds (Prometheus base unit). By
-  /// convention the name ends in `_seconds_total`.
-  void AddCounterSeconds(const std::string& name, const std::string& help,
-                         double seconds);
+                  double value);
 
   /// Point-in-time value.
   void AddGauge(const std::string& name, const std::string& help,

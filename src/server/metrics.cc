@@ -127,39 +127,22 @@ uint64_t LatencyHistogram::PercentileNanos(double p) const {
 }
 
 void ServerMetrics::CopyFrom(const ServerMetrics& other) {
-  connections_accepted.store(
-      other.connections_accepted.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  connections_closed.store(
-      other.connections_closed.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  frames_received.store(
-      other.frames_received.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  malformed_frames.store(
-      other.malformed_frames.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  queries_received.store(
-      other.queries_received.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  queries_rejected.store(
-      other.queries_rejected.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  queries_executed.store(
-      other.queries_executed.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  batches_executed.store(
-      other.batches_executed.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  results_sent.store(other.results_sent.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  errors_sent.store(other.errors_sent.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  slow_queries.store(other.slow_queries.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  serialize_nanos_total.store(
-      other.serialize_nanos_total.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  const auto copy = [](auto& to, const auto& from) {
+    to.store(from.load(std::memory_order_relaxed),
+             std::memory_order_relaxed);
+  };
+  copy(connections_accepted, other.connections_accepted);
+  copy(connections_closed, other.connections_closed);
+  copy(frames_received, other.frames_received);
+  copy(malformed_frames, other.malformed_frames);
+  copy(queries_received, other.queries_received);
+  copy(queries_rejected, other.queries_rejected);
+  copy(queries_executed, other.queries_executed);
+  copy(batches_executed, other.batches_executed);
+  copy(results_sent, other.results_sent);
+  copy(errors_sent, other.errors_sent);
+  copy(slow_queries, other.slow_queries);
+  copy(serialize_nanos_total, other.serialize_nanos_total);
   request_latency = other.request_latency;
   loop_stall = other.loop_stall;
   const PhaseStats engine = other.EngineTotal();
@@ -167,28 +150,163 @@ void ServerMetrics::CopyFrom(const ServerMetrics& other) {
   engine_total = engine;
 }
 
-ServerStatsWire ServerMetrics::ToWire() const {
-  ServerStatsWire w;
-  w.connections_accepted =
-      connections_accepted.load(std::memory_order_relaxed);
-  w.connections_active = connections_active();
-  w.frames_received = frames_received.load(std::memory_order_relaxed);
-  w.malformed_frames = malformed_frames.load(std::memory_order_relaxed);
-  w.queries_received = queries_received.load(std::memory_order_relaxed);
-  w.queries_rejected = queries_rejected.load(std::memory_order_relaxed);
-  w.queries_executed = queries_executed.load(std::memory_order_relaxed);
-  w.batches_executed = batches_executed.load(std::memory_order_relaxed);
-  w.latency_p50_nanos = request_latency.PercentileNanos(0.50);
-  w.latency_p95_nanos = request_latency.PercentileNanos(0.95);
-  w.latency_p99_nanos = request_latency.PercentileNanos(0.99);
-  const PhaseStats engine = EngineTotal();
-  w.page_hits = engine.page_io.page_hits;
-  w.page_misses = engine.page_io.page_misses;
-  w.page_evictions = engine.page_io.page_evictions;
-  w.lease_hits = engine.page_io.lease_hits;
-  w.pages_leased = engine.page_io.pages_leased;
-  w.pages_distinct = engine.page_io.pages_distinct;
-  return w;
+namespace {
+
+using S = MetricsSource;
+constexpr MetricType kCounter = MetricType::kCounter;
+constexpr MetricType kGauge = MetricType::kGauge;
+constexpr MetricType kHistogram = MetricType::kHistogram;
+
+// Readers of one MetricsSource field.
+#define FIELD(field) \
+  [](const S& s) -> uint64_t { return static_cast<uint64_t>(s.field); }
+#define HISTOGRAM(field) \
+  [](const S& s) -> const LatencyHistogram& { return s.field; }
+
+const MetricDef kMetricTable[] = {
+    {"octopus_connections_accepted_total", kCounter,
+     FIELD(metrics.connections_accepted),
+     "TCP connections accepted."},
+    {"octopus_connections_closed_total", kCounter,
+     FIELD(metrics.connections_closed),
+     "TCP connections closed."},
+    {"octopus_connections_active", kGauge, FIELD(metrics.connections_active()),
+     "Currently open sessions."},
+    {"octopus_io_threads", kGauge, FIELD(io_threads),
+     "I/O threads serving connections (sharded by fd)."},
+    {"octopus_frames_received_total", kCounter, FIELD(metrics.frames_received),
+     "Complete OCTP frames parsed."},
+    {"octopus_malformed_frames_total", kCounter,
+     FIELD(metrics.malformed_frames),
+     "Frames rejected as malformed."},
+    {"octopus_queries_received_total", kCounter,
+     FIELD(metrics.queries_received),
+     "Range queries received in QUERY_BATCH frames."},
+    {"octopus_queries_rejected_total", kCounter,
+     FIELD(metrics.queries_rejected),
+     "Queries rejected (admission control or EPOCH_GONE)."},
+    {"octopus_queries_executed_total", kCounter,
+     FIELD(metrics.queries_executed),
+     "Queries executed by the engine."},
+    {"octopus_batches_executed_total", kCounter,
+     FIELD(metrics.batches_executed),
+     "Coalesced engine batches executed."},
+    {"octopus_results_sent_total", kCounter, FIELD(metrics.results_sent),
+     "RESULT frames enqueued."},
+    {"octopus_errors_sent_total", kCounter, FIELD(metrics.errors_sent),
+     "ERROR frames enqueued."},
+    {"octopus_slow_queries_total", kCounter, FIELD(metrics.slow_queries),
+     "Requests over the --slow-query-ms threshold."},
+    {"octopus_serialize_seconds_total", kCounter,
+     FIELD(metrics.serialize_nanos_total),
+     "Wall clock spent encoding RESULT frames.", true},
+    {"octopus_request_latency_seconds", kHistogram,
+     HISTOGRAM(metrics.request_latency),
+     "Request arrival to response enqueue."},
+    {"octopus_loop_stall_seconds", kHistogram, HISTOGRAM(metrics.loop_stall),
+     "I/O-loop busy time per wakeup while sessions exist, merged across I/O "
+     "threads."},
+    {"octopus_engine_probe_seconds_total", kCounter, FIELD(engine.probe_nanos),
+     "Surface-probe phase wall clock.", true},
+    {"octopus_engine_walk_seconds_total", kCounter, FIELD(engine.walk_nanos),
+     "Directed-walk phase wall clock.", true},
+    {"octopus_engine_crawl_seconds_total", kCounter, FIELD(engine.crawl_nanos),
+     "Crawl phase wall clock.", true},
+    {"octopus_engine_merge_seconds_total", kCounter, FIELD(engine.merge_nanos),
+     "Batch-end stats-merge wall clock.", true},
+    {"octopus_page_hits_total", kCounter, FIELD(engine.page_io.page_hits),
+     "Priced page accesses served by the pool."},
+    {"octopus_page_misses_total", kCounter, FIELD(engine.page_io.page_misses),
+     "Priced page accesses that read from disk."},
+    {"octopus_page_evictions_total", kCounter,
+     FIELD(engine.page_io.page_evictions),
+     "Pages evicted during query execution."},
+    {"octopus_lease_hits_total", kCounter, FIELD(engine.page_io.lease_hits),
+     "Reads served free through a held lease."},
+    {"octopus_pages_leased_total", kCounter, FIELD(engine.page_io.pages_leased),
+     "Lease acquisitions (first touch per batch)."},
+    {"octopus_pages_distinct_total", kCounter,
+     FIELD(engine.page_io.pages_distinct),
+     "Distinct pages touched across batches."},
+    {"octopus_lease_revocations_total", kCounter,
+     FIELD(engine.page_io.lease_revocations),
+     "Leases dropped before batch end (pool pressure)."},
+    {"octopus_current_epoch", kGauge, FIELD(epoch.epoch),
+     "Newest published epoch id."},
+    {"octopus_steps_applied_total", kCounter, FIELD(epoch.step),
+     "Simulation steps applied by the backend."},
+    {"octopus_epoch_resident_epochs", kGauge, FIELD(resident_epochs),
+     "Epochs held memory-resident."},
+    {"octopus_epoch_spilled_epochs", kGauge, FIELD(spilled_epochs),
+     "Epochs living only in the spill sidecar."},
+    {"octopus_epoch_resident_bytes", kGauge, FIELD(epoch_resident_bytes),
+     "Bytes of resident epoch position state."},
+    {"octopus_epochs_evicted_total", kCounter, FIELD(epochs_evicted),
+     "Epochs evicted past the history cap."},
+    {"octopus_epoch_spill_pages_written_total", kCounter,
+     FIELD(spill_pages_written),
+     "Pages appended to the spill sidecar."},
+    {"octopus_epoch_spill_bytes_written_total", kCounter,
+     FIELD(spill_bytes_written),
+     "Bytes appended to the spill sidecar."},
+    {"octopus_buffer_pool_cap_bytes", kGauge, FIELD(pool_cap_bytes),
+     "Configured buffer-pool byte cap."},
+    {"octopus_buffer_pool_resident_bytes", kGauge, FIELD(pool_resident_bytes),
+     "Frame bytes actually allocated (high-water)."},
+    {"octopus_buffer_pool_evictions_total", kCounter, FIELD(pool_evictions),
+     "Pool-wide evictions across every consumer."},
+    {"octopus_sessions_pinned_epochs", kGauge, FIELD(session_pins),
+     "Outstanding session epoch pins."},
+    {"octopus_trace_records_total", kCounter, FIELD(trace_records),
+     "Flight-recorder records written (lifetime)."},
+    {"octopus_trace_ring_records", kGauge, FIELD(trace_ring_records),
+     "Records currently held in the flight-recorder ring."},
+    {"octopus_journal_events_total", kCounter, FIELD(journal_events),
+     "Lifecycle events emitted into the journal (lifetime)."},
+    {"octopus_journal_ring_events", kGauge, FIELD(journal_ring_events),
+     "Events currently held in the journal ring."},
+};
+
+#undef FIELD
+#undef HISTOGRAM
+
+}  // namespace
+
+std::span<const MetricDef> MetricTable() { return kMetricTable; }
+
+void EmitMetrics(const MetricsSource& source, obs::MetricsRegistry* registry,
+                 StatsWire* stats) {
+  constexpr double kNano = 1e-9;
+  static const std::vector<uint64_t> kBounds =
+      LatencyHistogram::BucketUpperBounds();
+  for (const MetricDef& row : kMetricTable) {
+    const std::string name = row.name;
+    if (row.type == kHistogram) {
+      // std::get throws if a histogram row holds a scalar reader.
+      // The source is a copy, so count() equals the rendered buckets'
+      // total.
+      const LatencyHistogram& histogram = std::get<1>(row.read)(source);
+      const double sum = static_cast<double>(histogram.sum_nanos()) * kNano;
+      if (registry != nullptr) {
+        registry->AddNanosHistogram(name, row.help, histogram.bucket_counts(),
+                                    kBounds, sum);
+      }
+      if (stats != nullptr) {
+        stats->samples.push_back(
+            {name + "_count", static_cast<double>(histogram.count())});
+        stats->samples.push_back({name + "_sum", sum});
+      }
+      continue;
+    }
+    const double value = static_cast<double>(std::get<0>(row.read)(source)) *
+                         (row.seconds ? kNano : 1);
+    if (registry != nullptr && row.type == kGauge) {
+      registry->AddGauge(name, row.help, value);
+    } else if (registry != nullptr) {
+      registry->AddCounter(name, row.help, value);
+    }
+    if (stats != nullptr) stats->samples.push_back({name, value});
+  }
 }
 
 }  // namespace octopus::server

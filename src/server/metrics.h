@@ -14,9 +14,13 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <span>
+#include <variant>
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "engine/mesh_epoch.h"
+#include "obs/metrics_registry.h"
 #include "octopus/phase_stats.h"
 #include "server/protocol.h"
 
@@ -164,13 +168,65 @@ struct ServerMetrics {
                      static_cast<double>(batches);
   }
 
-  ServerStatsWire ToWire() const;
-
  private:
   void CopyFrom(const ServerMetrics& other);
 
   mutable common::Mutex engine_mu_;
 };
+
+/// \brief Everything one /metrics scrape or STATS reply reads, gathered
+/// once per request by the server (each source read in turn, no lock
+/// held across two). Sources a server lacks — the epoch store on a
+/// static backend, the buffer pool in memory, the journal when off —
+/// leave their fields 0.
+struct MetricsSource {
+  ServerMetrics metrics;  ///< `MetricsSnapshot()`: stall shards merged
+  PhaseStats engine;      ///< `metrics.EngineTotal()`
+  engine::EpochInfo epoch;
+  uint64_t resident_epochs = 0;
+  uint64_t spilled_epochs = 0;
+  uint64_t epoch_resident_bytes = 0;
+  uint64_t epochs_evicted = 0;
+  uint64_t spill_pages_written = 0;
+  uint64_t spill_bytes_written = 0;
+  uint64_t pool_cap_bytes = 0;
+  uint64_t pool_resident_bytes = 0;
+  uint64_t pool_evictions = 0;
+  uint64_t journal_events = 0;
+  uint64_t journal_ring_events = 0;
+  uint64_t session_pins = 0;
+  uint64_t trace_records = 0;
+  uint64_t trace_ring_records = 0;
+  uint64_t io_threads = 0;
+};
+
+enum class MetricType : uint8_t { kCounter, kGauge, kHistogram };
+
+/// \brief One row of the server's metric table — the single definition
+/// of a metric. /metrics, OCTP STATS and (through docs/OBSERVABILITY.md,
+/// which tools/check_metrics.py holds to the scrape) the docs all
+/// derive from the table.
+struct MetricDef {
+  const char* name;
+  MetricType type;
+  /// Scalar rows: the row's value in `source` (nanoseconds when
+  /// `seconds`, exported in seconds). Histogram rows: the nanosecond
+  /// histogram, exported in seconds.
+  std::variant<uint64_t (*)(const MetricsSource&),
+               const LatencyHistogram& (*)(const MetricsSource&)>
+      read;
+  const char* help;
+  bool seconds = false;
+};
+
+/// The metric table, in exposition order.
+std::span<const MetricDef> MetricTable();
+
+/// The one loop over the table: renders every row into `registry` and
+/// appends its STATS samples to `stats` — a scalar row's exposition
+/// value, a histogram's `_count` and `_sum` — when they are non-null.
+void EmitMetrics(const MetricsSource& source, obs::MetricsRegistry* registry,
+                 StatsWire* stats);
 
 }  // namespace octopus::server
 

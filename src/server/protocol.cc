@@ -2,6 +2,7 @@
 #include "server/protocol.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 namespace octopus::server {
@@ -34,6 +35,12 @@ void PutF32(Buffer* out, float v) { PutU32(out, std::bit_cast<uint32_t>(v)); }
 class Reader {
  public:
   explicit Reader(std::span<const uint8_t> data) : data_(data) {}
+
+  bool U8(uint8_t* v) {
+    if (pos_ + 1 > data_.size()) return false;
+    *v = data_[pos_++];
+    return true;
+  }
 
   bool U16(uint16_t* v) {
     if (pos_ + 2 > data_.size()) return false;
@@ -92,6 +99,18 @@ class Reader {
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
 };
+
+/// `[a-zA-Z_:][a-zA-Z0-9_:]*`, the Prometheus metric-name grammar.
+bool IsMetricName(std::string_view name) {
+  if (name.empty() || (name[0] >= '0' && name[0] <= '9')) return false;
+  for (const char c : name) {
+    if (!((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+          (c >= '0' && c <= '9') || c == '_' || c == ':')) {
+      return false;
+    }
+  }
+  return true;
+}
 
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed frame: ") + what);
@@ -308,31 +327,26 @@ void AppendResultMeta(Buffer* out, uint64_t request_id,
   (*out)[h + 3] = static_cast<uint8_t>(len >> 24);
 }
 
+std::optional<double> StatsWire::Find(std::string_view name) const {
+  for (const StatsSample& sample : samples) {
+    if (sample.name == name) return sample.value;
+  }
+  return std::nullopt;
+}
+
 void AppendStatsRequest(Buffer* out) {
   const size_t h = BeginFrame(out, FrameType::kStatsRequest);
   EndFrame(out, h);
 }
 
-void AppendStats(Buffer* out, const ServerStatsWire& stats) {
+void AppendStats(Buffer* out, const StatsWire& stats) {
   const size_t h = BeginFrame(out, FrameType::kStats);
-  PutU64(out, stats.connections_accepted);
-  PutU64(out, stats.connections_active);
-  PutU64(out, stats.frames_received);
-  PutU64(out, stats.malformed_frames);
-  PutU64(out, stats.queries_received);
-  PutU64(out, stats.queries_rejected);
-  PutU64(out, stats.queries_executed);
-  PutU64(out, stats.batches_executed);
-  PutU64(out, stats.latency_p50_nanos);
-  PutU64(out, stats.latency_p95_nanos);
-  PutU64(out, stats.latency_p99_nanos);
-  PutU64(out, stats.page_hits);
-  PutU64(out, stats.page_misses);
-  PutU64(out, stats.page_evictions);
-  PutU64(out, stats.lease_hits);
-  PutU64(out, stats.pages_leased);
-  PutU64(out, stats.pages_distinct);
-  PutU64(out, stats.steps_applied);
+  PutU32(out, static_cast<uint32_t>(stats.samples.size()));
+  for (const StatsSample& sample : stats.samples) {
+    out->push_back(static_cast<uint8_t>(sample.name.size()));
+    out->insert(out->end(), sample.name.begin(), sample.name.end());
+    PutU64(out, std::bit_cast<uint64_t>(sample.value));
+  }
   EndFrame(out, h);
 }
 
@@ -522,20 +536,35 @@ Status ParseResult(std::span<const uint8_t> payload, uint64_t* request_id,
   return Status::OK();
 }
 
-Status ParseStats(std::span<const uint8_t> payload, ServerStatsWire* out) {
+Status ParseStats(std::span<const uint8_t> payload, StatsWire* out) {
   Reader r(payload);
-  if (!r.U64(&out->connections_accepted) ||
-      !r.U64(&out->connections_active) || !r.U64(&out->frames_received) ||
-      !r.U64(&out->malformed_frames) || !r.U64(&out->queries_received) ||
-      !r.U64(&out->queries_rejected) || !r.U64(&out->queries_executed) ||
-      !r.U64(&out->batches_executed) || !r.U64(&out->latency_p50_nanos) ||
-      !r.U64(&out->latency_p95_nanos) || !r.U64(&out->latency_p99_nanos) ||
-      !r.U64(&out->page_hits) || !r.U64(&out->page_misses) ||
-      !r.U64(&out->page_evictions) || !r.U64(&out->lease_hits) ||
-      !r.U64(&out->pages_leased) || !r.U64(&out->pages_distinct) ||
-      !r.U64(&out->steps_applied) || !r.Done()) {
-    return Malformed("STATS payload size mismatch");
+  uint32_t count = 0;
+  if (!r.U32(&count)) return Malformed("STATS header truncated");
+  // Each sample holds at least a one-byte name: bound the count by the
+  // payload before reserving anything for it.
+  if (count > r.remaining() / (kStatsSampleFixedBytes + 1)) {
+    return Malformed("STATS sample count exceeds the payload");
   }
+  out->samples.clear();
+  out->samples.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    StatsSample sample;
+    uint8_t name_len = 0;
+    uint64_t bits = 0;
+    if (!r.U8(&name_len) || !r.Bytes(name_len, &sample.name) ||
+        !r.U64(&bits)) {
+      return Malformed("STATS truncated sample");
+    }
+    if (!IsMetricName(sample.name)) {
+      return Malformed("STATS sample name is not a metric name");
+    }
+    sample.value = std::bit_cast<double>(bits);
+    if (!std::isfinite(sample.value)) {
+      return Malformed("STATS sample value is not finite");
+    }
+    out->samples.push_back(std::move(sample));
+  }
+  if (!r.Done()) return Malformed("STATS trailing bytes");
   return Status::OK();
 }
 

@@ -10,8 +10,10 @@
 #define OCTOPUS_SERVER_PROTOCOL_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/aabb.h"
@@ -28,26 +30,9 @@ namespace octopus::server {
 inline constexpr uint32_t kProtocolMagic = 0x4F435450;
 
 /// Bumped on any incompatible frame-layout change; the server rejects
-/// mismatched clients in the handshake. v2: epoch-stamped RESULTs
-/// (120-byte batch-stats block), STEP/EPOCH_INFO frames, TIMEOUT error,
-/// `steps_applied` in STATS. v3: `epoch` field on QUERY_BATCH (0 =
-/// current; the fixed header grew 16 → 24 bytes before the boxes),
-/// PIN_EPOCH/UNPIN_EPOCH frames with per-session pin accounting, and
-/// the EPOCH_GONE error for history evicted from the bounded epoch
-/// ring. v4: lease counters (`lease_hits`/`pages_leased`/
-/// `pages_distinct`) in the batch-stats block (120 → 144 bytes) and in
-/// STATS (120 → 144 bytes); published epoch ids start at 1 so the
-/// initial state stays addressable after supersession (0 remains the
-/// "current" sentinel on the wire). v5: `merge_nanos` in the batch-stats
-/// block (144 → 152 bytes) and the TRACE_DUMP_REQUEST/TRACE_DUMP frames
-/// exporting the server's flight-recorder ring. v6: trace-context
-/// propagation — QUERY_BATCH carries an optional `client_span_id` (the
-/// fixed header grew 24 → 32 bytes before the boxes; 0 = no client
-/// span) and the batch-stats block echoes the server's flight-recorder
-/// `trace_id` (152 → 160 bytes; 0 = tracing disabled), so a client can
-/// join its own send/wait/receive timings with the server-side record
-/// of the same request.
-inline constexpr uint16_t kProtocolVersion = 6;
+/// mismatched clients in the handshake. docs/PROTOCOL.md keeps the
+/// version history (v7: STATS carries name/value samples).
+inline constexpr uint16_t kProtocolVersion = 7;
 
 /// Every frame starts with this fixed-size header.
 inline constexpr size_t kFrameHeaderBytes = 8;
@@ -204,34 +189,24 @@ struct EpochInfoWire {
   uint64_t last_step_pages_rewritten = 0;
 };
 
-/// Server metrics snapshot carried by the STATS frame.
-struct ServerStatsWire {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_active = 0;
-  uint64_t frames_received = 0;
-  uint64_t malformed_frames = 0;
-  uint64_t queries_received = 0;
-  uint64_t queries_rejected = 0;  ///< admission-control rejections
-  uint64_t queries_executed = 0;
-  uint64_t batches_executed = 0;
-  uint64_t latency_p50_nanos = 0;  ///< request arrival -> response enqueue
-  uint64_t latency_p95_nanos = 0;
-  uint64_t latency_p99_nanos = 0;
-  uint64_t page_hits = 0;  ///< totals across every executed batch
-  uint64_t page_misses = 0;
-  uint64_t page_evictions = 0;
-  uint64_t lease_hits = 0;  ///< v4: reads served by held leases
-  uint64_t pages_leased = 0;
-  uint64_t pages_distinct = 0;
-  uint64_t steps_applied = 0;  ///< simulation steps the backend applied
+/// One STATS sample (v7): a /metrics sample name and its value. The
+/// name matches `[a-zA-Z_:][a-zA-Z0-9_:]*` and is 1..255 bytes; the
+/// value is finite.
+struct StatsSample {
+  std::string name;
+  double value = 0.0;
 
-  /// Mean queries per executed batch (0 when nothing executed yet).
-  double CoalesceFactor() const {
-    return batches_executed == 0
-               ? 0.0
-               : static_cast<double>(queries_executed) /
-                     static_cast<double>(batches_executed);
-  }
+  bool operator==(const StatsSample&) const = default;
+};
+
+/// STATS payload (v7): the server's metric-table samples, in table
+/// order — each counter and gauge once, each histogram as its `_count`
+/// and `_sum`, with the values /metrics renders.
+struct StatsWire {
+  std::vector<StatsSample> samples;
+
+  /// The value of the sample named `name`; nullopt when absent.
+  std::optional<double> Find(std::string_view name) const;
 };
 
 struct ErrorFrame {
@@ -324,9 +299,15 @@ static_assert(kBatchStatsBytes ==
                   sizeof(uint32_t) /* reserved */ +
                   sizeof(BatchStatsWire::trace_id));
 
-/// STATS payload: 18 u64 counters, in declaration order.
-inline constexpr size_t kStatsPayloadBytes = 144;
-static_assert(kStatsPayloadBytes == 18 * sizeof(uint64_t));
+/// STATS fixed bytes before the samples (v7): count u32.
+inline constexpr size_t kStatsFixedBytes = 4;
+static_assert(kStatsFixedBytes == sizeof(uint32_t));
+
+/// One STATS sample's fixed bytes around its name (v7): name_len u8
+/// before the name, value f64 after it.
+inline constexpr size_t kStatsSampleFixedBytes = 9;
+static_assert(kStatsSampleFixedBytes ==
+              sizeof(uint8_t) + sizeof(StatsSample::value));
 
 /// STEP payload: steps u32, reserved u32.
 inline constexpr size_t kStepPayloadBytes = 8;
@@ -419,7 +400,8 @@ void AppendResultMeta(Buffer* out, uint64_t request_id,
 inline constexpr size_t kResultMetaBytesBeforeCounts =
     kFrameHeaderBytes + kResultFixedBytes + kBatchStatsBytes;
 void AppendStatsRequest(Buffer* out);
-void AppendStats(Buffer* out, const ServerStatsWire& stats);
+/// Every sample name must be 1..255 bytes (the u8 length prefix).
+void AppendStats(Buffer* out, const StatsWire& stats);
 void AppendError(Buffer* out, const ErrorFrame& error);
 void AppendStep(Buffer* out, const StepFrame& step);
 void AppendEpochInfo(Buffer* out, const EpochInfoWire& info);
@@ -451,7 +433,10 @@ Status ParseQueryBatch(std::span<const uint8_t> payload,
 Status ParseResult(std::span<const uint8_t> payload, uint64_t* request_id,
                    BatchStatsWire* stats,
                    std::vector<std::vector<VertexId>>* per_query);
-Status ParseStats(std::span<const uint8_t> payload, ServerStatsWire* out);
+/// Validates against a hostile peer: the count against the payload
+/// size, every name length and character, finite values, no trailing
+/// bytes.
+Status ParseStats(std::span<const uint8_t> payload, StatsWire* out);
 Status ParseError(std::span<const uint8_t> payload, ErrorFrame* out);
 Status ParseStep(std::span<const uint8_t> payload, StepFrame* out);
 Status ParseEpochInfo(std::span<const uint8_t> payload, EpochInfoWire* out);

@@ -20,7 +20,6 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "obs/metrics_registry.h"
 
 namespace octopus::server {
 namespace {
@@ -701,12 +700,10 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
                   "STATS_REQUEST payload must be empty", true);
         return;
       }
-      ServerStatsWire wire = metrics_.ToWire();
-      // Steps may be applied by a stepper thread, bypassing the
-      // counters here; the backend's epoch is the authoritative count.
-      wire.steps_applied = backend_->CurrentEpoch().step;
+      StatsWire stats;
+      EmitMetrics(ReadMetricsSource(), nullptr, &stats);
       OutFrame frame;
-      AppendStats(&frame.bytes, wire);
+      AppendStats(&frame.bytes, stats);
       session->Push(std::move(frame));
       return;
     }
@@ -1337,287 +1334,6 @@ ServerMetrics QueryServer::MetricsSnapshot() const {
   ServerMetrics snapshot = metrics_;
   for (const auto& io : io_) snapshot.loop_stall.Merge(io->stall);
   return snapshot;
-}
-
-std::string QueryServer::RenderMetricsText() const {
-  obs::MetricsRegistry reg;
-  constexpr double kNano = 1e-9;
-  const ServerMetrics& m = metrics_;
-
-  reg.AddCounter("octopus_connections_accepted_total",
-                 "TCP connections accepted.", m.connections_accepted);
-  reg.AddCounter("octopus_connections_closed_total",
-                 "TCP connections closed.", m.connections_closed);
-  reg.AddGauge("octopus_connections_active", "Currently open sessions.",
-               static_cast<double>(m.connections_active()));
-  reg.AddGauge("octopus_io_threads",
-               "I/O threads serving connections (sharded by fd).",
-               static_cast<double>(ResolvedIoThreads()));
-  reg.AddCounter("octopus_frames_received_total",
-                 "Complete OCTP frames parsed.", m.frames_received);
-  reg.AddCounter("octopus_malformed_frames_total",
-                 "Frames rejected as malformed.", m.malformed_frames);
-  reg.AddCounter("octopus_queries_received_total",
-                 "Range queries received in QUERY_BATCH frames.",
-                 m.queries_received);
-  reg.AddCounter("octopus_queries_rejected_total",
-                 "Queries rejected (admission control or EPOCH_GONE).",
-                 m.queries_rejected);
-  reg.AddCounter("octopus_queries_executed_total",
-                 "Queries executed by the engine.", m.queries_executed);
-  reg.AddCounter("octopus_batches_executed_total",
-                 "Coalesced engine batches executed.", m.batches_executed);
-  reg.AddCounter("octopus_results_sent_total", "RESULT frames enqueued.",
-                 m.results_sent);
-  reg.AddCounter("octopus_errors_sent_total", "ERROR frames enqueued.",
-                 m.errors_sent);
-  reg.AddCounter("octopus_slow_queries_total",
-                 "Requests over the --slow-query-ms threshold.",
-                 m.slow_queries);
-  reg.AddCounterSeconds(
-      "octopus_serialize_seconds_total",
-      "Wall clock spent encoding RESULT frames.",
-      static_cast<double>(
-          m.serialize_nanos_total.load(std::memory_order_relaxed)) *
-          kNano);
-  const std::vector<uint64_t> bounds =
-      LatencyHistogram::BucketUpperBounds();
-  reg.AddNanosHistogram(
-      "octopus_request_latency_seconds",
-      "Request arrival to response enqueue.",
-      m.request_latency.bucket_counts(), bounds,
-      static_cast<double>(m.request_latency.sum_nanos()) * kNano);
-  // The live loop_stall field is empty; the shards are per I/O thread.
-  LatencyHistogram stall = m.loop_stall;
-  for (const auto& io : io_) stall.Merge(io->stall);
-  reg.AddNanosHistogram(
-      "octopus_loop_stall_seconds",
-      "I/O-loop busy time per wakeup while sessions exist, merged "
-      "across I/O threads.",
-      stall.bucket_counts(), bounds,
-      static_cast<double>(stall.sum_nanos()) * kNano);
-
-  const PhaseStats engine = m.EngineTotal();
-  reg.AddCounterSeconds("octopus_engine_probe_seconds_total",
-                        "Surface-probe phase wall clock.",
-                        static_cast<double>(engine.probe_nanos) * kNano);
-  reg.AddCounterSeconds("octopus_engine_walk_seconds_total",
-                        "Directed-walk phase wall clock.",
-                        static_cast<double>(engine.walk_nanos) * kNano);
-  reg.AddCounterSeconds("octopus_engine_crawl_seconds_total",
-                        "Crawl phase wall clock.",
-                        static_cast<double>(engine.crawl_nanos) * kNano);
-  reg.AddCounterSeconds("octopus_engine_merge_seconds_total",
-                        "Batch-end stats-merge wall clock.",
-                        static_cast<double>(engine.merge_nanos) * kNano);
-  const storage::PageIOStats& io_stats = engine.page_io;
-  reg.AddCounter("octopus_page_hits_total",
-                 "Priced page accesses served by the pool.",
-                 io_stats.page_hits);
-  reg.AddCounter("octopus_page_misses_total",
-                 "Priced page accesses that read from disk.",
-                 io_stats.page_misses);
-  reg.AddCounter("octopus_page_evictions_total",
-                 "Pages evicted during query execution.",
-                 io_stats.page_evictions);
-  reg.AddCounter("octopus_lease_hits_total",
-                 "Reads served free through a held lease.",
-                 io_stats.lease_hits);
-  reg.AddCounter("octopus_pages_leased_total",
-                 "Lease acquisitions (first touch per batch).",
-                 io_stats.pages_leased);
-  reg.AddCounter("octopus_pages_distinct_total",
-                 "Distinct pages touched across batches.",
-                 io_stats.pages_distinct);
-  reg.AddCounter("octopus_lease_revocations_total",
-                 "Leases dropped before batch end (pool pressure).",
-                 io_stats.lease_revocations);
-
-  const engine::EpochInfo current = backend_->CurrentEpoch();
-  reg.AddGauge("octopus_current_epoch", "Newest published epoch id.",
-               static_cast<double>(current.epoch));
-  reg.AddCounter("octopus_steps_applied_total",
-                 "Simulation steps applied by the backend.", current.step);
-  if (const EpochStore* store = backend_->epoch_store()) {
-    reg.AddGauge("octopus_epoch_resident_epochs",
-                 "Epochs held memory-resident.",
-                 static_cast<double>(store->resident_epochs()));
-    reg.AddGauge("octopus_epoch_spilled_epochs",
-                 "Epochs living only in the spill sidecar.",
-                 static_cast<double>(store->spilled_epochs()));
-    reg.AddGauge("octopus_epoch_resident_bytes",
-                 "Bytes of resident epoch position state.",
-                 static_cast<double>(store->resident_bytes()));
-    reg.AddCounter("octopus_epochs_evicted_total",
-                   "Epochs evicted past the history cap.",
-                   store->epochs_evicted());
-    reg.AddCounter("octopus_epoch_spill_pages_written_total",
-                   "Pages appended to the spill sidecar.",
-                   store->spill_pages_written());
-    reg.AddCounter("octopus_epoch_spill_bytes_written_total",
-                   "Bytes appended to the spill sidecar.",
-                   store->spill_bytes_written());
-  }
-  if (const storage::BufferManager* pool = backend_->buffer_manager()) {
-    reg.AddGauge("octopus_buffer_pool_cap_bytes",
-                 "Configured buffer-pool byte cap.",
-                 static_cast<double>(pool->PoolCapBytes()));
-    reg.AddGauge("octopus_buffer_pool_resident_bytes",
-                 "Frame bytes actually allocated (high-water).",
-                 static_cast<double>(pool->AllocatedBytes()));
-    reg.AddCounter("octopus_buffer_pool_evictions_total",
-                   "Pool-wide evictions across every consumer.",
-                   pool->TotalStats().page_evictions);
-  }
-
-  reg.AddGauge("octopus_sessions_pinned_epochs",
-               "Outstanding session epoch pins.",
-               static_cast<double>(
-                   session_pins_.load(std::memory_order_relaxed)));
-
-  reg.AddCounter("octopus_trace_records_total",
-                 "Flight-recorder records written (lifetime).",
-                 recorder_.total_recorded());
-  reg.AddGauge("octopus_trace_ring_records",
-               "Records currently held in the flight-recorder ring.",
-               static_cast<double>(recorder_.size()));
-  if (const obs::EventJournal* journal = options_.journal) {
-    reg.AddCounter("octopus_journal_events_total",
-                   "Lifecycle events emitted into the journal (lifetime).",
-                   journal->total_emitted());
-    reg.AddGauge("octopus_journal_ring_events",
-                 "Events currently held in the journal ring.",
-                 static_cast<double>(journal->size()));
-  }
-  return reg.ExpositionText();
-}
-
-std::string QueryServer::RenderEpochsJson() const {
-  std::string out;
-  char buf[256];
-  const engine::EpochInfo current = backend_->CurrentEpoch();
-  const EpochStore* store = backend_->epoch_store();
-  std::snprintf(buf, sizeof(buf),
-                "{\"dynamic\":%s,\"current_epoch\":%llu,\"current_step\":%u",
-                store != nullptr ? "true" : "false",
-                static_cast<unsigned long long>(current.epoch),
-                current.step);
-  out += buf;
-  if (store == nullptr) {
-    // Static backend: exactly one implicit epoch, nothing retained.
-    out += ",\"entries\":[]}";
-    return out;
-  }
-  const EpochStoreView view = store->View();
-  uint64_t spill_failed = 0;
-  for (const EpochEntryView& entry : view.entries) {
-    if (entry.spill_failed) ++spill_failed;
-  }
-  std::snprintf(
-      buf, sizeof(buf),
-      ",\"resident_bytes\":%llu,\"evicted_total\":%llu,"
-      "\"spill\":{\"enabled\":%s,\"pages_written\":%llu,"
-      "\"bytes_written\":%llu,\"failed_epochs\":%llu},\"entries\":[",
-      static_cast<unsigned long long>(view.resident_bytes),
-      static_cast<unsigned long long>(view.evicted_total),
-      view.spill_enabled ? "true" : "false",
-      static_cast<unsigned long long>(view.spill_pages_written),
-      static_cast<unsigned long long>(view.spill_bytes_written),
-      static_cast<unsigned long long>(spill_failed));
-  out += buf;
-  for (size_t i = 0; i < view.entries.size(); ++i) {
-    const EpochEntryView& entry = view.entries[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"epoch\":%llu,\"step\":%u,\"resident\":%s,\"spilled\":%s,"
-        "\"spill_failed\":%s,\"pins\":%u,\"resident_bytes\":%llu}",
-        i == 0 ? "" : ",",
-        static_cast<unsigned long long>(entry.info.epoch), entry.info.step,
-        entry.resident ? "true" : "false", entry.spilled ? "true" : "false",
-        entry.spill_failed ? "true" : "false", entry.pins,
-        static_cast<unsigned long long>(entry.resident_bytes));
-    out += buf;
-  }
-  out += "]}";
-  return out;
-}
-
-std::string QueryServer::RenderJournalJson() const {
-  if (options_.journal == nullptr) {
-    return "{\"total\":0,\"capacity\":0,\"events\":[]}";
-  }
-  return options_.journal->RenderJson();
-}
-
-obs::HttpTextEndpoint::Response QueryServer::ReadyzResponse() const {
-  // Liveness is /healthz; THIS endpoint answers "should traffic be
-  // routed here": 503 when the stepper has stopped publishing (lag over
-  // the configured bound) or the spill sidecar is failing epochs.
-  bool ready = true;
-  const char* reason = "";
-  int64_t lag_nanos = -1;
-  uint64_t spill_failed = 0;
-  if (const EpochStore* store = backend_->epoch_store()) {
-    spill_failed = store->spill_failed_epochs();
-    const int64_t last = store->last_publish_steady_nanos();
-    if (last > 0) lag_nanos = NowNanos() - last;
-    if (spill_failed > 0) {
-      ready = false;
-      reason = "spill sidecar failing";
-    } else if (options_.ready_max_publish_lag_nanos > 0 && lag_nanos >= 0 &&
-               lag_nanos > options_.ready_max_publish_lag_nanos) {
-      ready = false;
-      reason = "epoch publication stalled";
-    }
-  }
-  char buf[320];
-  char lag[32];
-  if (lag_nanos >= 0) {
-    std::snprintf(lag, sizeof(lag), "%.3f",
-                  static_cast<double>(lag_nanos) / 1e9);
-  } else {
-    std::snprintf(lag, sizeof(lag), "null");
-  }
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"ready\":%s,\"dynamic\":%s,\"publish_lag_seconds\":%s,"
-      "\"max_publish_lag_seconds\":%.3f,\"spill_failed_epochs\":%llu,"
-      "\"reason\":\"%s\"}\n",
-      ready ? "true" : "false", backend_->dynamic() ? "true" : "false", lag,
-      static_cast<double>(options_.ready_max_publish_lag_nanos) / 1e9,
-      static_cast<unsigned long long>(spill_failed), reason);
-  obs::HttpTextEndpoint::Response response;
-  response.status = ready ? 200 : 503;
-  response.content_type = "application/json; charset=utf-8";
-  response.body = buf;
-  return response;
-}
-
-obs::HttpTextEndpoint::Response QueryServer::RouteHttp(
-    const std::string& path) const {
-  obs::HttpTextEndpoint::Response response;
-  if (path == "/metrics") {
-    response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    response.body = RenderMetricsText();
-    return response;
-  }
-  if (path == "/healthz") {
-    // Pure liveness: the main thread is alive enough to answer.
-    response.body = "ok\n";
-    return response;
-  }
-  if (path == "/readyz") return ReadyzResponse();
-  if (path == "/epochs") {
-    response.content_type = "application/json; charset=utf-8";
-    response.body = RenderEpochsJson();
-    return response;
-  }
-  if (path == "/journal") {
-    response.content_type = "application/json; charset=utf-8";
-    response.body = RenderJournalJson();
-    return response;
-  }
-  return obs::HttpTextEndpoint::NotFound();
 }
 
 }  // namespace octopus::server

@@ -86,8 +86,8 @@ struct ServerOptions {
   /// Introspection HTTP port on `bind_address` (/metrics, /healthz,
   /// /readyz, /epochs, /journal): -1 disables the endpoint, 0 binds an
   /// ephemeral port (read it back via `metrics_port()`). Served by the
-  /// main thread — OCTP STATS stays the authoritative snapshot;
-  /// /metrics renders the same shared counters for scrapers.
+  /// main thread; /metrics and OCTP STATS render the same metric
+  /// table.
   int metrics_port = -1;
   /// Lifecycle event journal (non-owning; may be null). The server
   /// emits session/overload/drain events into it, forwards it to the
@@ -136,18 +136,15 @@ class QueryServer {
   /// Bound /metrics port; 0 while the endpoint is disabled.
   uint16_t metrics_port() const { return metrics_http_.port(); }
 
-  /// The live shared counters (atomics — individually consistent at
-  /// any time, mutually consistent once `Run` has returned). The
-  /// `loop_stall` field on this reference is always empty: stalls are
-  /// sharded per I/O thread; read them via `MetricsSnapshot`.
-  const ServerMetrics& metrics() const { return metrics_; }
   /// A copy of the counters with the per-I/O-thread stall shards
-  /// merged into `loop_stall` — what benches and scrapers want.
+  /// merged into `loop_stall` (individually consistent at any time,
+  /// mutually consistent once `Run` has returned).
   ServerMetrics MetricsSnapshot() const;
   /// The flight-recorder ring (internally synchronized).
   const obs::FlightRecorder& recorder() const { return recorder_; }
-  /// Renders the Prometheus exposition /metrics serves — public so
-  /// tests can assert STATS parity without an HTTP round trip.
+  /// Renders the Prometheus exposition /metrics serves: the metric
+  /// table (server/metrics.h) over one `ReadMetricsSource`, the same
+  /// loop that fills a STATS reply.
   std::string RenderMetricsText() const;
   /// Renders the JSON /epochs serves (retention-ring view; a static
   /// backend reports "dynamic": false with no entries) — public for
@@ -234,6 +231,9 @@ class QueryServer {
   void EnqueueSerTask(SerTask task) EXCLUDES(ser_mu_);
 
   void DrainAndClose();
+  /// Reads every metric source once (server_http.cc): what one scrape
+  /// or STATS reply renders.
+  MetricsSource ReadMetricsSource() const;
   /// Path-routed introspection handler behind `metrics_http_`.
   obs::HttpTextEndpoint::Response RouteHttp(const std::string& path) const;
   /// Emits into the attached journal (no-op when none is attached).

@@ -349,7 +349,8 @@ void RunEpochParity(bool paged, int threads) {
   // STATS reports the authoritative step count.
   auto stats = remote->FetchStats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.Value().steps_applied, static_cast<uint64_t>(kSteps));
+  EXPECT_EQ(stats.Value().Find("octopus_steps_applied_total"),
+            static_cast<double>(kSteps));
 
   // Even an empty batch (fast path, no scheduler) is epoch-stamped.
   auto empty = remote->ExecuteBatch({});

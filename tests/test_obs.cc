@@ -6,8 +6,9 @@
 // writer, the Chrome trace-event rendering (server-only and merged
 // client+server), client call-span JSONL round trips, and the lifecycle
 // event journal (ring wrap, seq monotonicity, JSONL sink, disabled
-// no-op). The live /metrics <-> OCTP STATS parity runs in
-// test_server.cc against a real server.
+// no-op), and the server's metric table over an empty source. /metrics
+// and OCTP STATS come from one loop over that table; test_server.cc
+// compares the two over a live server.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -92,9 +93,29 @@ TEST(ServerMetricsTest, ConnectionsActiveSaturatesAtZero) {
   // A double-close accounting bug must read as 0, not 2^64 - 1.
   metrics.connections_closed = 4;
   EXPECT_EQ(metrics.connections_active(), 0u);
-  EXPECT_EQ(metrics.ToWire().connections_active, 0u);
   metrics.connections_accepted = 7;
   EXPECT_EQ(metrics.connections_active(), 3u);
+}
+
+// Every row of the metric table renders whatever the server lacks: an
+// empty source reads 0 in every sample (the active-connections gauge
+// saturates instead of wrapping), one sample per scalar row and
+// `_count` + `_sum` per histogram.
+TEST(ServerMetricsTest, MetricTableReadsZeroFromAnEmptySource) {
+  server::MetricsSource source;
+  source.metrics.connections_closed = 1;
+  server::StatsWire stats;
+  server::EmitMetrics(source, nullptr, &stats);
+  size_t expected_samples = 0;
+  for (const server::MetricDef& row : server::MetricTable()) {
+    expected_samples += row.type == server::MetricType::kHistogram ? 2 : 1;
+  }
+  ASSERT_EQ(stats.samples.size(), expected_samples);
+  for (const server::StatsSample& sample : stats.samples) {
+    const double want =
+        sample.name == "octopus_connections_closed_total" ? 1.0 : 0.0;
+    EXPECT_EQ(sample.value, want) << sample.name;
+  }
 }
 
 QueryTraceRecord MakeRecord(uint32_t queries) {
@@ -156,7 +177,7 @@ TEST(FlightRecorderTest, WrapsOverwritingOldestAndSnapshotsInOrder) {
 TEST(MetricsRegistryTest, RendersCountersGaugesAndHelpTypePairs) {
   MetricsRegistry reg;
   reg.AddCounter("octopus_widgets_total", "Widgets made.", 42);
-  reg.AddCounterSeconds("octopus_busy_seconds_total", "Busy time.", 1.5);
+  reg.AddCounter("octopus_busy_seconds_total", "Busy time.", 1.5);
   reg.AddGauge("octopus_temperature", "Now.", -3.25);
   const std::string& text = reg.ExpositionText();
   EXPECT_NE(text.find("# HELP octopus_widgets_total Widgets made.\n"),

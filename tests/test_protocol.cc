@@ -5,11 +5,14 @@
 // crash, never read out of bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "fuzz/fuzz_targets.h"
@@ -343,43 +346,65 @@ TEST(ProtocolTest, BatchStatsFromPhaseStatsRoundTrip) {
 }
 
 TEST(ProtocolTest, StatsRoundTrip) {
-  ServerStatsWire stats;
-  stats.connections_accepted = 1;
-  stats.connections_active = 2;
-  stats.frames_received = 3;
-  stats.malformed_frames = 4;
-  stats.queries_received = 500;
-  stats.queries_rejected = 6;
-  stats.queries_executed = 494;
-  stats.batches_executed = 100;
-  stats.latency_p50_nanos = 1000;
-  stats.latency_p95_nanos = 2000;
-  stats.latency_p99_nanos = 3000;
-  stats.page_hits = 7;
-  stats.page_misses = 8;
-  stats.page_evictions = 9;
-  stats.lease_hits = 10;
-  stats.pages_leased = 11;
-  stats.pages_distinct = 12;
-  stats.steps_applied = 13;
-
+  StatsWire stats;
+  stats.samples = {{"octopus_queries_received_total", 500.0},
+                   {"octopus_request_latency_seconds_sum", 0.125},
+                   {"octopus:current_epoch_2", -0.0}};
   Buffer buffer;
   AppendStats(&buffer, stats);
   const SplitFrame frame = Split(buffer);
   EXPECT_EQ(frame.header.type, FrameType::kStats);
+  size_t names = 0;
+  for (const StatsSample& sample : stats.samples) {
+    names += sample.name.size();
+  }
+  EXPECT_EQ(frame.payload.size(),
+            kStatsFixedBytes + 3 * kStatsSampleFixedBytes + names);
 
-  ServerStatsWire parsed;
+  StatsWire parsed;
   ASSERT_TRUE(ParseStats(frame.payload, &parsed).ok());
-  EXPECT_EQ(parsed.queries_received, 500u);
-  EXPECT_EQ(parsed.queries_executed, 494u);
-  EXPECT_EQ(parsed.batches_executed, 100u);
-  EXPECT_EQ(parsed.latency_p99_nanos, 3000u);
-  EXPECT_EQ(parsed.page_evictions, 9u);
-  EXPECT_EQ(parsed.lease_hits, 10u);
-  EXPECT_EQ(parsed.pages_leased, 11u);
-  EXPECT_EQ(parsed.pages_distinct, 12u);
-  EXPECT_EQ(parsed.steps_applied, 13u);
-  EXPECT_DOUBLE_EQ(parsed.CoalesceFactor(), 4.94);
+  EXPECT_EQ(parsed.samples, stats.samples);
+  EXPECT_EQ(parsed.Find("octopus_queries_received_total"), 500.0);
+  EXPECT_EQ(parsed.Find("octopus_missing_total"), std::nullopt);
+
+  Buffer empty;
+  AppendStats(&empty, StatsWire{});
+  ASSERT_TRUE(ParseStats(Split(empty).payload, &parsed).ok());
+  EXPECT_TRUE(parsed.samples.empty());
+
+  // Hostile payloads: each is the valid one with a single defect.
+  const std::vector<uint8_t> good(frame.payload.begin(),
+                                  frame.payload.end());
+  const size_t name_at = kStatsFixedBytes + 1;  // first sample's name
+  const size_t value_at = name_at + stats.samples[0].name.size();
+  const auto with = [&](size_t at, std::vector<uint8_t> bytes) {
+    std::vector<uint8_t> bad = good;
+    std::copy(bytes.begin(), bytes.end(), bad.begin() + at);
+    return bad;
+  };
+  const uint64_t nan_bits =
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  std::vector<uint8_t> nan(8);
+  std::memcpy(nan.data(), &nan_bits, 8);
+  std::vector<uint8_t> trailing = good;
+  trailing.push_back(0);
+  const struct {
+    const char* what;
+    std::vector<uint8_t> payload;
+  } rejects[] = {
+      {"truncated entry", {good.begin(), good.end() - 1}},
+      {"count one past the samples", with(0, {4, 0, 0, 0})},
+      {"count larger than the payload", with(0, {0xFF, 0xFF, 0xFF, 0xFF})},
+      {"trailing bytes", trailing},
+      {"empty name", with(name_at - 1, {0})},
+      {"illegal name character", with(name_at + 7, {'-'})},
+      {"name starting with a digit", with(name_at, {'9'})},
+      {"NaN value", with(value_at, nan)},
+  };
+  for (const auto& reject : rejects) {
+    StatsWire out;
+    EXPECT_FALSE(ParseStats(reject.payload, &out).ok()) << reject.what;
+  }
 }
 
 TEST(ProtocolTest, StatsRequestIsEmpty) {
@@ -730,6 +755,25 @@ TEST(ProtocolCorpusTest, ProtocolSeedsNeverCrashTheParsers) {
   // One well-formed frame of every type plus the malformed/truncated
   // boundary cases; a shrinking corpus means seeds were lost.
   EXPECT_GE(ReplayCorpusDir(dir, fuzz::FuzzProtocolFrame), 25u);
+}
+
+// The STATS seeds mean what their names say: the well-formed one
+// reaches the fuzz target's round-trip check, the hostile ones are
+// rejected.
+TEST(ProtocolCorpusTest, StatsSeedsParseAsNamed) {
+  const std::filesystem::path dir =
+      std::filesystem::path(OCTOPUS_SOURCE_DIR) / "fuzz" / "corpus" /
+      "protocol";
+  for (const auto& [seed, valid] :
+       {std::pair{"stats", true}, {"stats_name_overrun", false},
+        {"stats_count_overrun", false}, {"stats_trailing_bytes", false}}) {
+    std::ifstream in(dir / (std::string(seed) + ".bin"), std::ios::binary);
+    ASSERT_TRUE(in.good()) << seed;
+    const Buffer bytes((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+    StatsWire stats;
+    EXPECT_EQ(ParseStats(Split(bytes).payload, &stats).ok(), valid) << seed;
+  }
 }
 
 TEST(ProtocolCorpusTest, HttpSeedsNeverCrashTheRouter) {

@@ -15,10 +15,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,6 +98,11 @@ std::unique_ptr<RemoteClient> MustConnect(uint16_t port) {
   auto connected = RemoteClient::Connect("127.0.0.1", port);
   EXPECT_TRUE(connected.ok()) << connected.status().ToString();
   return connected.MoveValue();
+}
+
+/// The STATS sample `name`; -1 when the server did not send it.
+double Sample(const Result<server::StatsWire>& stats, const char* name) {
+  return stats.Value().Find(name).value_or(-1.0);
 }
 
 /// The fig6 monitoring workload: per-step batches for every Fig. 5
@@ -262,27 +270,23 @@ TEST(ServerIntegrationTest, EightConcurrentClientsGetTheirOwnResults) {
   auto stats_client = MustConnect(fixture.port());
   auto stats = stats_client->FetchStats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  const uint64_t total =
-      uint64_t{kClients} * kRequestsPerClient * kQueriesPerRequest;
-  EXPECT_EQ(stats.Value().queries_received, total);
-  EXPECT_EQ(stats.Value().queries_executed, total);
-  EXPECT_EQ(stats.Value().queries_rejected, 0u);
-  EXPECT_GE(stats.Value().batches_executed, 1u);
-  EXPECT_LE(stats.Value().batches_executed,
-            uint64_t{kClients} * kRequestsPerClient);
-  EXPECT_GE(stats.Value().CoalesceFactor(),
-            static_cast<double>(kQueriesPerRequest));
-  EXPECT_LE(stats.Value().latency_p50_nanos,
-            stats.Value().latency_p95_nanos);
-  EXPECT_LE(stats.Value().latency_p95_nanos,
-            stats.Value().latency_p99_nanos);
-  EXPECT_EQ(stats.Value().connections_accepted,
-            uint64_t{kClients} + 1);
+  const double total =
+      double{kClients} * kRequestsPerClient * kQueriesPerRequest;
+  const double batches = Sample(stats, "octopus_batches_executed_total");
+  EXPECT_EQ(Sample(stats, "octopus_queries_received_total"), total);
+  EXPECT_EQ(Sample(stats, "octopus_queries_executed_total"), total);
+  EXPECT_EQ(Sample(stats, "octopus_queries_rejected_total"), 0.0);
+  EXPECT_GE(batches, 1.0);
+  EXPECT_LE(batches, double{kClients} * kRequestsPerClient);
+  // The coalesce factor: queries per executed batch.
+  EXPECT_GE(total / batches, static_cast<double>(kQueriesPerRequest));
+  EXPECT_EQ(Sample(stats, "octopus_connections_accepted_total"),
+            kClients + 1.0);
 
   // Counter self-checks: the accept/close pair can never underflow the
   // derived active gauge, and every executed query was received first.
   fixture.StopAndJoin();
-  const server::ServerMetrics& metrics = fixture.server().metrics();
+  const server::ServerMetrics metrics = fixture.server().MetricsSnapshot();
   EXPECT_GE(metrics.connections_accepted, metrics.connections_closed);
   EXPECT_EQ(metrics.connections_active(), 0u);  // all drained
   EXPECT_LE(metrics.queries_executed,
@@ -444,9 +448,9 @@ TEST(ServerIntegrationTest, RejectsMalformedFrames) {
     close(fd);
   }
   {
-    // A previous-generation peer (v4: no trace frames, 144-byte batch
-    // stats) must be turned away at the handshake, not mid-stream.
-    SCOPED_TRACE("HELLO from a v4 peer");
+    // A previous-generation peer (v6: fixed 18-counter STATS) must be
+    // turned away at the handshake, not mid-stream.
+    SCOPED_TRACE("HELLO from a v6 peer");
     server::Buffer bytes;
     server::HelloFrame hello;
     hello.version = server::kProtocolVersion - 1;
@@ -485,7 +489,7 @@ TEST(ServerIntegrationTest, RejectsMalformedFrames) {
   {
     SCOPED_TRACE("server-only frame type from a client");
     server::Buffer bytes = ValidHello();
-    server::AppendStats(&bytes, server::ServerStatsWire{});
+    server::AppendStats(&bytes, server::StatsWire{});
     const int fd = RawConnect(fixture.port());
     SendRaw(fd, bytes);
     FrameType type;
@@ -508,7 +512,7 @@ TEST(ServerIntegrationTest, RejectsMalformedFrames) {
   // magic / version / unexpected type are protocol errors, not framing
   // errors).
   fixture.StopAndJoin();
-  EXPECT_GE(fixture.server().metrics().malformed_frames, 3u);
+  EXPECT_GE(fixture.server().MetricsSnapshot().malformed_frames, 3u);
 }
 
 // The WELCOME frame must advertise the CONFIGURED coalescing cap. The
@@ -564,7 +568,10 @@ TEST(ServerIntegrationTest, OverloadIsExplicitAndAcceptedWorkCompletes) {
   while (true) {
     auto stats = client_b->FetchStats();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    if (stats.Value().queries_received >= queries_a.size()) break;
+    if (Sample(stats, "octopus_queries_received_total") >=
+        static_cast<double>(queries_a.size())) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -578,7 +585,8 @@ TEST(ServerIntegrationTest, OverloadIsExplicitAndAcceptedWorkCompletes) {
   // The rejected client's connection is still usable.
   auto stats_after = client_b->FetchStats();
   ASSERT_TRUE(stats_after.ok()) << stats_after.status().ToString();
-  EXPECT_EQ(stats_after.Value().queries_rejected, queries_b.size());
+  EXPECT_EQ(Sample(stats_after, "octopus_queries_rejected_total"),
+            static_cast<double>(queries_b.size()));
 
   // Graceful shutdown executes A's parked request before closing.
   fixture.StopAndJoin();
@@ -919,27 +927,31 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   return response;
 }
 
-/// Extracts the value of sample line `name <value>` from exposition
-/// text; -1 when the metric is absent.
-double MetricValue(const std::string& text, const std::string& name) {
-  size_t pos = 0;
-  const std::string prefix = name + " ";
-  while (pos < text.size()) {
-    const size_t end = text.find('\n', pos);
-    const std::string line =
-        text.substr(pos, end == std::string::npos ? end : end - pos);
-    if (line.compare(0, prefix.size(), prefix) == 0) {
-      return std::stod(line.substr(prefix.size()));
+/// The samples of exposition text, `_bucket` series excepted.
+std::map<std::string, double> ScrapeSamples(const std::string& text) {
+  std::map<std::string, double> samples;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#' ||
+        line.find("_bucket{") != std::string::npos) {
+      continue;
     }
-    if (end == std::string::npos) break;
-    pos = end + 1;
+    const size_t space = line.find(' ');
+    samples[line.substr(0, space)] = std::stod(line.substr(space + 1));
   }
-  return -1.0;
+  return samples;
 }
 
-// The tentpole parity requirement: counters scraped over HTTP must be
-// exactly the numbers the authoritative OCTP STATS frame reports —
-// same single-writer state, two read paths.
+/// The value of sample `name` in exposition text; -1 when absent.
+double MetricValue(const std::string& text, const std::string& name) {
+  const std::map<std::string, double> samples = ScrapeSamples(text);
+  const auto it = samples.find(name);
+  return it == samples.end() ? -1.0 : it->second;
+}
+
+// /metrics and OCTP STATS are one loop over one metric table: the
+// STATS sample names are exactly the scrape's non-`_bucket` samples,
+// with bit-equal values.
 TEST(ServerIntegrationTest, MetricsEndpointMatchesOctpStats) {
   const TetraMesh mesh = MakeBox(6);
   ServerOptions options;
@@ -970,51 +982,43 @@ TEST(ServerIntegrationTest, MetricsEndpointMatchesOctpStats) {
   ASSERT_NE(body_at, std::string::npos);
   const std::string body = response.substr(body_at + 4);
 
-  const auto& wire = stats.Value();
-  EXPECT_EQ(MetricValue(body, "octopus_connections_accepted_total"),
-            static_cast<double>(wire.connections_accepted));
-  EXPECT_EQ(MetricValue(body, "octopus_connections_active"),
-            static_cast<double>(wire.connections_active));
-  EXPECT_EQ(MetricValue(body, "octopus_frames_received_total"),
-            static_cast<double>(wire.frames_received));
-  EXPECT_EQ(MetricValue(body, "octopus_malformed_frames_total"),
-            static_cast<double>(wire.malformed_frames));
-  EXPECT_EQ(MetricValue(body, "octopus_queries_received_total"),
-            static_cast<double>(wire.queries_received));
-  EXPECT_EQ(MetricValue(body, "octopus_queries_rejected_total"),
-            static_cast<double>(wire.queries_rejected));
-  EXPECT_EQ(MetricValue(body, "octopus_queries_executed_total"),
-            static_cast<double>(wire.queries_executed));
-  EXPECT_EQ(MetricValue(body, "octopus_batches_executed_total"),
-            static_cast<double>(wire.batches_executed));
-  EXPECT_EQ(MetricValue(body, "octopus_page_hits_total"),
-            static_cast<double>(wire.page_hits));
-  EXPECT_EQ(MetricValue(body, "octopus_page_misses_total"),
-            static_cast<double>(wire.page_misses));
-  EXPECT_EQ(MetricValue(body, "octopus_lease_hits_total"),
-            static_cast<double>(wire.lease_hits));
-  EXPECT_EQ(MetricValue(body, "octopus_steps_applied_total"),
-            static_cast<double>(wire.steps_applied));
+  const std::map<std::string, double> scraped = ScrapeSamples(body);
+  std::map<std::string, double> sent;
+  for (const server::StatsSample& sample : stats.Value().samples) {
+    sent[sample.name] = sample.value;
+  }
+  ASSERT_EQ(sent.size(), stats.Value().samples.size()) << "duplicate names";
+  ASSERT_EQ(sent.size(), scraped.size());
+  for (const auto& [name, value] : sent) {
+    ASSERT_EQ(scraped.count(name), 1u) << name << " is not scraped";
+    const double got = scraped.at(name);
+    if (name.rfind("octopus_loop_stall_seconds_", 0) == 0) {
+      // The wakeup that served STATS records its own busy time only
+      // after the reply went out, so the later scrape may hold it.
+      EXPECT_GE(got, value) << name;
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(value))
+        << name << ": scraped " << got << ", STATS " << value;
+  }
   // Histogram plumbing: every executed request is in the histogram.
-  EXPECT_EQ(MetricValue(body, "octopus_request_latency_seconds_count"),
-            3.0);
+  EXPECT_EQ(scraped.at("octopus_request_latency_seconds_count"), 3.0);
   // Tracing is on by default: the ring saw every request too.
-  EXPECT_EQ(MetricValue(body, "octopus_trace_records_total"), 3.0);
+  EXPECT_EQ(scraped.at("octopus_trace_records_total"), 3.0);
 
   // A second scrape must be monotone in every counter it repeats.
   auto again = remote->ExecuteBatch(gen.MakeQueries(&rng, 2, 0.01, 0.05));
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   const std::string response2 = HttpGet(metrics_port, "/metrics");
-  const std::string body2 =
-      response2.substr(response2.find("\r\n\r\n") + 4);
+  const std::map<std::string, double> later =
+      ScrapeSamples(response2.substr(response2.find("\r\n\r\n") + 4));
   for (const char* counter :
-       {"octopus_queries_received_total", "octopus_frames_received_total",
-        "octopus_results_sent_total", "octopus_trace_records_total"}) {
-    EXPECT_GE(MetricValue(body2, counter), MetricValue(body, counter))
-        << counter;
+       {"octopus_frames_received_total", "octopus_results_sent_total",
+        "octopus_trace_records_total"}) {
+    EXPECT_GE(later.at(counter), scraped.at(counter)) << counter;
   }
-  EXPECT_EQ(MetricValue(body2, "octopus_queries_received_total"),
-            MetricValue(body, "octopus_queries_received_total") + 2);
+  EXPECT_EQ(later.at("octopus_queries_received_total"),
+            scraped.at("octopus_queries_received_total") + 2);
 
   // Unknown paths 404; the OCTP plane is untouched by scrapes.
   const std::string missing = HttpGet(metrics_port, "/nope");
@@ -1022,8 +1026,8 @@ TEST(ServerIntegrationTest, MetricsEndpointMatchesOctpStats) {
       << missing.substr(0, 64);
   auto final_stats = remote->FetchStats();
   ASSERT_TRUE(final_stats.ok()) << final_stats.status().ToString();
-  EXPECT_EQ(final_stats.Value().queries_received,
-            wire.queries_received + 2);
+  EXPECT_EQ(Sample(final_stats, "octopus_queries_received_total"),
+            sent.at("octopus_queries_received_total") + 2);
 }
 
 // TRACE_DUMP end to end: executed requests must appear in the ring
@@ -1109,7 +1113,7 @@ TEST(ServerIntegrationTest, SlowQueryThresholdCountsRequests) {
   ASSERT_TRUE(remote->ExecuteBatch(queries).ok());
   ASSERT_TRUE(remote->ExecuteBatch(queries).ok());
   fixture.StopAndJoin();
-  EXPECT_EQ(fixture.server().metrics().slow_queries, 2u);
+  EXPECT_EQ(fixture.server().MetricsSnapshot().slow_queries, 2u);
 }
 
 /// A retention-configured dynamic backend whose epochs spill and evict
@@ -1427,17 +1431,16 @@ TEST(ServerIntegrationTest, MultiThreadedClientsGetTheirOwnResults) {
   auto stats_client = MustConnect(fixture.port());
   auto stats = stats_client->FetchStats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  const uint64_t total =
-      uint64_t{kClients} * kRequestsPerClient * kQueriesPerRequest;
-  EXPECT_EQ(stats.Value().queries_received, total);
-  EXPECT_EQ(stats.Value().queries_executed, total);
-  EXPECT_EQ(stats.Value().queries_rejected, 0u);
+  const double total =
+      double{kClients} * kRequestsPerClient * kQueriesPerRequest;
+  const double batches = Sample(stats, "octopus_batches_executed_total");
+  EXPECT_EQ(Sample(stats, "octopus_queries_received_total"), total);
+  EXPECT_EQ(Sample(stats, "octopus_queries_executed_total"), total);
+  EXPECT_EQ(Sample(stats, "octopus_queries_rejected_total"), 0.0);
   // Sessions live on different epoll threads, but the scheduler is
   // shared: requests still coalesce across connections.
-  EXPECT_LE(stats.Value().batches_executed,
-            uint64_t{kClients} * kRequestsPerClient);
-  EXPECT_GE(stats.Value().CoalesceFactor(),
-            static_cast<double>(kQueriesPerRequest));
+  EXPECT_LE(batches, double{kClients} * kRequestsPerClient);
+  EXPECT_GE(total / batches, static_cast<double>(kQueriesPerRequest));
 
   fixture.StopAndJoin();
   // The snapshot path merges every I/O thread's stall shard; with this
@@ -1478,7 +1481,10 @@ TEST(ServerIntegrationTest, OverloadIsExplicitAcrossIoThreads) {
   while (true) {
     auto stats = client_b->FetchStats();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    if (stats.Value().queries_received >= queries_a.size()) break;
+    if (Sample(stats, "octopus_queries_received_total") >=
+        static_cast<double>(queries_a.size())) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -1490,7 +1496,8 @@ TEST(ServerIntegrationTest, OverloadIsExplicitAcrossIoThreads) {
 
   auto stats_after = client_b->FetchStats();
   ASSERT_TRUE(stats_after.ok()) << stats_after.status().ToString();
-  EXPECT_EQ(stats_after.Value().queries_rejected, queries_b.size());
+  EXPECT_EQ(Sample(stats_after, "octopus_queries_rejected_total"),
+            static_cast<double>(queries_b.size()));
 
   fixture.StopAndJoin();
   thread_a.join();
@@ -1576,7 +1583,7 @@ TEST(ServerIntegrationTest, ConcurrentConnectsSurviveStop) {
   stop_dialing.store(true, std::memory_order_relaxed);
   for (auto& t : dialers) t.join();
 
-  const server::ServerMetrics& metrics = fixture->server().metrics();
+  const server::ServerMetrics metrics = fixture->server().MetricsSnapshot();
   EXPECT_EQ(metrics.connections_active(), 0u);
   EXPECT_EQ(metrics.connections_accepted.load(),
             metrics.connections_closed.load());

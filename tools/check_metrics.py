@@ -11,8 +11,10 @@ Checks performed on one exposition file:
     `_sum`/`_count`/`_bucket` suffixes);
   * histogram families are internally consistent: `_bucket` cumulative
     counts are non-decreasing, the `+Inf` bucket equals `_count`;
-  * the required metric set for the query server is present (the names
-    `docs/OBSERVABILITY.md` documents).
+  * the scrape's families are exactly the ones `docs/OBSERVABILITY.md`
+    documents (`--docs`; every `| `name` | type |` table row must be
+    scraped with that `# TYPE`, and every scraped family must have a
+    row), so the docs table is held to the server's metric table.
 
 Given a second scrape taken later from the same server, additionally
 checks that every counter present in both is monotone non-decreasing.
@@ -26,16 +28,16 @@ Saved bodies of the JSON introspection endpoints are validated too:
     per-entry resident bytes sum to the store total, spill counters
     present when spill is enabled;
   * --journal FILE  — event-journal document: known kinds only, seq
-    strictly increasing, ring bounded by capacity. Passing --journal
-    also adds the two journal metrics to the required /metrics set.
+    strictly increasing, ring bounded by capacity.
 
-Usage: check_metrics.py scrape.txt [later_scrape.txt]
+Usage: check_metrics.py scrape.txt [later_scrape.txt] [--docs F]
            [--healthz F] [--readyz F] [--epochs F] [--journal F]
 """
 
 import argparse
 import json
 import math
+import pathlib
 import re
 import sys
 
@@ -45,47 +47,14 @@ SAMPLE_RE = re.compile(
     r"(?P<labels>\{[^}]*\})?"
     r" (?P<value>\S+)$")
 
-REQUIRED = [
-    "octopus_connections_accepted_total",
-    "octopus_connections_closed_total",
-    "octopus_connections_active",
-    "octopus_io_threads",
-    "octopus_frames_received_total",
-    "octopus_malformed_frames_total",
-    "octopus_queries_received_total",
-    "octopus_queries_rejected_total",
-    "octopus_queries_executed_total",
-    "octopus_batches_executed_total",
-    "octopus_results_sent_total",
-    "octopus_errors_sent_total",
-    "octopus_slow_queries_total",
-    "octopus_serialize_seconds_total",
-    "octopus_request_latency_seconds",
-    "octopus_loop_stall_seconds",
-    "octopus_engine_probe_seconds_total",
-    "octopus_engine_walk_seconds_total",
-    "octopus_engine_crawl_seconds_total",
-    "octopus_engine_merge_seconds_total",
-    "octopus_page_hits_total",
-    "octopus_page_misses_total",
-    "octopus_page_evictions_total",
-    "octopus_lease_hits_total",
-    "octopus_pages_leased_total",
-    "octopus_pages_distinct_total",
-    "octopus_lease_revocations_total",
-    "octopus_current_epoch",
-    "octopus_steps_applied_total",
-    "octopus_sessions_pinned_epochs",
-    "octopus_trace_records_total",
-    "octopus_trace_ring_records",
-]
+# A documented family: `| `name` | counter|gauge|histogram | ... |`.
+DOC_ROW_RE = re.compile(
+    r"^\|\s*`([a-zA-Z_:][a-zA-Z0-9_:]*)`\s*\|\s*(counter|gauge|histogram)"
+    r"\s*\|", re.M)
+DEFAULT_DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / \
+    "OBSERVABILITY.md"
 
 HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
-
-JOURNAL_METRICS = [
-    "octopus_journal_events_total",
-    "octopus_journal_ring_events",
-]
 
 EVENT_KINDS = {
     "step_applied", "epoch_published", "epoch_spilled", "epoch_reloaded",
@@ -187,6 +156,24 @@ def check_histograms(path, samples, types, failures):
         if cumulative != sorted(cumulative):
             failures.append(f"{path}: histogram {family}: bucket counts "
                             f"are not cumulative")
+
+
+def check_docs(path: str, scrape: str, types: dict, failures: list):
+    """The scrape's families must equal the documented ones, types too."""
+    documented = {}
+    for name, kind in DOC_ROW_RE.findall(pathlib.Path(path).read_text(
+            encoding="utf-8")):
+        if documented.setdefault(name, kind) != kind:
+            failures.append(f"{path}: {name} documented twice with "
+                            f"different types")
+    for name, kind in documented.items():
+        got = types.get(name, "missing")
+        if got != kind:
+            failures.append(f"{scrape}: documented {kind} {name} is "
+                            f"scraped as {got}")
+    for name in sorted(set(types) - set(documented)):
+        failures.append(f"{scrape}: family {name} is not documented in "
+                        f"{path}")
 
 
 def load_json(path: str, failures: list):
@@ -319,6 +306,9 @@ def main() -> int:
     parser.add_argument("scrape", help="/metrics exposition text")
     parser.add_argument("later_scrape", nargs="?",
                         help="a later scrape for monotonicity checks")
+    parser.add_argument("--docs", default=str(DEFAULT_DOCS),
+                        help="docs whose metric tables the scrape must "
+                        "match (default: docs/OBSERVABILITY.md)")
     parser.add_argument("--healthz", help="saved /healthz body")
     parser.add_argument("--readyz", help="saved /readyz body")
     parser.add_argument("--epochs", help="saved /epochs body")
@@ -328,11 +318,7 @@ def main() -> int:
     failures = []
     samples, types = parse(args.scrape, failures)
     check_histograms(args.scrape, samples, types, failures)
-    required = REQUIRED + (JOURNAL_METRICS if args.journal else [])
-    for name in required:
-        if name not in types:
-            failures.append(f"{args.scrape}: required metric {name} "
-                            f"is missing")
+    check_docs(args.docs, args.scrape, types, failures)
 
     if args.later_scrape:
         later, later_types = parse(args.later_scrape, failures)

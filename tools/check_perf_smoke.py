@@ -37,7 +37,16 @@ When also given BENCH_server.json, additionally enforces:
     it must stay within 5% of free or it is not a flight recorder any
     more.
 
+When also given BENCH_epoch.json, additionally enforces:
+
+  * Epoch-history counters — per backend and per step, the pinned
+    query's page accesses, the spill sidecar's total bytes, the
+    resident overlay bytes and the spilled-epoch count. Deterministic
+    for given settings (scale, steps, queries per step), so they must
+    equal the `epoch_history` baseline for those settings exactly.
+
 Usage: check_perf_smoke.py [BENCH_dynamic.json] [BENCH_server.json]
+           [BENCH_epoch.json]
 """
 
 import json
@@ -49,6 +58,8 @@ MAX_PAGED_OVER_IN_MEMORY = 3.0
 MAX_TRACING_OVERHEAD = 1.05
 BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "perf_smoke_baseline.json")
+EPOCH_COUNTERS = ["pinned_page_accesses", "spill_bytes_total",
+                  "resident_overlay_bytes", "spilled_epochs"]
 TRAVERSAL_COUNTERS = [
     f"{backend}_{counter}"
     for backend in ("in_memory", "paged")
@@ -57,13 +68,11 @@ TRAVERSAL_COUNTERS = [
 ]
 
 
-def check_traversal_baseline(summary: dict, failures: list) -> None:
-    """Traversal totals must equal the baseline recorded for the run's
-    settings; a run with settings no baseline covers fails too."""
+def find_baseline(kind: str, settings: dict, failures: list):
+    """The `kind` baseline recorded for exactly these settings, or None
+    (a failure: a run with settings no baseline covers fails too)."""
     with open(BASELINE_PATH) as f:
-        baselines = json.load(f)["dynamic_summary"]
-    settings = {k: summary.get(k) for k in ("scale", "steps",
-                                            "queries_per_step")}
+        baselines = json.load(f)[kind]
     matches = [b for b in baselines
                if b["settings"]["steps"] == settings["steps"]
                and b["settings"]["queries_per_step"] ==
@@ -72,11 +81,22 @@ def check_traversal_baseline(summary: dict, failures: list) -> None:
                and abs(b["settings"]["scale"] - settings["scale"]) < 1e-9]
     if len(matches) != 1:
         failures.append(
-            f"no traversal-counter baseline for {settings} in "
+            f"no {kind} counter baseline for {settings} in "
             f"{BASELINE_PATH} (recorded: "
             f"{[b['settings'] for b in baselines]})")
+        return None
+    return matches[0]
+
+
+def check_traversal_baseline(summary: dict, failures: list) -> None:
+    """Traversal totals must equal the baseline recorded for the run's
+    settings."""
+    settings = {k: summary.get(k) for k in ("scale", "steps",
+                                            "queries_per_step")}
+    baseline = find_baseline("dynamic_summary", settings, failures)
+    if baseline is None:
         return
-    expected = matches[0]["counters"]
+    expected = baseline["counters"]
     for name in TRAVERSAL_COUNTERS:
         got = summary.get(name)
         print(f"  {name:<26} = {got} (baseline {expected.get(name)})")
@@ -85,6 +105,40 @@ def check_traversal_baseline(summary: dict, failures: list) -> None:
                 f"{name} = {got}, baseline {expected.get(name)}: the "
                 f"engine's traversal work changed; re-baseline only if "
                 f"that is intended")
+
+
+def check_epoch(path: str, failures: list) -> None:
+    """Per-backend, per-step epoch-history counters must equal the
+    baseline for the run's settings."""
+    with open(path) as f:
+        records = [r for r in json.load(f)
+                   if r.get("name", "").startswith("epoch_history_")]
+    if not records:
+        failures.append(f"no epoch_history records in {path}")
+        return
+    settings = {"scale": records[0].get("scale"),
+                "steps": max(r["step"] for r in records),
+                "queries_per_step": records[0].get("queries_per_step")}
+    baseline = find_baseline("epoch_history", settings, failures)
+    if baseline is None:
+        return
+    steps = list(range(baseline["first_step"], settings["steps"] + 1))
+    for backend, expected in baseline["counters"].items():
+        by_step = {r["step"]: r for r in records
+                   if r["name"] == "epoch_history_" + backend}
+        if sorted(by_step) != steps:
+            failures.append(f"{backend}: epoch_history steps "
+                            f"{sorted(by_step)}, expected {steps}")
+            continue
+        for name in EPOCH_COUNTERS:
+            got = [by_step[step].get(name) for step in steps]
+            print(f"  {backend} {name} at step {steps[-1]} = {got[-1]} "
+                  f"(baseline {expected[name][-1]})")
+            if got != expected[name]:
+                failures.append(
+                    f"{backend} {name} per step = {got}, baseline "
+                    f"{expected[name]}: the epoch store's work changed; "
+                    f"re-baseline only if that is intended")
 
 
 def check_server(path: str, failures: list) -> None:
@@ -108,6 +162,7 @@ def check_server(path: str, failures: list) -> None:
 def main() -> int:
     path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_dynamic.json"
     server_path = sys.argv[2] if len(sys.argv) > 2 else None
+    epoch_path = sys.argv[3] if len(sys.argv) > 3 else None
     with open(path) as f:
         records = json.load(f)
     summaries = [r for r in records if r.get("name") == "dynamic_summary"]
@@ -158,6 +213,8 @@ def main() -> int:
     check_traversal_baseline(s, failures)
     if server_path is not None:
         check_server(server_path, failures)
+    if epoch_path is not None:
+        check_epoch(epoch_path, failures)
     for msg in failures:
         print(f"FAIL: {msg}")
     if not failures:

@@ -17,7 +17,9 @@ Checks performed:
     is the previous offset plus the previous field's width) and its
     fixed-prefix total matches the matching constant;
   * the batch-stats block and trace-record tables sum to
-    kBatchStatsBytes / kTraceRecordBytes;
+    kBatchStatsBytes / kTraceRecordBytes, and the STATS sample table's
+    fixed fields (around its variable-length name) to
+    kStatsSampleFixedBytes;
   * envelope facts: 8-byte frame header, 16 MiB payload cap, protocol
     magic and version, the 1024-step cap.
 
@@ -38,6 +40,7 @@ TYPE_SIZES = {
     "u64": 8,
     "i64": 8,
     "f32": 4,
+    "f64": 8,
 }
 
 # Heading frame name -> the header constants its payload expression must
@@ -49,7 +52,7 @@ PAYLOAD_EXPECTATIONS = {
     "QUERY_BATCH": ["kQueryBatchFixedBytes", "kQueryBoxBytes"],
     "RESULT": ["kResultFixedBytes", "kBatchStatsBytes", 4, 4],
     "STATS_REQUEST": [0],
-    "STATS": ["kStatsPayloadBytes"],
+    "STATS": ["kStatsFixedBytes", "kStatsSampleFixedBytes"],
     "ERROR": ["kErrorFixedBytes"],
     "STEP": ["kStepPayloadBytes"],
     "EPOCH_INFO": ["kEpochInfoPayloadBytes"],
@@ -60,12 +63,13 @@ PAYLOAD_EXPECTATIONS = {
 }
 
 # Frame name -> the constant its table's fixed prefix must total.
-# Frames without an offset table (STATS, the empty verbs) are absent.
+# Frames without an offset table (the empty verbs) are absent.
 TABLE_TOTALS = {
     "HELLO": "kHelloPayloadBytes",
     "WELCOME": "kWelcomePayloadBytes",
     "QUERY_BATCH": "kQueryBatchFixedBytes",
     "RESULT": "kResultFixedBytes",
+    "STATS": "kStatsFixedBytes",
     "ERROR": "kErrorFixedBytes",
     "STEP": "kStepPayloadBytes",
     "EPOCH_INFO": "kEpochInfoPayloadBytes",
@@ -330,15 +334,20 @@ def main():
         if not found:
             errors.append(f"{const}: block marker missing from PROTOCOL.md")
 
-    # --- STATS field count -------------------------------------------
-    match = re.search(r"payload (\d+) bytes — eighteen u64", spec)
+    # --- STATS sample: fixed fields around the variable-length name --
+    match = re.search(r"\*\*Stats sample\*\* \((\d+) \+ name_len bytes\)",
+                      spec)
     if match:
-        checked += 1
-        if int(match.group(1)) != 18 * 8:
-            errors.append("STATS: 'eighteen u64' disagrees with the payload "
-                          f"size {match.group(1)}")
+        expect("kStatsSampleFixedBytes", int(match.group(1)),
+               "stats-sample prose size")
+        _, rows = table_after(spec[:match.start()].count("\n"))
+        fixed = sum(TYPE_SIZES[cells[1].strip("` ")] for cells in
+                    (rows or [])[1:] if cells[1].strip("` ") in TYPE_SIZES)
+        expect("kStatsSampleFixedBytes", fixed, "stats-sample table fixed "
+               "fields")
     else:
-        errors.append("STATS: 'payload N bytes — eighteen u64' sentence missing")
+        errors.append("STATS: '**Stats sample** (N + name_len bytes)' "
+                      "marker missing")
 
     if errors:
         for error in errors:

@@ -20,7 +20,7 @@ import struct
 import sys
 
 MAGIC = 0x4F435450
-VERSION = 6
+VERSION = 7
 
 HELLO = 1
 WELCOME = 2
@@ -78,12 +78,25 @@ def trace_record(trace_id):
         struct.pack("<3Q", 12, 8, 99)
 
 
+def stats(samples):
+    """A v7 STATS payload: u32 count, then u8 name_len, name, f64."""
+    payload = struct.pack("<I", len(samples))
+    for name, value in samples:
+        payload += struct.pack("<B", len(name)) + name + \
+            struct.pack("<d", value)
+    return payload
+
+
+STATS_SAMPLES = stats([(b"octopus_queries_received_total", 500.0),
+                       (b"octopus_request_latency_seconds_sum", 0.125)])
+
+
 def protocol_seeds():
     box = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
     seeds = {
-        "hello_v6": hello(),
+        "hello_v7": hello(),
         "hello_bad_magic": hello(magic=0x12345678),
-        "hello_old_version": hello(version=5),
+        "hello_old_version": hello(version=6),
         "hello_nonzero_flags": hello(flags=1),
         "welcome": frame(WELCOME,
                          struct.pack("<HBBQII", VERSION, 1, 1, 50000, 4096,
@@ -95,7 +108,15 @@ def protocol_seeds():
         "query_batch_count_lie": query_batch(45, [box], count=3),
         "result_two_queries": result(42, [[1, 2, 3], []]),
         "stats_request": frame(STATS_REQUEST),
-        "stats": frame(STATS, struct.pack("<18Q", *range(18))),
+        "stats": frame(STATS, STATS_SAMPLES),
+        # Hostile STATS: a name running past the payload, a count the
+        # payload cannot hold, and bytes after the last sample.
+        "stats_name_overrun": frame(
+            STATS, struct.pack("<IB", 1, 200) + b"octopus_x" +
+            struct.pack("<d", 1.0)),
+        "stats_count_overrun": frame(
+            STATS, struct.pack("<I", 0xFFFFFFFF) + STATS_SAMPLES[4:]),
+        "stats_trailing_bytes": frame(STATS, STATS_SAMPLES + b"\x00"),
         "error_epoch_gone": frame(ERROR,
                                   struct.pack("<HHQI", 10, 0, 42, 4) +
                                   b"gone"),

@@ -948,7 +948,7 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", run.ToString().c_str());
     return 1;
   }
-  const server::ServerMetrics& m = srv.metrics();
+  const server::ServerMetrics m = srv.MetricsSnapshot();
   std::printf("served %llu queries in %llu batches (coalesce factor "
               "%.2f) over %llu connection(s), %u simulation step(s) "
               "applied\n",
