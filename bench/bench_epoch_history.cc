@@ -2,7 +2,7 @@
 // Epoch-history benchmark: what does bounded, spillable history cost?
 // Steps an epoch-versioned backend K >> W epochs with a retention
 // window of W, pinning an early epoch, and prices the three sides of
-// the trade per step: publish latency (delta build + spill append),
+// the trade per step: publish latency (delta build + spill write),
 // resident overlay memory (must stay O(W), not O(K)), and the query
 // split — current-epoch latency (hot path, must not regress) vs the
 // pinned epoch's reload latency and sidecar page I/O (the cost of a

@@ -10,6 +10,19 @@
 namespace octopus::server {
 namespace {
 
+/// The ring entry for epoch `id`, or null. Epoch ids are ascending
+/// (eviction leaves holes but never reorders), so the ring is
+/// binary-searchable — keeps lookups cheap even at the CLI's largest
+/// accepted history caps.
+template <typename Ring>
+auto FindEntry(Ring& ring, engine::EpochId id) -> decltype(&ring.front()) {
+  auto it = std::lower_bound(ring.begin(), ring.end(), id,
+                             [](const auto& entry, engine::EpochId target) {
+                               return entry.info.epoch < target;
+                             });
+  return it != ring.end() && it->info.epoch == id ? &*it : nullptr;
+}
+
 int64_t SteadyNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -83,7 +96,7 @@ engine::EpochInfo EpochStore::CurrentInfo() const {
   return ring_.empty() ? engine::EpochInfo{} : ring_.back().info;
 }
 
-Result<PinnedEpochState> EpochStore::PinEpoch(engine::EpochId id) {
+Result<PinnedEpochState> EpochStore::PinEpoch(engine::EpochId id) const {
   common::MutexLock lock(mu_);
   if (const Entry* entry = FindLocked(id)) {
     return PinnedEpochState{entry->info, entry->overlay};
@@ -137,15 +150,11 @@ size_t EpochStore::ResidentBytesLocked() const {
 }
 
 EpochStore::Entry* EpochStore::FindLocked(engine::EpochId id) {
-  // Epoch ids are ascending (eviction leaves holes but never reorders),
-  // so the ring is binary-searchable — keeps lookups cheap even at the
-  // CLI's largest accepted history caps.
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), id,
-      [](const Entry& entry, engine::EpochId target) {
-        return entry.info.epoch < target;
-      });
-  return it != ring_.end() && it->info.epoch == id ? &*it : nullptr;
+  return FindEntry(ring_, id);
+}
+
+const EpochStore::Entry* EpochStore::FindLocked(engine::EpochId id) const {
+  return FindEntry(ring_, id);
 }
 
 void EpochStore::SpillOne(engine::EpochId id) {
@@ -160,47 +169,36 @@ void EpochStore::SpillOne(engine::EpochId id) {
   }
 
   mu_.Unlock();
-  // The sidecar append runs with the ring unlocked: a concurrent
-  // current-epoch pin never waits out an fwrite. spill_io_mu_ keeps
-  // two retention passes (stepper's Publish vs event loop's
-  // ReleasePin) from interleaving appends.
-  bool ok = true;
+  // The sidecar write runs with the ring unlocked: a concurrent
+  // current-epoch pin never waits out the disk. Every memory-resident
+  // page is written (a resident overlay has no spilled ones); resident
+  // pages store entry bytes only, and the sidecar zero-pads them back
+  // to the writer's full page size.
   std::vector<storage::PageId> overlay_ids(overlay->num_page_slots(),
                                            storage::kInvalidPageId);
-  uint64_t pages_before = 0;
-  uint64_t bytes_before = 0;
-  uint64_t pages_after = 0;
-  uint64_t bytes_after = 0;
-  {
-    common::MutexLock io_lock(spill_io_mu_);
-    pages_before = spill_->pages_written();
-    bytes_before = spill_->bytes_written();
-    // Append every memory-resident page (a resident overlay has no
-    // spilled ones). Pages *structurally shared in memory* between
-    // consecutive epochs are appended once per spilled epoch —
-    // cross-epoch sidecar dedup (pointer->page map) is the ROADMAP'd
-    // compaction work, and the duplication costs disk, never
-    // correctness.
-    for (uint64_t page = 0; ok && page < overlay_ids.size(); ++page) {
-      if (const std::byte* bytes = overlay->Lookup(page)) {
-        // Resident pages store entry bytes only; AppendPage zero-pads
-        // them back to the writer's full page size.
-        auto appended = spill_->AppendPage(std::span<const std::byte>(
-            bytes, overlay->resident_page_bytes(page)));
-        ok = appended.ok();
-        if (ok) overlay_ids[page] = appended.Value();
-      }
+  std::vector<std::span<const std::byte>> pages;
+  for (uint64_t page = 0; page < overlay_ids.size(); ++page) {
+    if (const std::byte* bytes = overlay->Lookup(page)) {
+      pages.emplace_back(bytes, overlay->resident_page_bytes(page));
     }
-    ok = ok && spill_->Sync().ok();
-    pages_after = spill_->pages_written();
-    bytes_after = spill_->bytes_written();
+  }
+  auto extent = spill_->Write(pages);
+  std::shared_ptr<const storage::PositionOverlay> twin;
+  if (extent.ok()) {
+    const std::span<const storage::PageId> ids = extent.Value()->ids();
+    for (uint64_t page = 0, next = 0; page < overlay_ids.size(); ++page) {
+      if (overlay->Lookup(page) != nullptr) overlay_ids[page] = ids[next++];
+    }
+    twin = storage::PositionOverlay::SpilledTwin(
+        *overlay, std::move(overlay_ids), extent.MoveValue());
   }
   mu_.Lock();
 
+  // Evicted meanwhile: dropping the unpublished twin recycles its pages.
   Entry* entry = FindLocked(id);
-  if (entry == nullptr) return;  // evicted meanwhile; pages orphaned
+  if (entry == nullptr) return;
   entry->spilling = false;
-  if (!ok) {
+  if (twin == nullptr) {
     // Marked rather than retried: a sidecar that failed once (disk
     // full, I/O error) would livelock the retention loop. The picker
     // treats the entry as unspillable — evicted if unpinned, resident
@@ -210,13 +208,12 @@ void EpochStore::SpillOne(engine::EpochId id) {
   }
   // Swap in the disk-backed twin. Readers still holding the resident
   // overlay drain naturally — copy-on-write all the way down.
-  entry->overlay = storage::PositionOverlay::SpilledTwin(
-      *overlay, std::move(overlay_ids), spill_->pool());
+  entry->overlay = std::move(twin);
   entry->spilled = true;
   entry->resident = 0;
   if (journal_ != nullptr) {
-    journal_->Emit(obs::EventKind::kEpochSpilled, id, 0,
-                   pages_after - pages_before, bytes_after - bytes_before);
+    journal_->Emit(obs::EventKind::kEpochSpilled, id, 0, pages.size(),
+                   pages.size() * uint64_t{page_bytes_});
   }
 }
 
@@ -323,16 +320,19 @@ uint64_t EpochStore::epochs_evicted() const {
 }
 
 uint64_t EpochStore::spill_pages_written() const {
-  // The appender mutates the sidecar's page counter under spill_io_mu_
-  // with the ring mutex deliberately released, so THIS is the lock
-  // that synchronizes reads of it — mu_ would be a false friend.
-  common::MutexLock lock(spill_io_mu_);
   return spill_ != nullptr ? spill_->pages_written() : 0;
 }
 
 uint64_t EpochStore::spill_bytes_written() const {
-  common::MutexLock lock(spill_io_mu_);
   return spill_ != nullptr ? spill_->bytes_written() : 0;
+}
+
+uint64_t EpochStore::sidecar_bytes() const {
+  return spill_ != nullptr ? spill_->file_bytes() : 0;
+}
+
+uint64_t EpochStore::spill_pages_free() const {
+  return spill_ != nullptr ? spill_->pages_free() : 0;
 }
 
 size_t EpochStore::spill_failed_epochs() const {
@@ -361,13 +361,10 @@ EpochStoreView EpochStore::View() const {
     view.evicted_total = evicted_;
     view.spill_enabled = spill_ != nullptr;
   }
-  // Sidecar counters live under the spill-I/O lock (the appender runs
-  // with `mu_` released); never nest the two.
-  {
-    common::MutexLock io_lock(spill_io_mu_);
-    view.spill_pages_written = spill_ != nullptr ? spill_->pages_written() : 0;
-    view.spill_bytes_written = spill_ != nullptr ? spill_->bytes_written() : 0;
-  }
+  view.spill_pages_written = spill_pages_written();
+  view.spill_bytes_written = spill_bytes_written();
+  view.sidecar_bytes = sidecar_bytes();
+  view.spill_pages_free = spill_pages_free();
   return view;
 }
 

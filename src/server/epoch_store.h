@@ -10,7 +10,10 @@
 // pinned them, which exempts them from eviction (never from spilling:
 // pins cost disk, not memory) until the pin is released or the session
 // dies. Querying an evicted-and-unpinned epoch is a typed EPOCH_GONE
-// error, not silence.
+// error, not silence. An evicted epoch's sidecar pages are recycled by
+// later spills once no batch still reads it, so the sidecar holds at
+// most (history − retention + 1) epochs of pages, plus the pinned ones
+// and any evicted epoch a batch is still reading.
 //
 // Thread model: `Publish` belongs to the stepper (one at a time);
 // `PinNewest` / `PinEpoch` / `AddPin` / `ReleasePin` are safe from any
@@ -82,10 +85,10 @@ struct EpochEntryView {
 };
 
 /// \brief A consistent point-in-time view of the whole retention ring
-/// plus the sidecar's append totals. The ring part is one `mu_`
-/// critical section (entries are mutually consistent); the sidecar
-/// counters are read separately under the spill-I/O lock and may be a
-/// beat ahead of the ring during an in-flight spill.
+/// plus the sidecar's totals. The ring part is one `mu_` critical
+/// section (entries are mutually consistent); the sidecar numbers are
+/// read separately and may be a beat ahead of the ring during an
+/// in-flight spill.
 struct EpochStoreView {
   std::vector<EpochEntryView> entries;  ///< ascending epoch id
   uint64_t resident_bytes = 0;
@@ -93,6 +96,8 @@ struct EpochStoreView {
   bool spill_enabled = false;
   uint64_t spill_pages_written = 0;
   uint64_t spill_bytes_written = 0;
+  uint64_t sidecar_bytes = 0;     ///< the sidecar file's size
+  uint64_t spill_pages_free = 0;  ///< sidecar pages awaiting reuse
 };
 
 class EpochStore {
@@ -129,7 +134,7 @@ class EpochStore {
   /// spilled its sidecar-backed twin (whose reads price page I/O into
   /// the reader's stats). NotFound = the epoch was evicted (or never
   /// existed): the EPOCH_GONE case.
-  Result<PinnedEpochState> PinEpoch(engine::EpochId id);
+  Result<PinnedEpochState> PinEpoch(engine::EpochId id) const;
 
   /// Session-pin accounting: a pinned epoch is exempt from eviction
   /// until every pin is released. Returns the pinned epoch's identity;
@@ -153,8 +158,15 @@ class EpochStore {
   size_t resident_epochs() const;
   size_t spilled_epochs() const;
   uint64_t epochs_evicted() const;
+  /// Pages/bytes written to the sidecar (monotonic; a recycled page
+  /// counts each time it is rewritten).
   uint64_t spill_pages_written() const;
   uint64_t spill_bytes_written() const;
+  /// The sidecar's footprint: its file size, and the pages below its
+  /// high-water mark that no spilled epoch owns (the next spills'
+  /// pages). 0 without a sidecar.
+  uint64_t sidecar_bytes() const;
+  uint64_t spill_pages_free() const;
 
   /// Entries whose spill failed (disk full / I/O error): they survive
   /// only as pinned memory, so a nonzero count means the sidecar is
@@ -191,31 +203,26 @@ class EpochStore {
 
   /// Spills or evicts until the window/byte/history caps hold. Runs
   /// under the caller's `mu_` and RELEASES it around each spill's disk
-  /// I/O, so concurrent pins never wait out an fwrite — publication
+  /// I/O, so concurrent pins never wait out a write — publication
   /// stays the O(1) pointer work the serving path was promised.
   void EnforceRetention() REQUIRES(mu_);
   /// Writes one entry's overlay to the sidecar: snapshots it under the
-  /// lock, appends + syncs unlocked (serialized by `spill_io_mu_`),
-  /// then relocks and installs the disk-backed twin — unless the entry
-  /// was evicted meanwhile (its orphaned sidecar pages are the cost of
-  /// not blocking queries). `mu_` is held on entry and on return, but
-  /// NOT across the append (the body drops and re-takes it).
+  /// lock, writes it unlocked, then relocks and installs the
+  /// disk-backed twin. If the entry was evicted meanwhile, or the write
+  /// failed, the spill's sidecar pages go straight back to the free
+  /// list. `mu_` is held on entry and on return, but NOT across the
+  /// write (the body drops and re-takes it).
   void SpillOne(engine::EpochId id) REQUIRES(mu_);
   Entry* FindLocked(engine::EpochId id) REQUIRES(mu_);
+  const Entry* FindLocked(engine::EpochId id) const REQUIRES(mu_);
   size_t ResidentBytesLocked() const REQUIRES(mu_);
 
   const uint32_t page_bytes_;
   const EpochRetentionOptions options_;
-  /// Created once in `Init` before any concurrency; the object is
-  /// internally single-writer (appends serialized by `spill_io_mu_`)
-  /// with a thread-safe reload pool.
+  /// Created once in `Init` before any concurrency; thread-safe, so
+  /// concurrent retention passes (Publish on the stepper vs ReleasePin
+  /// on the event loop) may spill different entries at once.
   std::unique_ptr<storage::EpochSpillFile> spill_;
-  /// Serializes sidecar appends across concurrent retention passes
-  /// (Publish on the stepper vs ReleasePin on the event loop) and
-  /// guards reads of the sidecar's append counters. Never held
-  /// together with a *blocked* `mu_`: acquired only while `mu_` is
-  /// released.
-  mutable common::Mutex spill_io_mu_;
 
   mutable common::Mutex mu_;
   /// Ascending epoch ids; back() is newest.

@@ -245,10 +245,14 @@ const MetricDef kMetricTable[] = {
      "Epochs evicted past the history cap."},
     {"octopus_epoch_spill_pages_written_total", kCounter,
      FIELD(spill_pages_written),
-     "Pages appended to the spill sidecar."},
+     "Pages written to the spill sidecar."},
     {"octopus_epoch_spill_bytes_written_total", kCounter,
      FIELD(spill_bytes_written),
-     "Bytes appended to the spill sidecar."},
+     "Bytes written to the spill sidecar."},
+    {"octopus_epoch_sidecar_bytes", kGauge, FIELD(sidecar_bytes),
+     "Size of the spill sidecar file."},
+    {"octopus_epoch_spill_pages_free", kGauge, FIELD(spill_pages_free),
+     "Sidecar pages free for reuse by the next spill."},
     {"octopus_buffer_pool_cap_bytes", kGauge, FIELD(pool_cap_bytes),
      "Configured buffer-pool byte cap."},
     {"octopus_buffer_pool_resident_bytes", kGauge, FIELD(pool_resident_bytes),

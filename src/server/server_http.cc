@@ -21,6 +21,8 @@ MetricsSource QueryServer::ReadMetricsSource() const {
     source.epochs_evicted = store->epochs_evicted();
     source.spill_pages_written = store->spill_pages_written();
     source.spill_bytes_written = store->spill_bytes_written();
+    source.sidecar_bytes = store->sidecar_bytes();
+    source.spill_pages_free = store->spill_pages_free();
   }
   if (const storage::BufferManager* pool = backend_->buffer_manager()) {
     source.pool_cap_bytes = pool->PoolCapBytes();
@@ -46,7 +48,7 @@ std::string QueryServer::RenderMetricsText() const {
 
 std::string QueryServer::RenderEpochsJson() const {
   std::string out;
-  char buf[256];
+  char buf[384];
   const engine::EpochInfo current = backend_->CurrentEpoch();
   const EpochStore* store = backend_->epoch_store();
   std::snprintf(buf, sizeof(buf),
@@ -69,12 +71,15 @@ std::string QueryServer::RenderEpochsJson() const {
       buf, sizeof(buf),
       ",\"resident_bytes\":%llu,\"evicted_total\":%llu,"
       "\"spill\":{\"enabled\":%s,\"pages_written\":%llu,"
-      "\"bytes_written\":%llu,\"failed_epochs\":%llu},\"entries\":[",
+      "\"bytes_written\":%llu,\"sidecar_bytes\":%llu,"
+      "\"pages_free\":%llu,\"failed_epochs\":%llu},\"entries\":[",
       static_cast<unsigned long long>(view.resident_bytes),
       static_cast<unsigned long long>(view.evicted_total),
       view.spill_enabled ? "true" : "false",
       static_cast<unsigned long long>(view.spill_pages_written),
       static_cast<unsigned long long>(view.spill_bytes_written),
+      static_cast<unsigned long long>(view.sidecar_bytes),
+      static_cast<unsigned long long>(view.spill_pages_free),
       static_cast<unsigned long long>(spill_failed));
   out += buf;
   for (size_t i = 0; i < view.entries.size(); ++i) {

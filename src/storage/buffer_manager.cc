@@ -1,8 +1,12 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 #include "storage/buffer_manager.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <cstring>
 
 namespace octopus::storage {
@@ -28,33 +32,28 @@ Result<std::unique_ptr<BufferManager>> BufferManager::Open(
         "buffer pool must cover at least 2 pages (" +
         std::to_string(2 * page_bytes) + " bytes)");
   }
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IOError("cannot open for read: " + path);
   }
   return std::unique_ptr<BufferManager>(
-      new BufferManager(file, page_bytes, num_pages, options));
+      new BufferManager(fd, page_bytes, num_pages, options));
 }
 
-BufferManager::BufferManager(std::FILE* file, size_t page_bytes,
-                             uint64_t num_pages, const Options& options)
+BufferManager::BufferManager(int fd, size_t page_bytes, uint64_t num_pages,
+                             const Options& options)
     : options_(options),
       page_bytes_(page_bytes),
       max_frames_(options.pool_bytes / page_bytes),
       num_pages_(num_pages),
-      file_(file) {
+      fd_(fd) {
   // Frames allocate lazily; only pre-reserve bookkeeping for pools that
   // plausibly fill (a generous cap can exceed the snapshot many times
   // over).
   frames_.reserve(std::min<size_t>(max_frames_, num_pages));
 }
 
-BufferManager::~BufferManager() {
-  // No readers are live at destruction; the lock only satisfies the
-  // analysis (file_ is guarded) at zero contention.
-  common::MutexLock lock(mu_);
-  std::fclose(file_);
-}
+BufferManager::~BufferManager() { ::close(fd_); }
 
 size_t BufferManager::AllocatedBytes() const {
   common::MutexLock lock(mu_);
@@ -120,6 +119,37 @@ void BufferManager::ExtendTo(uint64_t num_pages) {
   num_pages_ = std::max(num_pages_, num_pages);
 }
 
+void BufferManager::Discard(PageId page) {
+  common::MutexLock lock(mu_);
+  auto it = page_to_frame_.find(page);
+  if (it == page_to_frame_.end()) return;
+  Frame& frame = frames_[it->second];
+  assert(frame.pins == 0 && "discard of a pinned page");
+  frame.page = kInvalidPageId;
+  frame.lru_tick = 0;  // an empty frame is the first victim
+  frame.referenced = false;
+  page_to_frame_.erase(it);
+}
+
+void BufferManager::ReadPage(PageId page, Frame* frame) {
+  // Read under the lock: serialized I/O is fine at reproduction scale.
+  size_t done = 0;
+  while (done < page_bytes_) {
+    const ssize_t n =
+        ::pread(fd_, frame->data.get() + done, page_bytes_ - done,
+                static_cast<off_t>(page * page_bytes_ + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<size_t>(n);
+  }
+  if (done != page_bytes_) {
+    // The writer pads every page to full size, so a short read means
+    // the file was truncated after open — unrecoverable mid-query.
+    assert(false && "snapshot page read failed");
+    std::memset(frame->data.get(), 0, page_bytes_);
+  }
+}
+
 const std::byte* BufferManager::Pin(PageId page, PageIOStats* stats) {
   common::MutexLock lock(mu_);
   assert(page < num_pages_ && "page out of range");
@@ -148,17 +178,7 @@ const std::byte* BufferManager::Pin(PageId page, PageIOStats* stats) {
     }
 
     Frame& frame = frames_[index];
-    // Read under the lock: the FILE* seek+read pair is not atomic, and
-    // serialized I/O is fine at reproduction scale.
-    if (std::fseek(file_,
-                   static_cast<long>(page * page_bytes_), SEEK_SET) != 0 ||
-        std::fread(frame.data.get(), 1, page_bytes_, file_) !=
-            page_bytes_) {
-      // The writer pads every page to full size, so a short read means
-      // the file was truncated after open — unrecoverable mid-query.
-      assert(false && "snapshot page read failed");
-      std::memset(frame.data.get(), 0, page_bytes_);
-    }
+    ReadPage(page, &frame);
     frame.page = page;
     frame.pins = 1;
     frame.lru_tick = ++tick_;
@@ -186,12 +206,7 @@ const std::byte* BufferManager::TryPin(PageId page, PageIOStats* stats) {
   const size_t index = TryAcquireFrame(stats);
   if (index == max_frames_) return nullptr;  // every frame pinned
   Frame& frame = frames_[index];
-  if (std::fseek(file_, static_cast<long>(page * page_bytes_), SEEK_SET) !=
-          0 ||
-      std::fread(frame.data.get(), 1, page_bytes_, file_) != page_bytes_) {
-    assert(false && "snapshot page read failed");
-    std::memset(frame.data.get(), 0, page_bytes_);
-  }
+  ReadPage(page, &frame);
   frame.page = page;
   frame.pins = 1;
   frame.lru_tick = ++tick_;

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -54,10 +53,17 @@ class BufferManager {
       const Options& options);
 
   /// Raises the readable page count (monotonic): a growing file — the
-  /// epoch spill sidecar — appends pages and then extends the pool so
-  /// they become pinnable. The writer must have flushed the new pages
-  /// before calling. Never shrinks.
+  /// epoch spill sidecar — writes pages past the old end and then
+  /// extends the pool so they become pinnable. The writer must have
+  /// written the new pages before calling. Never shrinks.
   void ExtendTo(uint64_t num_pages);
+
+  /// Drops the cached frame of `page`, if any, so the next pin reads
+  /// the file again: the epoch spill sidecar calls this after
+  /// rewriting a recycled page, whose frame would still hold the
+  /// previous owner's bytes. The page must not be pinned — nothing may
+  /// read a page while it is being rewritten.
+  void Discard(PageId page);
 
   ~BufferManager();
 
@@ -109,8 +115,11 @@ class BufferManager {
     bool referenced = false;  // second-chance bit (clock)
   };
 
-  BufferManager(std::FILE* file, size_t page_bytes, uint64_t num_pages,
+  BufferManager(int fd, size_t page_bytes, uint64_t num_pages,
                 const Options& options);
+
+  /// Reads `page` from the file into `frame`.
+  void ReadPage(PageId page, Frame* frame) REQUIRES(mu_);
 
   /// Returns the index of a frame ready to receive a new page (growing
   /// the pool or evicting), or `max_frames()` when every frame is
@@ -127,7 +136,7 @@ class BufferManager {
   mutable common::Mutex mu_;
   common::CondVar frame_freed_;
   uint64_t num_pages_ GUARDED_BY(mu_);  // grows via ExtendTo
-  std::FILE* file_ GUARDED_BY(mu_);     // seek+read are not atomic
+  const int fd_;  // read-only; pread needs no seek state
   std::vector<Frame> frames_ GUARDED_BY(mu_);
   std::unordered_map<PageId, size_t> page_to_frame_ GUARDED_BY(mu_);
   uint64_t tick_ GUARDED_BY(mu_) = 0;

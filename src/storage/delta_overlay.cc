@@ -31,7 +31,7 @@ bool PositionOverlay::ReadBytes(uint64_t index, size_t offset, size_t len,
     return true;
   }
   if (index < spilled_.size() && spilled_[index] != kInvalidPageId) {
-    spill_pool_->CopyOut(spilled_[index], offset, len, dst, stats);
+    extent_->pool()->CopyOut(spilled_[index], offset, len, dst, stats);
     return true;
   }
   return false;
@@ -107,7 +107,7 @@ std::shared_ptr<const PositionOverlay> PositionOverlay::BuildNext(
 
 std::shared_ptr<const PositionOverlay> PositionOverlay::SpilledTwin(
     const PositionOverlay& src, std::vector<PageId> sidecar_ids,
-    std::shared_ptr<BufferManager> pool) {
+    std::shared_ptr<const SpillExtent> extent) {
   assert(src.spilled_.empty() && sidecar_ids.size() == src.pages_.size() &&
          "a resident overlay, one sidecar id slot per page");
   auto overlay = std::make_shared<PositionOverlay>();
@@ -119,7 +119,10 @@ std::shared_ptr<const PositionOverlay> PositionOverlay::SpilledTwin(
   }
   overlay->spilled_ = std::move(sidecar_ids);
   overlay->positions_per_page_ = src.positions_per_page_;
-  if (overlay->spilled_pages() > 0) overlay->spill_pool_ = std::move(pool);
+  assert(overlay->spilled_pages() ==
+             (extent != nullptr ? extent->ids().size() : 0) &&
+         "every page of the extent is one spilled page of the twin");
+  if (overlay->spilled_pages() > 0) overlay->extent_ = std::move(extent);
   return overlay;
 }
 

@@ -19,7 +19,9 @@
 // `BufferManager` (epochs past the retention window — see
 // storage/epoch_spill.h). Readers go through `ReadBytes`, which hides
 // the distinction; spilled reads are priced into the caller's
-// `PageIOStats` exactly like base-snapshot reads.
+// `PageIOStats` exactly like base-snapshot reads. A spilled overlay
+// holds the `SpillExtent` owning its sidecar pages, so they are
+// recycled only once the last reader of the epoch lets go.
 #ifndef OCTOPUS_STORAGE_DELTA_OVERLAY_H_
 #define OCTOPUS_STORAGE_DELTA_OVERLAY_H_
 
@@ -31,6 +33,7 @@
 
 #include "common/vec3.h"
 #include "storage/buffer_manager.h"
+#include "storage/epoch_spill.h"
 #include "storage/page.h"
 
 namespace octopus::storage {
@@ -110,7 +113,9 @@ class PositionOverlay {
   /// so `PagedMeshAccessor` can lease spilled delta pages through the
   /// same mechanism as base-snapshot pages instead of paying a
   /// `CopyOut` pin round trip per read.
-  BufferManager* spill_pool() const { return spill_pool_.get(); }
+  BufferManager* spill_pool() const {
+    return extent_ != nullptr ? extent_->pool() : nullptr;
+  }
 
   /// Entry bytes of memory-resident page `index` (0 when not resident).
   size_t resident_page_bytes(uint64_t index) const {
@@ -142,22 +147,25 @@ class PositionOverlay {
       size_t* pages_rewritten);
 
   /// Builds the disk-backed twin of `src`: page `i` is recorded as
-  /// spilled at the caller-provided sidecar page id `sidecar_ids[i]`,
-  /// served through `pool` on read; where the id is `kInvalidPageId`
-  /// the twin keeps `src`'s resident bytes (if any). Callers swap the
-  /// twin in for `src` and let readers still holding `src` drain
-  /// naturally (copy-on-write, like the overlays themselves).
+  /// spilled at sidecar page id `sidecar_ids[i]` — one of `extent`'s
+  /// ids — and served through the extent's pool on read; where the id
+  /// is `kInvalidPageId` the twin keeps `src`'s resident bytes (if
+  /// any). The twin holds `extent`, so its pages stay valid as long as
+  /// the twin lives. Callers swap the twin in for `src` and let readers
+  /// still holding `src` drain naturally (copy-on-write, like the
+  /// overlays themselves).
   static std::shared_ptr<const PositionOverlay> SpilledTwin(
       const PositionOverlay& src, std::vector<PageId> sidecar_ids,
-      std::shared_ptr<BufferManager> pool);
+      std::shared_ptr<const SpillExtent> extent);
 
  private:
   std::vector<std::shared_ptr<const PageBytes>> pages_;
   /// Sidecar page id per overlay page (`kInvalidPageId` = not spilled).
   /// Empty for fully resident overlays.
   std::vector<PageId> spilled_;
-  /// Read pool over the spill sidecar; set iff any page is spilled.
-  std::shared_ptr<BufferManager> spill_pool_;
+  /// Owner of the spilled pages' sidecar ids (and the pool reading
+  /// them); set iff any page is spilled.
+  std::shared_ptr<const SpillExtent> extent_;
   size_t positions_per_page_ = 0;
 };
 

@@ -1,6 +1,7 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // Epoch retention, spill and pinning: the bounded history layer. Covers
-// the spill sidecar (append, pad, reload through the pool), the delta
+// the spill sidecar (write, pad, reload through the pool, page reuse
+// after eviction, bounded file size), the delta
 // overlay's tail-page semantics (an unchanged tail is never spuriously
 // rewritten, resident_bytes counts actual entry bytes, spilled pages
 // read back byte-identically to the OCT2 writer), the EpochStore's
@@ -10,10 +11,14 @@
 // TSan-facing stress for the overlay-pointer/EpochInfo swap).
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,7 +93,16 @@ TEST(EpochRetentionOptionsTest, BackendRefusesLateAndBadConfiguration) {
 
 // --- Spill sidecar primitives ---
 
-TEST(EpochSpillFileTest, AppendedPagesReloadByteIdentically) {
+/// Writes `pages` to `spill` as one extent (asserting success).
+std::shared_ptr<const storage::SpillExtent> MustWrite(
+    storage::EpochSpillFile* spill,
+    std::vector<std::span<const std::byte>> pages) {
+  auto extent = spill->Write(pages);
+  EXPECT_TRUE(extent.ok()) << extent.status().ToString();
+  return extent.ok() ? extent.MoveValue() : nullptr;
+}
+
+TEST(EpochSpillFileTest, WrittenPagesReloadByteIdentically) {
   const std::string path = TempPath("spill_basic.oct2d");
   auto spill = storage::EpochSpillFile::Create(path, /*page_bytes=*/256,
                                                /*pool_bytes=*/1024);
@@ -99,16 +113,17 @@ TEST(EpochSpillFileTest, AppendedPagesReloadByteIdentically) {
   for (size_t i = 0; i < content.size(); ++i) {
     content[i] = static_cast<std::byte>(i * 7 + 1);
   }
-  auto id = spill.Value()->AppendPage(content);
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  EXPECT_EQ(id.Value(), 1u);  // page 0 is the header
-  ASSERT_TRUE(spill.Value()->Sync().ok());
+  auto extent = MustWrite(spill.Value().get(), {content});
+  ASSERT_NE(extent, nullptr);
+  ASSERT_EQ(extent->ids().size(), 1u);
+  const storage::PageId id = extent->ids()[0];
+  EXPECT_EQ(id, 1u);  // page 0 is the header
   EXPECT_EQ(spill.Value()->pages_written(), 1u);
+  EXPECT_EQ(spill.Value()->file_bytes(), 2u * 256);
 
   storage::PageIOStats stats;
   std::vector<std::byte> read_back(256);
-  spill.Value()->pool()->CopyOut(id.Value(), 0, 256, read_back.data(),
-                                 &stats);
+  spill.Value()->pool()->CopyOut(id, 0, 256, read_back.data(), &stats);
   EXPECT_EQ(stats.page_misses, 1u);
   EXPECT_EQ(std::memcmp(read_back.data(), content.data(), content.size()),
             0);
@@ -232,19 +247,21 @@ TEST(DeltaOverlayTest, SpilledPagesReadBackIdentically) {
   auto spill = storage::EpochSpillFile::Create(
       TempPath("spill_overlay.oct2d"), h.page_bytes, 4 * h.page_bytes);
   ASSERT_TRUE(spill.ok()) << spill.status().ToString();
-  std::vector<storage::PageId> ids(overlay->num_page_slots(),
-                                   storage::kInvalidPageId);
-  for (uint64_t page = 0; page < ids.size(); ++page) {
+  std::vector<std::span<const std::byte>> pages;
+  for (uint64_t page = 0; page < overlay->num_page_slots(); ++page) {
     if (const std::byte* bytes = overlay->Lookup(page)) {
-      auto id = spill.Value()->AppendPage(std::span<const std::byte>(
-          bytes, overlay->resident_page_bytes(page)));
-      ASSERT_TRUE(id.ok());
-      ids[page] = id.Value();
+      pages.emplace_back(bytes, overlay->resident_page_bytes(page));
     }
   }
-  ASSERT_TRUE(spill.Value()->Sync().ok());
-  auto twin = storage::PositionOverlay::SpilledTwin(
-      *overlay, std::move(ids), spill.Value()->pool());
+  auto extent = MustWrite(spill.Value().get(), pages);
+  ASSERT_NE(extent, nullptr);
+  std::vector<storage::PageId> ids(overlay->num_page_slots(),
+                                   storage::kInvalidPageId);
+  for (uint64_t page = 0, next = 0; page < ids.size(); ++page) {
+    if (overlay->Lookup(page) != nullptr) ids[page] = extent->ids()[next++];
+  }
+  auto twin = storage::PositionOverlay::SpilledTwin(*overlay, std::move(ids),
+                                                    std::move(extent));
   EXPECT_EQ(twin->resident_bytes(), 0u);
   EXPECT_EQ(twin->spilled_pages(), overlay->resident_pages());
 
@@ -298,17 +315,17 @@ TEST(DeltaOverlayTest, CopyPositionsPricesOnlySpilledPages) {
   auto spill = storage::EpochSpillFile::Create(
       TempPath("copy_positions.oct2d"), kPageBytes, 4 * kPageBytes);
   ASSERT_TRUE(spill.ok()) << spill.status().ToString();
+  auto extent = MustWrite(
+      spill.Value().get(),
+      {{second->Lookup(1), second->resident_page_bytes(1)},
+       {second->Lookup(3), second->resident_page_bytes(3)}});
+  ASSERT_NE(extent, nullptr);
   std::vector<storage::PageId> ids(second->num_page_slots(),
                                    storage::kInvalidPageId);
-  for (const uint64_t page : {1u, 3u}) {
-    auto id = spill.Value()->AppendPage(std::span<const std::byte>(
-        second->Lookup(page), second->resident_page_bytes(page)));
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    ids[page] = id.Value();
-  }
-  ASSERT_TRUE(spill.Value()->Sync().ok());
-  auto mixed = storage::PositionOverlay::SpilledTwin(
-      *second, std::move(ids), spill.Value()->pool());
+  ids[1] = extent->ids()[0];
+  ids[3] = extent->ids()[1];
+  auto mixed = storage::PositionOverlay::SpilledTwin(*second, std::move(ids),
+                                                     std::move(extent));
   ASSERT_EQ(mixed->spilled_pages(), 2u);
   ASSERT_EQ(mixed->resident_pages(), 3u);
 
@@ -476,6 +493,95 @@ TEST(EpochStoreTest, PinnedUnspillableEpochDoesNotStealWindowSlots) {
   EXPECT_EQ(store.resident_epochs(), 3u);  // window(2) + pinned(1)
 }
 
+/// The sidecar page ids an epoch's spilled overlay reads from.
+std::set<storage::PageId> SidecarIds(const PinnedEpochState& pin) {
+  std::set<storage::PageId> ids;
+  for (uint64_t page = 0; page < pin.overlay->num_page_slots(); ++page) {
+    const storage::PageId id = pin.overlay->spilled_id(page);
+    if (id != storage::kInvalidPageId) ids.insert(id);
+  }
+  return ids;
+}
+
+uint64_t FileBytes(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
+                                        : 0;
+}
+
+// A reader holding an evicted epoch keeps its sidecar pages: no later
+// spill reuses them and the held epoch reads back exactly. Once the
+// last reference goes — here on another thread, since a batch thread
+// may be the one to let go — the very next spill reuses those ids and
+// the file stops growing.
+TEST(EpochStoreTest, HeldEpochBlocksRecyclingUntilReleasedOnAnotherThread) {
+  constexpr size_t kWindow = 2;
+  constexpr size_t kHistory = 4;
+  constexpr size_t kVertices = 1000;  // 3 pages of 4 KiB per epoch
+  constexpr uint64_t kPages = 3;
+  EpochRetentionOptions options;
+  options.retention_epochs = kWindow;
+  options.history_epochs = kHistory;
+  options.spill_path = TempPath("store_recycle.oct2d");
+  options.spill_pool_bytes = 16 * storage::kDefaultPageBytes;
+  EpochStore store(storage::kDefaultPageBytes, options);
+  ASSERT_TRUE(store.Init().ok());
+
+  uint64_t e = 1;
+  for (; e <= kWindow + 1; ++e) store.Publish(InMemoryEpoch(e, kVertices));
+  auto pinned = store.PinEpoch(1);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  PinnedEpochState held = pinned.MoveValue();
+  const std::set<storage::PageId> held_ids = SidecarIds(held);
+  ASSERT_EQ(held_ids.size(), kPages);
+
+  // Run well past epoch 1's eviction: no retained epoch ever reads one
+  // of the held ids.
+  for (; e <= 3 * kHistory; ++e) {
+    store.Publish(InMemoryEpoch(e, kVertices));
+    for (const server::EpochEntryView& entry : store.View().entries) {
+      if (!entry.spilled || entry.info.epoch == 1) continue;
+      auto other = store.PinEpoch(entry.info.epoch);
+      ASSERT_TRUE(other.ok());
+      for (const storage::PageId id : SidecarIds(other.Value())) {
+        EXPECT_EQ(held_ids.count(id), 0u)
+            << "epoch " << entry.info.epoch << " reuses held id " << id;
+      }
+    }
+  }
+  EXPECT_EQ(store.PinEpoch(1).status().code(), Status::Code::kNotFound);
+  storage::PageIOStats io;
+  for (const Vec3& p : Positions(held, kVertices, &io)) {
+    ASSERT_EQ(p.x, 1.0f);
+    ASSERT_EQ(p.y, 0.5f);
+    ASSERT_EQ(p.z, -2.0f);
+  }
+  // The held epoch costs one epoch of pages on top of the ring's bound
+  // of (history − retention + 1) spilled epochs, plus the header page.
+  const uint64_t grown = store.sidecar_bytes();
+  EXPECT_EQ(grown, (1 + (kHistory - kWindow + 2) * kPages) *
+                       storage::kDefaultPageBytes);
+  EXPECT_EQ(grown, FileBytes(options.spill_path));
+
+  std::thread([state = std::move(held)]() mutable {
+    state.overlay.reset();
+  }).join();
+  EXPECT_GE(store.spill_pages_free(), kPages);
+
+  // Lowest free ids first: the next spilled epoch lands exactly on the
+  // released ids, and from then on the file never grows.
+  store.Publish(InMemoryEpoch(e++, kVertices));
+  const engine::EpochId newest_spilled =
+      store.CurrentInfo().epoch - kWindow;
+  auto reused = store.PinEpoch(newest_spilled);
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  EXPECT_EQ(SidecarIds(reused.Value()), held_ids);
+  for (const uint64_t last = e + 4 * kHistory; e <= last; ++e) {
+    store.Publish(InMemoryEpoch(e, kVertices));
+    EXPECT_EQ(store.sidecar_bytes(), grown) << "epoch " << e;
+  }
+}
+
 // --- The acceptance bound: K >> W steps, memory O(W), history usable ---
 
 void RunBoundedMemoryHistory(bool paged) {
@@ -578,6 +684,136 @@ TEST(EpochHistoryTest, BoundedMemoryAcrossManyStepsInMemory) {
 
 TEST(EpochHistoryTest, BoundedMemoryAcrossManyStepsPaged) {
   RunBoundedMemoryHistory(/*paged=*/true);
+}
+
+// --- Bounded sidecar: evicted epochs' pages are recycled ---
+
+// K = 10·H steps with W = 3, H = 6: after every step the sidecar holds
+// at most (H − W + 1) epochs of pages (the ring's spilled epochs plus
+// the one spilled before the oldest is evicted) and the header page,
+// every page below its high-water mark is either owned by a retained
+// spilled epoch or free, and every retained spilled epoch reads back
+// exactly what it was while current — byte for byte and as query
+// answers. The reload pool caches every page the sidecar can hold, so
+// a recycled id whose stale frame were not discarded would be served
+// from the pool with a previous epoch's bytes.
+void RunBoundedSidecar(bool paged) {
+  constexpr uint64_t kWindow = 3;
+  constexpr uint64_t kHistory = 6;
+  constexpr uint32_t kSteps = 10 * kHistory;
+  const TetraMesh mesh = MakeBox(10);
+  const size_t page_bytes = paged ? 1024 : storage::kDefaultPageBytes;
+  const uint64_t pages_per_epoch =
+      storage::PagesForEntries(mesh.num_vertices(), sizeof(Vec3), page_bytes);
+
+  std::unique_ptr<VersionedBackend> backend;
+  std::string snap_path;
+  if (paged) {
+    snap_path = TempPath("bounded_sidecar.oct2");
+    ASSERT_TRUE(
+        SaveSnapshot(mesh, snap_path,
+                     storage::SnapshotOptions{.page_bytes = page_bytes})
+            .ok());
+    auto opened = VersionedBackend::OpenSnapshot(snap_path, 64 * 1024, 1);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    backend = opened.MoveValue();
+  } else {
+    backend = VersionedBackend::FromMesh(mesh, 1);
+  }
+  EpochRetentionOptions retention;
+  retention.retention_epochs = kWindow;
+  retention.history_epochs = kHistory;
+  retention.spill_pool_bytes =
+      (kHistory - kWindow + 2) * pages_per_epoch * page_bytes;
+  retention.spill_path =
+      TempPath(paged ? "bounded_sidecar_p.oct2d" : "bounded_sidecar_m.oct2d");
+  ASSERT_TRUE(backend->ConfigureRetention(retention).ok());
+  ASSERT_TRUE(backend->BindDeformer(ParitySpec()).ok());
+  const EpochStore* store = backend->epoch_store();
+  ASSERT_NE(store, nullptr);
+
+  QueryGenerator gen(mesh);
+  Rng rng(0x5EED);
+  const std::vector<AABB> queries = gen.MakeQueries(&rng, 8, 0.01, 0.05);
+
+  // Each epoch's answers and resident overlay, captured while current.
+  struct Captured {
+    std::vector<std::vector<VertexId>> answers;
+    std::shared_ptr<const storage::PositionOverlay> overlay;
+  };
+  std::map<engine::EpochId, Captured> captured;
+  auto capture_current = [&] {
+    engine::QueryBatchResult out;
+    PhaseStats stats;
+    backend->Execute(queries, &out, &stats);
+    captured[out.epoch.epoch] = {out.per_query, store->PinNewest()->overlay};
+  };
+  capture_current();
+
+  const uint64_t bound =
+      (1 + (kHistory - kWindow + 1) * pages_per_epoch) * page_bytes;
+  for (uint32_t step = 1; step <= kSteps; ++step) {
+    backend->AdvanceStep();
+    const uint64_t file_bytes = FileBytes(retention.spill_path);
+    ASSERT_LE(file_bytes, bound) << "step " << step;
+    EXPECT_EQ(store->sidecar_bytes(), file_bytes);
+    capture_current();
+
+    const server::EpochStoreView view = store->View();
+    std::erase_if(captured, [&](const auto& kv) {
+      return kv.first < view.entries.front().info.epoch;
+    });
+    uint64_t owned_pages = 0;
+    for (const server::EpochEntryView& entry : view.entries) {
+      if (!entry.spilled) continue;
+      const engine::EpochId epoch = entry.info.epoch;
+      const Captured& want = captured.at(epoch);
+      auto pinned = store->PinEpoch(epoch);
+      ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+      const storage::PositionOverlay& twin = *pinned.Value().overlay;
+      owned_pages += twin.spilled_pages();
+      storage::PageIOStats io;
+      for (uint64_t page = 0; page < want.overlay->num_page_slots(); ++page) {
+        const size_t bytes = want.overlay->resident_page_bytes(page);
+        if (bytes == 0) continue;
+        std::vector<std::byte> read(bytes);
+        ASSERT_TRUE(twin.ReadBytes(page, 0, bytes, read.data(), &io));
+        ASSERT_EQ(std::memcmp(read.data(), want.overlay->Lookup(page), bytes),
+                  0)
+            << "step " << step << " epoch " << epoch << " page " << page;
+      }
+      engine::QueryBatchResult replay;
+      PhaseStats stats;
+      ASSERT_TRUE(backend->ExecuteAt(epoch, queries, &replay, &stats).ok());
+      EXPECT_EQ(replay.per_query, want.answers)
+          << "step " << step << " epoch " << epoch;
+    }
+    // No page leaks: below the high-water mark, every page is owned by
+    // a retained spilled epoch or free for the next spill.
+    EXPECT_EQ(owned_pages + store->spill_pages_free() + 1,
+              file_bytes / page_bytes)
+        << "step " << step;
+  }
+  EXPECT_EQ(store->spilled_epochs(), kHistory - kWindow);
+  EXPECT_GE(store->epochs_evicted(), kSteps + 1 - kHistory);
+  // Pages written stays the monotonic count of every spill's pages:
+  // each of the kSteps + 1 − W spilled epochs moved every vertex, except
+  // the paged backend's initial epoch, which is the base snapshot
+  // itself and has no overlay pages.
+  const uint64_t moved_epochs = kSteps + 1 - kWindow - (paged ? 1 : 0);
+  EXPECT_EQ(store->spill_pages_written(), moved_epochs * pages_per_epoch);
+  EXPECT_EQ(store->spill_bytes_written(),
+            store->spill_pages_written() * page_bytes);
+
+  if (!snap_path.empty()) std::remove(snap_path.c_str());
+}
+
+TEST(EpochHistoryTest, SidecarStaysBoundedOverManyEvictionsInMemory) {
+  RunBoundedSidecar(/*paged=*/false);
+}
+
+TEST(EpochHistoryTest, SidecarStaysBoundedOverManyEvictionsPaged) {
+  RunBoundedSidecar(/*paged=*/true);
 }
 
 // --- Publication atomicity under a concurrent stepper (satellite 3) ---

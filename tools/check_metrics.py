@@ -242,9 +242,10 @@ def check_epochs(path: str, failures: list):
             spill.get("enabled"), bool):
         failures.append(f"{path}: /epochs spill block missing")
         spill = {}
-    if spill.get("enabled") and not (
-            is_uint(spill.get("pages_written"))
-            and is_uint(spill.get("bytes_written"))):
+    if spill.get("enabled") and not all(
+            is_uint(spill.get(key)) for key in (
+                "pages_written", "bytes_written", "sidecar_bytes",
+                "pages_free")):
         failures.append(f"{path}: spill enabled but counters missing")
     last_epoch = -1
     resident_sum = 0
