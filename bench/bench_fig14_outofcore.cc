@@ -186,6 +186,7 @@ int main() {
       json.Field("layout", layout.name);
       json.Field("eviction", "lru");
       json.Field("pool_frac", frac);
+      json.Field("scale", scale);
       json.Field("pool_bytes", static_cast<int64_t>(pool_bytes));
       json.Field("page_bytes", static_cast<int64_t>(kPageBytes));
       json.Field("snapshot_bytes", static_cast<int64_t>(snapshot_bytes));
@@ -237,6 +238,7 @@ int main() {
                              storage::EvictionName(eviction));
       json.Field("layout", "hilbert");
       json.Field("eviction", storage::EvictionName(eviction));
+      json.Field("scale", scale);
       json.Field("pool_bytes", static_cast<int64_t>(pool_bytes));
       json.Field("queries", static_cast<int64_t>(queries.size()));
       json.Field("page_misses",

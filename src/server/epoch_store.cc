@@ -218,6 +218,33 @@ void EpochStore::SpillOne(engine::EpochId id) {
 }
 
 void EpochStore::EnforceRetention() {
+  // Evict pass first: drop the oldest unpinned epochs past the history
+  // cap. Pins are exempt *on top of* the cap (they never steal a
+  // history slot from a younger epoch): the ring holds at most
+  // history_epochs unpinned entries plus every pinned one, and snaps
+  // back as pins release — an epoch whose last pin goes away past the
+  // cap is evicted by that very release. Evicting before spilling hands
+  // the evicted epoch's sidecar pages back in time for this call's
+  // spill to reuse them, so the sidecar holds (history − retention)
+  // epochs of pages, not one more, and with history == retention no
+  // epoch is written and dropped in the same call.
+  size_t pinned = 0;
+  for (const Entry& entry : ring_) pinned += entry.pins > 0 ? 1 : 0;
+  const size_t cap = options_.history_epochs + pinned;
+  size_t excess = ring_.size() > cap ? ring_.size() - cap : 0;
+  for (auto it = ring_.begin(); excess > 0 && it + 1 != ring_.end();) {
+    if (it->pins == 0) {
+      if (journal_ != nullptr) {
+        journal_->Emit(obs::EventKind::kEpochEvicted, it->info.epoch, 0,
+                       it->info.step, it->spilled ? 1 : 0);
+      }
+      it = ring_.erase(it);
+      ++evicted_;
+      --excess;
+    } else {
+      ++it;
+    }
+  }
   // Spill pass, oldest first. An epoch leaves the resident window when
   // more than `retention_epochs` epochs are resident behind it, or the
   // resident bytes exceed the cap; the newest epoch is always exempt
@@ -269,29 +296,6 @@ void EpochStore::EnforceRetention() {
     }
     if (!found) break;
     SpillOne(to_spill);
-  }
-  // Evict pass: drop the oldest unpinned epochs past the history cap.
-  // Pins are exempt *on top of* the cap (they never steal a history
-  // slot from a younger epoch): the ring holds at most history_epochs
-  // unpinned entries plus every pinned one, and snaps back as pins
-  // release — an epoch whose last pin goes away past the cap is evicted
-  // by that very release.
-  size_t pinned = 0;
-  for (const Entry& entry : ring_) pinned += entry.pins > 0 ? 1 : 0;
-  const size_t cap = options_.history_epochs + pinned;
-  size_t excess = ring_.size() > cap ? ring_.size() - cap : 0;
-  for (auto it = ring_.begin(); excess > 0 && it + 1 != ring_.end();) {
-    if (it->pins == 0) {
-      if (journal_ != nullptr) {
-        journal_->Emit(obs::EventKind::kEpochEvicted, it->info.epoch, 0,
-                       it->info.step, it->spilled ? 1 : 0);
-      }
-      it = ring_.erase(it);
-      ++evicted_;
-      --excess;
-    } else {
-      ++it;
-    }
   }
 }
 

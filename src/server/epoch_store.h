@@ -11,9 +11,11 @@
 // pins cost disk, not memory) until the pin is released or the session
 // dies. Querying an evicted-and-unpinned epoch is a typed EPOCH_GONE
 // error, not silence. An evicted epoch's sidecar pages are recycled by
-// later spills once no batch still reads it, so the sidecar holds at
-// most (history − retention + 1) epochs of pages, plus the pinned ones
-// and any evicted epoch a batch is still reading.
+// later spills once no batch still reads it — retention evicts before
+// it spills, so a step's spill reuses the pages of the epoch that step
+// evicted — and the sidecar holds at most (history − retention) epochs
+// of pages, plus the pinned ones and any evicted epoch a batch is still
+// reading.
 //
 // Thread model: `Publish` belongs to the stepper (one at a time);
 // `PinNewest` / `PinEpoch` / `AddPin` / `ReleasePin` are safe from any

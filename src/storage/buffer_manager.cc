@@ -49,8 +49,11 @@ BufferManager::BufferManager(int fd, size_t page_bytes, uint64_t num_pages,
       fd_(fd) {
   // Frames allocate lazily; only pre-reserve bookkeeping for pools that
   // plausibly fill (a generous cap can exceed the snapshot many times
-  // over).
-  frames_.reserve(std::min<size_t>(max_frames_, num_pages));
+  // over). A file that grows (ExtendTo) grows the bookkeeping with it.
+  const size_t frames = std::min<size_t>(max_frames_, num_pages);
+  frames_.reserve(frames);
+  lru_.Grow(frames);
+  page_table_.Reset(2 * frames);
 }
 
 BufferManager::~BufferManager() { ::close(fd_); }
@@ -67,15 +70,12 @@ PageIOStats BufferManager::TotalStats() const {
 
 size_t BufferManager::PickVictim() {
   if (options_.eviction == Eviction::kLRU) {
-    size_t victim = max_frames_;
-    uint64_t oldest = ~0ull;
-    for (size_t i = 0; i < frames_.size(); ++i) {
-      if (frames_[i].pins == 0 && frames_[i].lru_tick < oldest) {
-        oldest = frames_[i].lru_tick;
-        victim = i;
-      }
+    // The least recently used unpinned frame: walk from the list head
+    // past pinned frames only.
+    for (uint32_t i = lru_.head(); i != kNoIndex; i = lru_.next(i)) {
+      if (frames_[i].pins == 0) return i;
     }
-    return victim;
+    return max_frames_;
   }
   // Clock: sweep at most two full revolutions (the first clears
   // referenced bits, the second then finds any unpinned frame).
@@ -99,14 +99,26 @@ size_t BufferManager::TryAcquireFrame(PageIOStats* stats) {
     frames_.emplace_back();
     frames_.back().data = std::make_unique<std::byte[]>(page_bytes_);
     assert(frames_.size() * page_bytes_ <= options_.pool_bytes);
-    return frames_.size() - 1;
+    const auto index = static_cast<uint32_t>(frames_.size() - 1);
+    lru_.Grow(frames_.size());
+    lru_.PushBack(index);
+    if (2 * frames_.size() > page_table_.num_slots()) {
+      // Past the reserved size (the file grew): rebuild at twice the
+      // slots, keeping the table at most half full.
+      page_table_.Reset(2 * page_table_.num_slots());
+      for (uint32_t i = 0; i < index; ++i) {
+        if (frames_[i].page != kInvalidPageId) {
+          page_table_.Insert(frames_[i].page, i);
+        }
+      }
+    }
+    return index;
   }
   const size_t victim = PickVictim();
   if (victim != max_frames_) {
     Frame& frame = frames_[victim];
     if (frame.page != kInvalidPageId) {
-      page_to_frame_.erase(frame.page);
-      frame.page = kInvalidPageId;
+      EraseFromPageTable(static_cast<uint32_t>(victim));
       ++stats->page_evictions;
       ++totals_.page_evictions;
     }
@@ -121,14 +133,22 @@ void BufferManager::ExtendTo(uint64_t num_pages) {
 
 void BufferManager::Discard(PageId page) {
   common::MutexLock lock(mu_);
-  auto it = page_to_frame_.find(page);
-  if (it == page_to_frame_.end()) return;
-  Frame& frame = frames_[it->second];
-  assert(frame.pins == 0 && "discard of a pinned page");
-  frame.page = kInvalidPageId;
-  frame.lru_tick = 0;  // an empty frame is the first victim
-  frame.referenced = false;
-  page_to_frame_.erase(it);
+  const uint32_t index = FindFrame(page);
+  if (index == kNoIndex) return;
+  assert(frames_[index].pins == 0 && "discard of a pinned page");
+  EraseFromPageTable(index);
+  frames_[index].referenced = false;
+  // An empty frame is the first victim.
+  lru_.Remove(index);
+  lru_.PushFront(index);
+}
+
+void BufferManager::EraseFromPageTable(uint32_t index) {
+  const std::vector<Frame>& frames = frames_;
+  page_table_.Erase(frames[index].page, index, [&frames](uint32_t i) {
+    return uint64_t{frames[i].page};
+  });
+  frames_[index].page = kInvalidPageId;
 }
 
 void BufferManager::ReadPage(PageId page, Frame* frame) {
@@ -150,103 +170,92 @@ void BufferManager::ReadPage(PageId page, Frame* frame) {
   }
 }
 
+const std::byte* BufferManager::PinHit(uint32_t index, PageIOStats* stats) {
+  Frame& frame = frames_[index];
+  ++frame.pins;
+  lru_.Touch(index);
+  frame.referenced = true;
+  ++stats->page_hits;
+  ++totals_.page_hits;
+  return frame.data.get();
+}
+
+const std::byte* BufferManager::PinLoad(PageId page, uint32_t index,
+                                        PageIOStats* stats) {
+  Frame& frame = frames_[index];
+  ReadPage(page, &frame);
+  frame.page = page;
+  frame.pins = 1;
+  lru_.Touch(index);
+  frame.referenced = true;
+  page_table_.Insert(page, index);
+  ++stats->page_misses;
+  ++totals_.page_misses;
+  return frame.data.get();
+}
+
 const std::byte* BufferManager::Pin(PageId page, PageIOStats* stats) {
   common::MutexLock lock(mu_);
   assert(page < num_pages_ && "page out of range");
   for (;;) {
-    auto it = page_to_frame_.find(page);
-    if (it != page_to_frame_.end()) {
-      Frame& frame = frames_[it->second];
-      ++frame.pins;
-      frame.lru_tick = ++tick_;
-      frame.referenced = true;
-      ++stats->page_hits;
-      ++totals_.page_hits;
-      return frame.data.get();
+    if (const uint32_t hit = FindFrame(page); hit != kNoIndex) {
+      return PinHit(hit, stats);
     }
-
     const size_t index = TryAcquireFrame(stats);
     if (index == max_frames_) {
       // Every frame pinned by other threads: wait for an Unpin, then
-      // RE-PROBE the residency map — another thread may have loaded
-      // this very page meanwhile, and loading it twice would alias two
+      // RE-PROBE the page table — another thread may have loaded this
+      // very page meanwhile, and loading it twice would alias two
       // frames to one page and corrupt the pin bookkeeping. Readers
       // hold at most one transient pin each, so a frame frees up
       // quickly and no pin is ever held while waiting (no deadlock).
       frame_freed_.Wait(mu_);
       continue;
     }
-
-    Frame& frame = frames_[index];
-    ReadPage(page, &frame);
-    frame.page = page;
-    frame.pins = 1;
-    frame.lru_tick = ++tick_;
-    frame.referenced = true;
-    page_to_frame_[page] = index;
-    ++stats->page_misses;
-    ++totals_.page_misses;
-    return frame.data.get();
+    return PinLoad(page, static_cast<uint32_t>(index), stats);
   }
 }
 
 const std::byte* BufferManager::TryPin(PageId page, PageIOStats* stats) {
   common::MutexLock lock(mu_);
   assert(page < num_pages_ && "page out of range");
-  auto it = page_to_frame_.find(page);
-  if (it != page_to_frame_.end()) {
-    Frame& frame = frames_[it->second];
-    ++frame.pins;
-    frame.lru_tick = ++tick_;
-    frame.referenced = true;
-    ++stats->page_hits;
-    ++totals_.page_hits;
-    return frame.data.get();
+  if (const uint32_t hit = FindFrame(page); hit != kNoIndex) {
+    return PinHit(hit, stats);
   }
   const size_t index = TryAcquireFrame(stats);
   if (index == max_frames_) return nullptr;  // every frame pinned
-  Frame& frame = frames_[index];
-  ReadPage(page, &frame);
-  frame.page = page;
-  frame.pins = 1;
-  frame.lru_tick = ++tick_;
-  frame.referenced = true;
-  page_to_frame_[page] = index;
-  ++stats->page_misses;
-  ++totals_.page_misses;
-  return frame.data.get();
+  return PinLoad(page, static_cast<uint32_t>(index), stats);
 }
 
 void BufferManager::Unpin(PageId page) {
   common::MutexLock lock(mu_);
-  auto it = page_to_frame_.find(page);
-  assert(it != page_to_frame_.end() && "unpin of a non-resident page");
-  Frame& frame = frames_[it->second];
+  const uint32_t index = FindFrame(page);
+  assert(index != kNoIndex && "unpin of a non-resident page");
+  Frame& frame = frames_[index];
   assert(frame.pins > 0 && "unpin of an unpinned page");
   if (--frame.pins == 0) frame_freed_.NotifyOne();
+}
+
+std::optional<uint32_t> BufferManager::PinCount(PageId page) const {
+  common::MutexLock lock(mu_);
+  const uint32_t index = FindFrame(page);
+  if (index == kNoIndex) return std::nullopt;
+  return frames_[index].pins;
 }
 
 void BufferManager::CopyOut(PageId page, size_t offset, size_t len,
                             void* dst, PageIOStats* stats) {
   assert(offset + len <= page_bytes_);
   {
-    // Hit fast path: one lock acquisition and one map lookup instead of
-    // the Pin/Unpin pair's two of each; the memcpy runs outside the
+    // Hit fast path: one lock acquisition and one table lookup instead
+    // of the Pin/Unpin pair's two of each; the memcpy runs outside the
     // mutex, under the pin. The frame is re-addressed by index after
     // relocking (the frames_ vector may have grown and relocated; the
     // index and the heap page buffer are stable, pinned frames are
     // never evicted or repurposed).
     common::MutexLock lock(mu_);
-    auto it = page_to_frame_.find(page);
-    if (it != page_to_frame_.end()) {
-      const size_t index = it->second;
-      Frame& frame = frames_[index];
-      ++frame.pins;
-      frame.lru_tick = ++tick_;
-      frame.referenced = true;
-      ++stats->page_hits;
-      ++totals_.page_hits;
-      const std::byte* data = frame.data.get();
+    if (const uint32_t index = FindFrame(page); index != kNoIndex) {
+      const std::byte* data = PinHit(index, stats);
       lock.Unlock();
       std::memcpy(dst, data + offset, len);
       lock.Lock();

@@ -7,18 +7,26 @@
 // under memory pressure pages are evicted (LRU or clock, pluggable),
 // pinned pages excepted. All operations are thread-safe; per-context
 // counters are accumulated through the caller-supplied `PageIOStats`.
+//
+// Every bookkeeping step is O(1) and allocation-free once the pool is
+// full: the page table is an open-addressed map sized to the pool (not
+// to the file — a 33 GB mesh must not cost a per-file-page array), and
+// LRU keeps the frames on a recency list, so the victim is the first
+// unpinned frame from its head — at most the pinned frames are skipped,
+// never the whole pool.
 #ifndef OCTOPUS_STORAGE_BUFFER_MANAGER_H_
 #define OCTOPUS_STORAGE_BUFFER_MANAGER_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "storage/lru_table.h"
 #include "storage/page.h"
 
 namespace octopus::storage {
@@ -106,12 +114,15 @@ class BufferManager {
   void CopyOut(PageId page, size_t offset, size_t len, void* dst,
                PageIOStats* stats);
 
+  /// Pins currently held on `page`, or nullopt when it is not resident
+  /// (introspection for tests; the answer may be stale on return).
+  std::optional<uint32_t> PinCount(PageId page) const;
+
  private:
   struct Frame {
     std::unique_ptr<std::byte[]> data;
     PageId page = kInvalidPageId;
     uint32_t pins = 0;
-    uint64_t lru_tick = 0;  // last-access time (LRU)
     bool referenced = false;  // second-chance bit (clock)
   };
 
@@ -120,6 +131,23 @@ class BufferManager {
 
   /// Reads `page` from the file into `frame`.
   void ReadPage(PageId page, Frame* frame) REQUIRES(mu_);
+
+  /// Frame index holding `page`, or kNoIndex.
+  uint32_t FindFrame(PageId page) const REQUIRES(mu_) {
+    // The lambda reads the frames through a reference bound here, under
+    // the lock (clang's analysis does not carry REQUIRES into lambdas).
+    const std::vector<Frame>& frames = frames_;
+    return page_table_.Find(page, [&frames, page](uint32_t i) {
+      return frames[i].page == page;
+    });
+  }
+  /// Pins the resident frame `index` for an access (a pool hit).
+  const std::byte* PinHit(uint32_t index, PageIOStats* stats) REQUIRES(mu_);
+  /// Loads `page` into the acquired frame `index` and pins it (a miss).
+  const std::byte* PinLoad(PageId page, uint32_t index, PageIOStats* stats)
+      REQUIRES(mu_);
+  /// Drops frame `index`'s page from the page table and empties it.
+  void EraseFromPageTable(uint32_t index) REQUIRES(mu_);
 
   /// Returns the index of a frame ready to receive a new page (growing
   /// the pool or evicting), or `max_frames()` when every frame is
@@ -138,8 +166,11 @@ class BufferManager {
   uint64_t num_pages_ GUARDED_BY(mu_);  // grows via ExtendTo
   const int fd_;  // read-only; pread needs no seek state
   std::vector<Frame> frames_ GUARDED_BY(mu_);
-  std::unordered_map<PageId, size_t> page_to_frame_ GUARDED_BY(mu_);
-  uint64_t tick_ GUARDED_BY(mu_) = 0;
+  /// Resident page -> frame index; at most half full.
+  IndexHashTable page_table_ GUARDED_BY(mu_);
+  /// Every frame in access order, least recent first; a discarded
+  /// (empty) frame moves to the head.
+  LruList lru_ GUARDED_BY(mu_);
   size_t clock_hand_ GUARDED_BY(mu_) = 0;
   PageIOStats totals_ GUARDED_BY(mu_);
 };

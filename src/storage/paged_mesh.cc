@@ -91,13 +91,22 @@ Result<std::unique_ptr<PagedMeshStore>> PagedMeshStore::Open(
   std::vector<Vec3> surface_positions;
   OCTOPUS_RETURN_NOT_OK(
       GatherSurfacePositions(f.get(), h, surface, &surface_positions));
+  // The ids ascend, so each position page's surface vertices are one
+  // contiguous rank range; record where each page's range starts.
+  const size_t per_page = h.PositionsPerPage();
+  const size_t position_pages = (h.num_vertices + per_page - 1) / per_page;
+  std::vector<uint32_t> surface_page_ranks(position_pages + 1);
+  for (size_t p = 0, rank = 0; p <= position_pages; ++p) {
+    while (rank < surface.size() && surface[rank] < p * per_page) ++rank;
+    surface_page_ranks[p] = static_cast<uint32_t>(rank);
+  }
 
   auto buffer =
       BufferManager::Open(path, h.page_bytes, h.num_pages, options);
   if (!buffer.ok()) return buffer.status();
   return std::unique_ptr<PagedMeshStore>(
-      new PagedMeshStore(h, std::move(surface),
-                         std::move(surface_positions), buffer.MoveValue()));
+      new PagedMeshStore(h, std::move(surface), std::move(surface_positions),
+                         std::move(surface_page_ranks), buffer.MoveValue()));
 }
 
 void PagedMeshAccessor::ConfigureLeases(size_t shards) {
@@ -114,11 +123,12 @@ void PagedMeshAccessor::ConfigureLeases(size_t shards) {
   lease_cap_ =
       per_shard > 2 ? std::min(kDefaultLeaseCap, per_shard - 2) : 0;
   zero_copy_ = lease_cap_ >= kMinLeasesForZeroCopy;
-  if (lease_cap_ > 0 && slots_.empty()) {
-    size_t n = 8;
-    while (n < 2 * kDefaultLeaseCap) n <<= 1;
-    slots_.assign(n, Lease{});
-    slot_mask_ = n - 1;
+  if (lease_cap_ > 0 && lease_table_.num_slots() == 0) {
+    lease_table_.Reset(2 * kDefaultLeaseCap);
+    lease_lru_.Grow(kDefaultLeaseCap);
+    for (uint32_t i = 0; i < kDefaultLeaseCap; ++i) {
+      free_[i] = kDefaultLeaseCap - 1 - i;
+    }
   }
 }
 
@@ -133,14 +143,16 @@ void PagedMeshAccessor::BeginBatch(const PositionOverlay* overlay,
 void PagedMeshAccessor::PatchProbePositions() {
   const std::vector<Vec3>& base = store_->surface_positions();
   const std::vector<VertexId>& ids = store_->surface_vertices();
+  const std::vector<uint32_t>& page_ranks = store_->surface_page_ranks();
   const size_t per_page = store_->header().PositionsPerPage();
 
   // Revert last batch's patches (the previous overlay's pages need not
   // be this one's) before applying the new delta.
-  if (!patched_probe_.empty()) {
-    for (const uint32_t r : patched_ranks_) patched_probe_[r] = base[r];
+  for (const uint32_t p : patched_pages_) {
+    std::copy(base.begin() + page_ranks[p], base.begin() + page_ranks[p + 1],
+              patched_probe_.begin() + page_ranks[p]);
   }
-  patched_ranks_.clear();
+  patched_pages_.clear();
 
   bool patched = false;
   const size_t num_slots = overlay_->num_page_slots();
@@ -149,13 +161,8 @@ void PagedMeshAccessor::PatchProbePositions() {
     const PageId spilled =
         resident != nullptr ? kInvalidPageId : overlay_->spilled_id(p);
     if (resident == nullptr && spilled == kInvalidPageId) continue;
-    // Surface ids ascend, so a page's surface vertices occupy one
-    // contiguous rank range.
-    const auto lo = std::lower_bound(ids.begin(), ids.end(),
-                                     static_cast<VertexId>(p * per_page));
-    const auto hi =
-        std::lower_bound(lo, ids.end(),
-                         static_cast<VertexId>((p + 1) * per_page));
+    const uint32_t lo = page_ranks[p];
+    const uint32_t hi = page_ranks[p + 1];
     if (lo == hi) continue;
     if (!patched) {
       if (patched_probe_.empty()) {
@@ -181,9 +188,8 @@ void PagedMeshAccessor::PatchProbePositions() {
         }
       }
     }
-    for (auto it = lo; it != hi; ++it) {
-      const uint32_t rank = static_cast<uint32_t>(it - ids.begin());
-      const VertexId v = *it;
+    for (uint32_t rank = lo; rank != hi; ++rank) {
+      const VertexId v = ids[rank];
       const size_t offset = (v - p * per_page) * sizeof(Vec3);
       if (resident != nullptr) {
         std::memcpy(&patched_probe_[rank], resident + offset,
@@ -192,8 +198,8 @@ void PagedMeshAccessor::PatchProbePositions() {
         ReadPooled(overlay_->spill_pool(), kTagSpill, spilled, offset,
                    sizeof(Vec3), &patched_probe_[rank]);
       }
-      patched_ranks_.push_back(rank);
     }
+    patched_pages_.push_back(static_cast<uint32_t>(p));
   }
   probe_positions_ =
       patched ? patched_probe_.data() : base.data();
@@ -214,14 +220,12 @@ void PagedMeshAccessor::EndBatch() {
 PagedMeshAccessor::Lease* PagedMeshAccessor::FindLease(BufferManager* pool,
                                                        PageId page) {
   if (count_ == 0) return nullptr;
-  size_t i = HashSlot(pool, page);
-  while (slots_[i].data != nullptr) {
-    if (slots_[i].pool == pool && slots_[i].page == page) {
-      return &slots_[i];
-    }
-    i = (i + 1) & slot_mask_;
-  }
-  return nullptr;
+  const std::array<Lease, kDefaultLeaseCap>& leases = leases_;
+  const uint32_t index = lease_table_.Find(
+      LeaseKey(pool, page), [&leases, pool, page](uint32_t i) {
+        return leases[i].pool == pool && leases[i].page == page;
+      });
+  return index == kNoIndex ? nullptr : &leases_[index];
 }
 
 const std::byte* PagedMeshAccessor::AcquireLease(BufferManager* pool,
@@ -251,74 +255,59 @@ const std::byte* PagedMeshAccessor::AcquireLease(BufferManager* pool,
 void PagedMeshAccessor::InsertLease(BufferManager* pool, PageId page,
                                     const std::byte* data) {
   if (count_ == lease_cap_) RevokeLRU();
-  size_t i = HashSlot(pool, page);
-  while (slots_[i].data != nullptr) i = (i + 1) & slot_mask_;
-  slots_[i] = Lease{data, pool, page, ++tick_};
+  const uint32_t index = free_[kDefaultLeaseCap - 1 - count_];
   ++count_;
-  mru_ = &slots_[i];
+  leases_[index] = Lease{data, pool, page};
+  lease_table_.Insert(LeaseKey(pool, page), index);
+  lease_lru_.PushBack(index);
+  mru_ = &leases_[index];
 }
 
 void PagedMeshAccessor::RevokeLRU() {
   ++stats_->lease_revocations;
-  // Revocation (and the backward-shift erase below) can move or drop any
-  // slot; both MRU caches may alias one — reset them.
-  mru_ = nullptr;
+  // The position fast path may alias the victim's frame; reset it.
   pos_mru_index_ = ~0ull;
   pos_mru_data_ = nullptr;
-  size_t victim = slots_.size();
-  uint64_t oldest = ~0ull;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    const Lease& l = slots_[i];
-    if (l.data == nullptr) continue;
-    if (HasSpan() && l.pool == span_pool_ && l.page == span_page_) {
-      continue;  // the outstanding span's page is revocation-protected
-    }
-    if (l.tick < oldest) {
-      oldest = l.tick;
-      victim = i;
-    }
+  // The least recently used lease, unless it backs the outstanding span
+  // (revocation-protected): then the one after it.
+  uint32_t victim = lease_lru_.head();
+  if (victim != kNoIndex && IsSpanLease(leases_[victim])) {
+    victim = lease_lru_.next(victim);
   }
-  assert(victim != slots_.size() &&
+  assert(victim != kNoIndex &&
          "lease cap must exceed the (single) protected span");
-  slots_[victim].pool->Unpin(slots_[victim].page);
-  EraseSlot(victim);
-  --count_;
+  if (mru_ == &leases_[victim]) mru_ = nullptr;
+  leases_[victim].pool->Unpin(leases_[victim].page);
+  DropLease(victim);
 }
 
-void PagedMeshAccessor::EraseSlot(size_t hole) {
-  // Linear-probing backward shift: pull displaced entries over the hole
-  // so probe chains stay unbroken.
-  size_t j = hole;
-  for (;;) {
-    j = (j + 1) & slot_mask_;
-    if (slots_[j].data == nullptr) break;
-    const size_t home = HashSlot(slots_[j].pool, slots_[j].page);
-    if (((j - home) & slot_mask_) >= ((j - hole) & slot_mask_)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole] = Lease{};
+void PagedMeshAccessor::DropLease(uint32_t index) {
+  const std::array<Lease, kDefaultLeaseCap>& leases = leases_;
+  lease_table_.Erase(LeaseKey(leases[index].pool, leases[index].page), index,
+                     [&leases](uint32_t i) {
+                       return LeaseKey(leases[i].pool, leases[i].page);
+                     });
+  lease_lru_.Remove(index);
+  leases_[index] = Lease{};
+  --count_;
+  free_[kDefaultLeaseCap - 1 - count_] = index;
 }
 
 void PagedMeshAccessor::ReleaseLeases(bool keep_span) {
   mru_ = nullptr;
   pos_mru_index_ = ~0ull;
   pos_mru_data_ = nullptr;
-  if (count_ == 0) return;
-  Lease saved{};
-  for (Lease& l : slots_) {
-    if (l.data == nullptr) continue;
-    if (keep_span && HasSpan() && l.pool == span_pool_ &&
-        l.page == span_page_) {
-      saved = l;  // keep this pin; the caller's span aliases its frame
+  for (uint32_t i = lease_lru_.head(); i != kNoIndex;) {
+    const uint32_t next = lease_lru_.next(i);
+    if (keep_span && IsSpanLease(leases_[i])) {
+      // Keep this pin; the caller's span aliases its frame.
+      mru_ = &leases_[i];
     } else {
-      l.pool->Unpin(l.page);
+      leases_[i].pool->Unpin(leases_[i].page);
+      DropLease(i);
     }
-    l = Lease{};
+    i = next;
   }
-  count_ = 0;
-  if (saved.data != nullptr) InsertLease(saved.pool, saved.page, saved.data);
 }
 
 void PagedMeshAccessor::ReadPooled(BufferManager* pool, uint8_t tag,
@@ -327,13 +316,13 @@ void PagedMeshAccessor::ReadPooled(BufferManager* pool, uint8_t tag,
   if (lease_cap_ != 0 && !degraded_) {
     if (Lease* l = mru_; l != nullptr && l->page == page &&
                          l->pool == pool) {
-      l->tick = ++tick_;
+      TouchLease(l);
       ++stats_->lease_hits;
       std::memcpy(dst, l->data + offset, len);
       return;
     }
     if (Lease* l = FindLease(pool, page)) {
-      l->tick = ++tick_;
+      TouchLease(l);
       ++stats_->lease_hits;
       mru_ = l;
       std::memcpy(dst, l->data + offset, len);
@@ -476,7 +465,7 @@ std::span<const VertexId> PagedMeshAccessor::neighbors(VertexId v) {
           static_cast<PageId>(h.adj_start_page + entry_page);
       const std::byte* data = nullptr;
       if (Lease* l = FindLease(pool, page)) {
-        l->tick = ++tick_;
+        TouchLease(l);
         ++stats_->lease_hits;
         mru_ = l;
         data = l->data;

@@ -28,6 +28,7 @@
 #ifndef OCTOPUS_STORAGE_PAGED_MESH_H_
 #define OCTOPUS_STORAGE_PAGED_MESH_H_
 
+#include <array>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -40,6 +41,7 @@
 #include "mesh/types.h"
 #include "storage/buffer_manager.h"
 #include "storage/delta_overlay.h"
+#include "storage/lru_table.h"
 #include "storage/snapshot.h"
 
 namespace octopus::storage {
@@ -81,6 +83,13 @@ class PagedMeshStore {
     return surface_positions_;
   }
 
+  /// Surface ranks by position page: the surface vertices on position
+  /// page `p` are ranks [surface_page_ranks()[p], surface_page_ranks()[p
+  /// + 1]) of `surface_vertices()` (one entry per page, plus one).
+  const std::vector<uint32_t>& surface_page_ranks() const {
+    return surface_page_ranks_;
+  }
+
   BufferManager* buffer_manager() const { return buffer_.get(); }
 
   /// Snapshot bytes on disk.
@@ -91,21 +100,25 @@ class PagedMeshStore {
   /// footprints alongside the surface hash table.
   size_t ResidentBytes() const {
     return surface_vertices_.capacity() * sizeof(VertexId) +
-           surface_positions_.capacity() * sizeof(Vec3);
+           surface_positions_.capacity() * sizeof(Vec3) +
+           surface_page_ranks_.capacity() * sizeof(uint32_t);
   }
 
  private:
   PagedMeshStore(SnapshotHeader header, std::vector<VertexId> surface,
                  std::vector<Vec3> surface_positions,
+                 std::vector<uint32_t> surface_page_ranks,
                  std::unique_ptr<BufferManager> buffer)
       : header_(header),
         surface_vertices_(std::move(surface)),
         surface_positions_(std::move(surface_positions)),
+        surface_page_ranks_(std::move(surface_page_ranks)),
         buffer_(std::move(buffer)) {}
 
   SnapshotHeader header_;
   std::vector<VertexId> surface_vertices_;
   std::vector<Vec3> surface_positions_;
+  std::vector<uint32_t> surface_page_ranks_;
   std::unique_ptr<BufferManager> buffer_;
 };
 
@@ -223,11 +236,11 @@ class PagedMeshAccessor {
 
   /// Bytes of accessor-local scratch (footprint accounting).
   size_t ScratchBytes() const {
-    return scratch_.capacity() * sizeof(VertexId) +
-           slots_.capacity() * sizeof(Lease) +
+    return scratch_.capacity() * sizeof(VertexId) + sizeof(leases_) +
+           lease_table_.num_slots() * sizeof(uint32_t) +
            overlay_touched_.capacity() * sizeof(uint8_t) +
            patched_probe_.capacity() * sizeof(Vec3) +
-           patched_ranks_.capacity() * sizeof(uint32_t);
+           patched_pages_.capacity() * sizeof(uint32_t);
   }
 
   // Lease introspection (tests and benches).
@@ -238,10 +251,9 @@ class PagedMeshAccessor {
 
  private:
   struct Lease {
-    const std::byte* data = nullptr;  ///< null marks an empty slot
+    const std::byte* data = nullptr;  ///< null marks a free entry
     BufferManager* pool = nullptr;    ///< pool holding the pin
     PageId page = 0;
-    uint64_t tick = 0;  ///< accessor-local LRU stamp
   };
 
   /// Division by a fixed runtime divisor via reciprocal multiplication
@@ -272,20 +284,24 @@ class PagedMeshAccessor {
   void ConfigureLeases(size_t shards);
 
   bool HasSpan() const { return span_pool_ != nullptr; }
-
-  size_t HashSlot(const BufferManager* pool, PageId page) const {
-    const uint64_t h = (static_cast<uint64_t>(page) +
-                        (reinterpret_cast<uintptr_t>(pool) >> 4)) *
-                       0x9E3779B97F4A7C15ull;
-    return static_cast<size_t>(h >> 32) & slot_mask_;
+  bool IsSpanLease(const Lease& l) const {
+    return HasSpan() && l.pool == span_pool_ && l.page == span_page_;
   }
 
+  static uint64_t LeaseKey(const BufferManager* pool, PageId page) {
+    return page + (reinterpret_cast<uintptr_t>(pool) >> 4);
+  }
   Lease* FindLease(BufferManager* pool, PageId page);
+  /// Marks a held lease most recently used.
+  void TouchLease(const Lease* l) {
+    lease_lru_.Touch(static_cast<uint32_t>(l - leases_.data()));
+  }
   const std::byte* AcquireLease(BufferManager* pool, uint8_t tag,
                                 PageId page, bool speculative);
   void InsertLease(BufferManager* pool, PageId page, const std::byte* data);
   void RevokeLRU();
-  void EraseSlot(size_t hole);
+  /// Forgets entry `index` (its pin must be released or kept elsewhere).
+  void DropLease(uint32_t index);
   /// Unpins and forgets every lease; with `keep_span`, the lease backing
   /// the outstanding zero-copy span (if any) survives.
   void ReleaseLeases(bool keep_span);
@@ -337,27 +353,31 @@ class PagedMeshAccessor {
   const PositionOverlay* overlay_ = nullptr;
   std::vector<VertexId> scratch_;  // neighbors() copy-out target
 
-  // Lease table: open-addressed (pool, page) -> frame pointer, linear
-  // probing with backward-shift deletion, bounded by lease_cap_.
-  std::vector<Lease> slots_;
-  size_t slot_mask_ = 0;
+  // Lease table: up to lease_cap_ held leases in stable entries, found
+  // through an open-addressed (pool, page) -> entry index table, and
+  // kept on a recency list (least recently used first) that picks the
+  // revocation victim. Free entry indices sit on a stack:
+  // free_[0, kDefaultLeaseCap - count_).
+  std::array<Lease, kDefaultLeaseCap> leases_{};
+  IndexHashTable lease_table_;
+  LruList lease_lru_;
+  std::array<uint32_t, kDefaultLeaseCap> free_{};
   size_t count_ = 0;
   size_t lease_cap_ = 0;
   bool zero_copy_ = false;
   /// Pool pressure hit: serve the rest of the batch through transient
   /// pins (graceful degradation; reset by EndBatch).
   bool degraded_ = false;
-  uint64_t tick_ = 0;
   /// Key of the lease backing the current zero-copy neighbors() span
   /// (revocation-protected); span_pool_ == nullptr means no such span.
   BufferManager* span_pool_ = nullptr;
   PageId span_page_ = kInvalidPageId;
   uint64_t last_prefetch_page_ = ~0ull;
   /// MRU caches for the two per-read hot paths. `mru_` points at the
-  /// most recently used lease slot (valid only until the next revoke or
-  /// release — both reset it); the pos pair short-circuits `position()`
-  /// to a stable frame or overlay-resident byte range keyed by position
-  /// page index. Never populated with transient-pin data, and never in
+  /// most recently used lease entry (entries never move; revoking that
+  /// entry or a release resets it); the pos pair short-circuits
+  /// `position()` to a stable frame or overlay-resident byte range keyed
+  /// by position page index. Never populated with transient-pin data, and never in
   /// legacy (lease_cap_ == 0) mode where every read must be re-priced.
   Lease* mru_ = nullptr;
   uint64_t pos_mru_index_ = ~0ull;
@@ -366,11 +386,12 @@ class PagedMeshAccessor {
   FastDiv u32_div_;
   /// Probe-order positions the current batch reads: the store's base
   /// array, or `patched_probe_` while an overlay is bound (see
-  /// `PatchProbePositions`). `patched_ranks_` records which entries the
-  /// last patch overwrote so the next batch reverts only those.
+  /// `PatchProbePositions`). `patched_pages_` records the position pages
+  /// whose surface ranks the last patch overwrote, so the next batch
+  /// reverts only those.
   const Vec3* probe_positions_ = nullptr;
   std::vector<Vec3> patched_probe_;
-  std::vector<uint32_t> patched_ranks_;
+  std::vector<uint32_t> patched_pages_;
   /// Per-batch first-touch bit per overlay page slot: memory-resident
   /// delta pages pin nothing, so they bypass the bounded lease table —
   /// this prices them once per batch (hit + lease) and `lease_hits`

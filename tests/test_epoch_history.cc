@@ -557,9 +557,9 @@ TEST(EpochStoreTest, HeldEpochBlocksRecyclingUntilReleasedOnAnotherThread) {
     ASSERT_EQ(p.z, -2.0f);
   }
   // The held epoch costs one epoch of pages on top of the ring's bound
-  // of (history − retention + 1) spilled epochs, plus the header page.
+  // of (history − retention) spilled epochs, plus the header page.
   const uint64_t grown = store.sidecar_bytes();
-  EXPECT_EQ(grown, (1 + (kHistory - kWindow + 2) * kPages) *
+  EXPECT_EQ(grown, (1 + (kHistory - kWindow + 1) * kPages) *
                        storage::kDefaultPageBytes);
   EXPECT_EQ(grown, FileBytes(options.spill_path));
 
@@ -689,8 +689,8 @@ TEST(EpochHistoryTest, BoundedMemoryAcrossManyStepsPaged) {
 // --- Bounded sidecar: evicted epochs' pages are recycled ---
 
 // K = 10·H steps with W = 3, H = 6: after every step the sidecar holds
-// at most (H − W + 1) epochs of pages (the ring's spilled epochs plus
-// the one spilled before the oldest is evicted) and the header page,
+// at most (H − W) epochs of pages (the ring's spilled epochs: the
+// oldest is evicted before the next one spills) and the header page,
 // every page below its high-water mark is either owned by a retained
 // spilled epoch or free, and every retained spilled epoch reads back
 // exactly what it was while current — byte for byte and as query
@@ -751,7 +751,7 @@ void RunBoundedSidecar(bool paged) {
   capture_current();
 
   const uint64_t bound =
-      (1 + (kHistory - kWindow + 1) * pages_per_epoch) * page_bytes;
+      (1 + (kHistory - kWindow) * pages_per_epoch) * page_bytes;
   for (uint32_t step = 1; step <= kSteps; ++step) {
     backend->AdvanceStep();
     const uint64_t file_bytes = FileBytes(retention.spill_path);

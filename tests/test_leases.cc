@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -245,6 +247,215 @@ TEST(LeaseStressTest, TinyPoolsManyThreadsNoDeadlockCapRespected) {
         pool_pages * 512);
   }
   std::remove(path.c_str());
+}
+
+// ---------- Revocation parity: recency list vs the min-tick scan ----------
+
+/// The lease decisions of a standalone accessor over the base snapshot,
+/// as they were made before the recency list: every lease stamped with
+/// an accessor-local tick on each use, and `Revoke` the min-tick scan
+/// that skips the lease backing the outstanding zero-copy span, kept
+/// verbatim as the parity oracle. The read paths mirror
+/// `PagedMeshAccessor::{position,neighbors,PrefetchPosition}` with
+/// leasing on and a pool large enough that `TryPin` never fails.
+class MinTickLeaseModel {
+ public:
+  MinTickLeaseModel(const TetraMesh& mesh, const storage::SnapshotHeader& h,
+                    size_t cap, bool zero_copy)
+      : h_(h), cap_(cap), zero_copy_(zero_copy) {
+    offsets_.push_back(0);
+    for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
+      offsets_.push_back(offsets_.back() +
+                         static_cast<uint32_t>(mesh.neighbors(v).size()));
+    }
+  }
+
+  void Position(VertexId v) {
+    const uint64_t index = v / h_.PositionsPerPage();
+    if (index == pos_mru_) {
+      ++lease_hits;
+      return;
+    }
+    Read(h_.positions_start_page + index);
+    pos_mru_ = index;
+  }
+
+  void Neighbors(VertexId v) {
+    span_ = storage::kInvalidPageId;
+    const size_t per_page = h_.U32PerPage();
+    Read(h_.adj_offsets_start_page + v / per_page);
+    if ((v + 1) / per_page != v / per_page) {
+      Read(h_.adj_offsets_start_page + (v + 1) / per_page);
+    }
+    const size_t degree = offsets_[v + 1] - offsets_[v];
+    if (zero_copy_ && degree != 0 &&
+        offsets_[v] % per_page + degree <= per_page) {
+      const auto page = static_cast<storage::PageId>(
+          h_.adj_start_page + offsets_[v] / per_page);
+      if (auto it = ticks_.find(page); it != ticks_.end()) {
+        it->second = ++tick_;
+        ++lease_hits;
+      } else {
+        Acquire(page);
+      }
+      span_ = page;
+      return;
+    }
+    for (size_t done = 0; done < degree;) {
+      const uint64_t entry = offsets_[v] + done;
+      const size_t chunk =
+          std::min(degree - done, per_page - entry % per_page);
+      Read(h_.adj_start_page + entry / per_page);
+      done += chunk;
+    }
+  }
+
+  void Prefetch(VertexId v) {
+    const uint64_t index = v / h_.PositionsPerPage();
+    if (index == last_prefetch_) return;
+    last_prefetch_ = index;
+    if (ticks_.size() >= cap_) return;
+    const auto page =
+        static_cast<storage::PageId>(h_.positions_start_page + index);
+    if (ticks_.count(page) == 0) Acquire(page);
+  }
+
+  void EndBatch() {
+    ticks_.clear();
+    span_ = storage::kInvalidPageId;
+    pos_mru_ = ~0ull;
+    last_prefetch_ = ~0ull;
+  }
+
+  bool Leased(storage::PageId page) const { return ticks_.count(page) != 0; }
+  size_t held() const { return ticks_.size(); }
+
+  size_t lease_hits = 0;
+  size_t pages_leased = 0;
+  size_t revocations = 0;
+
+ private:
+  void Read(uint64_t page_id) {
+    const auto page = static_cast<storage::PageId>(page_id);
+    if (auto it = ticks_.find(page); it != ticks_.end()) {
+      it->second = ++tick_;
+      ++lease_hits;
+      return;
+    }
+    Acquire(page);
+  }
+
+  void Acquire(storage::PageId page) {
+    ++pages_leased;
+    if (ticks_.size() == cap_) Revoke();
+    ticks_[page] = ++tick_;
+  }
+
+  void Revoke() {
+    ++revocations;
+    pos_mru_ = ~0ull;
+    storage::PageId victim = storage::kInvalidPageId;
+    uint64_t oldest = ~0ull;
+    for (const auto& [page, tick] : ticks_) {
+      if (page == span_) continue;  // the span's page is protected
+      if (tick < oldest) {
+        oldest = tick;
+        victim = page;
+      }
+    }
+    ASSERT_NE(victim, storage::kInvalidPageId);
+    ticks_.erase(victim);
+  }
+
+  const storage::SnapshotHeader h_;
+  const size_t cap_;
+  const bool zero_copy_;
+  std::vector<uint32_t> offsets_;
+  std::map<storage::PageId, uint64_t> ticks_;
+  uint64_t tick_ = 0;
+  storage::PageId span_ = storage::kInvalidPageId;
+  uint64_t pos_mru_ = ~0ull;
+  uint64_t last_prefetch_ = ~0ull;
+};
+
+/// Random crawl-like reads (position, neighbors with zero-copy spans,
+/// prefetch, batch ends) through one accessor on a pool of `frames`
+/// frames: after every read, the pages the pool holds pinned must be
+/// exactly the model's leases, the lease counters must agree, and the
+/// outstanding span must still read the right neighbors.
+void RunRevocationParity(size_t frames, int ops, uint64_t seed) {
+  SCOPED_TRACE("frames " + std::to_string(frames));
+  const TetraMesh mesh = MakeBox(6);
+  const std::string path = TempPath("lease_revocation.oct2");
+  ASSERT_TRUE(SaveSnapshot(mesh, path,
+                           SnapshotOptions{.page_bytes = 256}).ok());
+  auto store = PagedMeshStore::Open(
+      path, BufferManager::Options{.pool_bytes = frames * 256});
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  BufferManager* pool = store.Value()->buffer_manager();
+  const storage::SnapshotHeader& h = store.Value()->header();
+
+  PageIOStats stats;
+  PagedMeshAccessor accessor(store.Value().get(), &stats);
+  ASSERT_EQ(accessor.lease_cap(), frames - 2);
+  MinTickLeaseModel model(mesh, h, accessor.lease_cap(),
+                          accessor.zero_copy_enabled());
+  Rng rng(seed);
+  VertexId v = 0;
+  VertexId span_vertex = 0;
+  std::span<const VertexId> span;
+  for (int op = 0; op < ops; ++op) {
+    // Mostly step to a neighbor (crawl locality), sometimes jump.
+    const auto around = mesh.neighbors(v);
+    v = rng.NextBelow(4) != 0 && !around.empty()
+            ? around[rng.NextBelow(around.size())]
+            : static_cast<VertexId>(rng.NextBelow(mesh.num_vertices()));
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 45) {
+      ASSERT_EQ(accessor.position(v), mesh.position(v));
+      model.Position(v);
+    } else if (kind < 88) {
+      span = accessor.neighbors(v);
+      span_vertex = v;
+      model.Neighbors(v);
+    } else if (kind < 99) {
+      accessor.PrefetchPosition(v);
+      model.Prefetch(v);
+    } else {
+      accessor.EndBatch();
+      accessor.BeginBatch(nullptr, 1);
+      model.EndBatch();
+      span = {};
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    const auto want = mesh.neighbors(span_vertex);
+    ASSERT_TRUE(span.empty() ||
+                std::equal(span.begin(), span.end(), want.begin(),
+                           want.end()))
+        << "op " << op << ": the outstanding span was revoked";
+    ASSERT_EQ(stats.lease_revocations, model.revocations) << "op " << op;
+    ASSERT_EQ(stats.lease_hits, model.lease_hits) << "op " << op;
+    ASSERT_EQ(stats.pages_leased, model.pages_leased) << "op " << op;
+    ASSERT_EQ(accessor.leases_held(), model.held()) << "op " << op;
+    for (storage::PageId page = 0; page < h.num_pages; ++page) {
+      ASSERT_EQ(pool->PinCount(page).value_or(0), model.Leased(page) ? 1u : 0u)
+          << "op " << op << " page " << page;
+    }
+  }
+  EXPECT_FALSE(accessor.degraded());
+  EXPECT_GT(model.revocations, static_cast<size_t>(ops) / 20);
+  accessor.EndBatch();
+  std::remove(path.c_str());
+}
+
+TEST(LeaseRevocationTest, RecencyListRevokesTheMinTickScansLease) {
+  // Lease caps 3 (no zero-copy) to 6; the span-protection rule matters
+  // from cap 4 on.
+  uint64_t seed = 0x1EA5E;
+  for (const size_t frames : {5, 6, 7, 8}) {
+    RunRevocationParity(frames, 20000, seed++);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ---------- Counter semantics: accesses ≈ distinct pages ----------

@@ -12,8 +12,10 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/thread_pool.h"
@@ -333,6 +335,258 @@ TEST(BufferManagerTest, ConcurrentPinsOnTinyPoolStayConsistent) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_LE(manager->AllocatedBytes(), 2 * page_bytes);
   std::remove(path.c_str());
+}
+
+// ---------- LRU parity: recency list vs the argmin scan ----------
+
+/// The LRU pool's decisions as they were made before the recency list:
+/// each frame stamped with its last-access tick, and the victim found by
+/// an argmin scan over every unpinned frame. `PickVictim` and the
+/// acquire/evict step are kept verbatim as the parity oracle; the model
+/// only tracks page ids, pins and ticks (no bytes).
+class ArgminLruModel {
+ public:
+  explicit ArgminLruModel(size_t max_frames) : max_frames_(max_frames) {}
+
+  struct Access {
+    bool ok = false;   ///< false: every frame pinned (TryPin's null)
+    bool hit = false;
+    storage::PageId evicted = storage::kInvalidPageId;
+  };
+
+  /// Pin (or TryPin) of `page`. `pin` = false models CopyOut's hit path
+  /// and its transient Pin/Unpin on a miss.
+  Access Touch(storage::PageId page, bool pin) {
+    Access access;
+    if (auto it = page_to_frame_.find(page); it != page_to_frame_.end()) {
+      Frame& frame = frames_[it->second];
+      frame.pins += pin ? 1 : 0;
+      frame.lru_tick = ++tick_;
+      ++hits;
+      access.ok = access.hit = true;
+      return access;
+    }
+    const size_t index = TryAcquireFrame(&access.evicted);
+    if (index == max_frames_) return access;
+    Frame& frame = frames_[index];
+    frame.page = page;
+    frame.pins = pin ? 1 : 0;
+    frame.lru_tick = ++tick_;
+    page_to_frame_[page] = index;
+    ++misses;
+    access.ok = true;
+    return access;
+  }
+
+  /// Whether a blocking Pin/CopyOut of `page` would find a frame now.
+  bool CanServe(storage::PageId page) const {
+    if (page_to_frame_.count(page) != 0 || frames_.size() < max_frames_) {
+      return true;
+    }
+    return std::any_of(frames_.begin(), frames_.end(),
+                       [](const Frame& f) { return f.pins == 0; });
+  }
+
+  void Unpin(storage::PageId page) {
+    --frames_[page_to_frame_.at(page)].pins;
+  }
+
+  void Discard(storage::PageId page) {
+    auto it = page_to_frame_.find(page);
+    if (it == page_to_frame_.end()) return;
+    Frame& frame = frames_[it->second];
+    frame.page = storage::kInvalidPageId;
+    frame.lru_tick = 0;  // an empty frame is the first victim
+    page_to_frame_.erase(it);
+  }
+
+  /// Pins held on `page`, or nullopt when it is not resident.
+  std::optional<uint32_t> PinCount(storage::PageId page) const {
+    auto it = page_to_frame_.find(page);
+    if (it == page_to_frame_.end()) return std::nullopt;
+    return frames_[it->second].pins;
+  }
+
+  size_t hits = 0;
+  size_t misses = 0;
+  size_t evictions = 0;
+
+ private:
+  struct Frame {
+    storage::PageId page = storage::kInvalidPageId;
+    uint32_t pins = 0;
+    uint64_t lru_tick = 0;
+  };
+
+  size_t PickVictim() {
+    size_t victim = max_frames_;
+    uint64_t oldest = ~0ull;
+    for (size_t i = 0; i < frames_.size(); ++i) {
+      if (frames_[i].pins == 0 && frames_[i].lru_tick < oldest) {
+        oldest = frames_[i].lru_tick;
+        victim = i;
+      }
+    }
+    return victim;
+  }
+
+  size_t TryAcquireFrame(storage::PageId* evicted) {
+    if (frames_.size() < max_frames_) {
+      frames_.emplace_back();
+      return frames_.size() - 1;
+    }
+    const size_t victim = PickVictim();
+    if (victim != max_frames_) {
+      Frame& frame = frames_[victim];
+      if (frame.page != storage::kInvalidPageId) {
+        page_to_frame_.erase(frame.page);
+        *evicted = frame.page;
+        frame.page = storage::kInvalidPageId;
+        ++evictions;
+      }
+    }
+    return victim;
+  }
+
+  const size_t max_frames_;
+  std::vector<Frame> frames_;
+  std::unordered_map<storage::PageId, size_t> page_to_frame_;
+  uint64_t tick_ = 0;
+};
+
+/// Drives a pool and the argmin model through one random trace of
+/// `ops` Pin / TryPin / Unpin / CopyOut / Discard / ExtendTo operations
+/// with several pins held at once, checking every eviction's page, the
+/// bytes served, and the hit/miss/eviction totals.
+void RunLruParityTrace(size_t frames, int ops, uint64_t seed) {
+  SCOPED_TRACE("frames " + std::to_string(frames));
+  constexpr size_t kPageBytes = 64;
+  const auto file_pages = static_cast<storage::PageId>(2 * frames + 16);
+  const std::string path = TempPath("lru_parity.pages");
+  {
+    // Every page carries its own id in its first word.
+    std::vector<uint32_t> image(file_pages * kPageBytes / sizeof(uint32_t));
+    for (storage::PageId p = 0; p < file_pages; ++p) {
+      image[p * kPageBytes / sizeof(uint32_t)] = p;
+    }
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(image.data(), sizeof(uint32_t), image.size(), f),
+              image.size());
+    std::fclose(f);
+  }
+  // Start with a file smaller than the pool; ExtendTo grows it past the
+  // pool's initial bookkeeping.
+  storage::PageId num_pages = static_cast<storage::PageId>(frames / 2 + 2);
+  auto opened = BufferManager::Open(
+      path, kPageBytes, num_pages,
+      BufferManager::Options{.pool_bytes = frames * kPageBytes});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  BufferManager& pool = *opened.Value();
+  ArgminLruModel model(frames);
+  PageIOStats stats;
+  std::vector<storage::PageId> held;  // pins this trace holds
+  const size_t max_held = std::min<size_t>(frames, 6);
+  Rng rng(seed);
+
+  auto pick_page = [&]() -> storage::PageId {
+    // A hot set smaller than the pool plus a tail larger than it, so
+    // hits, misses and evictions all occur.
+    if (rng.NextBelow(3) == 0) {
+      return static_cast<storage::PageId>(
+          rng.NextBelow(std::min<uint64_t>(num_pages, frames / 2 + 1)));
+    }
+    return static_cast<storage::PageId>(rng.NextBelow(num_pages));
+  };
+  // `data` is what Pin/TryPin returned (null: TryPin failed).
+  auto check_access = [&](const ArgminLruModel::Access& want,
+                          storage::PageId page, const std::byte* data) {
+    ASSERT_EQ(data != nullptr, want.ok) << "page " << page;
+    ASSERT_TRUE(want.ok || held.size() == frames) << "page " << page;
+    if (want.evicted != storage::kInvalidPageId) {
+      ASSERT_FALSE(pool.PinCount(want.evicted).has_value())
+          << "pool kept page " << want.evicted
+          << ", which the argmin scan evicts";
+    }
+    if (data != nullptr) {
+      uint32_t stamp = 0;
+      std::memcpy(&stamp, data, sizeof(stamp));
+      ASSERT_EQ(stamp, page);
+    }
+  };
+
+  for (int op = 0; op < ops; ++op) {
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 25 && held.size() < max_held) {
+      const storage::PageId page = pick_page();
+      if (!model.CanServe(page)) continue;  // Pin would block
+      const auto want = model.Touch(page, /*pin=*/true);
+      check_access(want, page, pool.Pin(page, &stats));
+      held.push_back(page);
+    } else if (kind < 45 && held.size() < max_held) {
+      const storage::PageId page = pick_page();
+      const auto want = model.Touch(page, /*pin=*/true);
+      const std::byte* data = pool.TryPin(page, &stats);
+      check_access(want, page, data);
+      if (data != nullptr) held.push_back(page);
+    } else if (kind < 60 && !held.empty()) {
+      const size_t i = rng.NextBelow(held.size());
+      pool.Unpin(held[i]);
+      model.Unpin(held[i]);
+      held[i] = held.back();
+      held.pop_back();
+    } else if (kind < 92) {
+      const storage::PageId page = pick_page();
+      if (!model.CanServe(page)) continue;  // CopyOut would block
+      const auto want = model.Touch(page, /*pin=*/false);
+      uint32_t stamp = ~0u;
+      pool.CopyOut(page, 0, sizeof(stamp), &stamp, &stats);
+      ASSERT_EQ(stamp, page);
+      ASSERT_TRUE(want.ok);
+      if (want.evicted != storage::kInvalidPageId) {
+        ASSERT_FALSE(pool.PinCount(want.evicted).has_value());
+      }
+    } else if (kind < 98) {
+      const storage::PageId page = pick_page();
+      if (model.PinCount(page).value_or(0) != 0) continue;
+      pool.Discard(page);
+      model.Discard(page);
+      ASSERT_FALSE(pool.PinCount(page).has_value());
+    } else if (num_pages < file_pages) {
+      num_pages = std::min<storage::PageId>(
+          file_pages, num_pages + static_cast<storage::PageId>(
+                                      1 + rng.NextBelow(frames / 4 + 2)));
+      pool.ExtendTo(num_pages);
+    }
+    ASSERT_EQ(stats.page_hits, model.hits) << "op " << op;
+    ASSERT_EQ(stats.page_misses, model.misses) << "op " << op;
+    ASSERT_EQ(stats.page_evictions, model.evictions) << "op " << op;
+    if (op % 1024 == 0) {
+      for (storage::PageId p = 0; p < file_pages; ++p) {
+        ASSERT_EQ(pool.PinCount(p), model.PinCount(p))
+            << "op " << op << " page " << p;
+      }
+    }
+  }
+  for (const storage::PageId page : held) pool.Unpin(page);
+  EXPECT_GT(model.evictions, 0u);
+  EXPECT_GT(model.hits, 0u);
+  const PageIOStats totals = pool.TotalStats();
+  EXPECT_EQ(totals.page_hits, model.hits);
+  EXPECT_EQ(totals.page_misses, model.misses);
+  EXPECT_EQ(totals.page_evictions, model.evictions);
+  std::remove(path.c_str());
+}
+
+TEST(BufferManagerTest, LruListPicksTheArgminScansVictim) {
+  // 4 pools x 30k operations: the tiniest pools run with every frame
+  // pinned at times (TryPin fails, Pin is skipped), the large ones
+  // exercise the page table's growth past its initial size.
+  uint64_t seed = 0x1A0;
+  for (const size_t frames : {2, 3, 64, 512}) {
+    RunLruParityTrace(frames, 30000, seed++);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ---------- Out-of-core query execution ----------

@@ -45,8 +45,17 @@ When also given BENCH_epoch.json, additionally enforces:
     for given settings (scale, steps, queries per step), so they must
     equal the `epoch_history` baseline for those settings exactly.
 
+When also given BENCH_outofcore.json, additionally enforces:
+
+  * Buffer-pool counters — page misses, hits and evictions of every
+    bench_fig14_outofcore record (layout x pool size under LRU, plus LRU
+    vs clock). Deterministic for given settings (scale, queries per
+    pool): they are the pool's replacement decisions, so they must equal
+    the `outofcore` baseline for those settings exactly. A bookkeeping
+    change that keeps the decisions keeps every one of them.
+
 Usage: check_perf_smoke.py [BENCH_dynamic.json] [BENCH_server.json]
-           [BENCH_epoch.json]
+           [BENCH_epoch.json] [BENCH_outofcore.json]
 """
 
 import json
@@ -60,6 +69,7 @@ BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "perf_smoke_baseline.json")
 EPOCH_COUNTERS = ["pinned_page_accesses", "spill_bytes_total",
                   "resident_overlay_bytes", "spilled_epochs"]
+POOL_COUNTERS = ["page_misses", "page_hits", "page_evictions"]
 TRAVERSAL_COUNTERS = [
     f"{backend}_{counter}"
     for backend in ("in_memory", "paged")
@@ -73,12 +83,15 @@ def find_baseline(kind: str, settings: dict, failures: list):
     (a failure: a run with settings no baseline covers fails too)."""
     with open(BASELINE_PATH) as f:
         baselines = json.load(f)[kind]
+
+    def same(want, got):
+        if isinstance(want, float):
+            return isinstance(got, (int, float)) and abs(want - got) < 1e-9
+        return want == got
+
     matches = [b for b in baselines
-               if b["settings"]["steps"] == settings["steps"]
-               and b["settings"]["queries_per_step"] ==
-               settings["queries_per_step"]
-               and isinstance(settings["scale"], (int, float))
-               and abs(b["settings"]["scale"] - settings["scale"]) < 1e-9]
+               if all(same(v, settings.get(k))
+                      for k, v in b["settings"].items())]
     if len(matches) != 1:
         failures.append(
             f"no {kind} counter baseline for {settings} in "
@@ -141,6 +154,41 @@ def check_epoch(path: str, failures: list) -> None:
                     f"re-baseline only if that is intended")
 
 
+def check_outofcore(path: str, failures: list) -> None:
+    """Every fig14 record's pool counters must equal the baseline for the
+    run's settings, and the run must hold exactly the baseline's
+    records."""
+    with open(path) as f:
+        records = [r for r in json.load(f)
+                   if r.get("name", "").startswith("outofcore/")]
+    if not records:
+        failures.append(f"no outofcore records in {path}")
+        return
+    settings = {"scale": records[0].get("scale"),
+                "queries": records[0].get("queries")}
+    baseline = find_baseline("outofcore", settings, failures)
+    if baseline is None:
+        return
+    expected = baseline["records"]
+    got = {f"{r['name']}@{r.get('pool_bytes')}": r for r in records}
+    if sorted(got) != sorted(expected):
+        failures.append(f"outofcore records {sorted(got)}, expected "
+                        f"{sorted(expected)}")
+        return
+    mismatched = [key for key in expected
+                  if any(got[key].get(name) != expected[key][name]
+                         for name in POOL_COUNTERS)]
+    print(f"  outofcore pool counters   = {len(expected) - len(mismatched)}"
+          f"/{len(expected)} records equal the baseline")
+    for key in mismatched:
+        failures.append(
+            f"{key}: " + ", ".join(
+                f"{name} = {got[key].get(name)} (baseline "
+                f"{expected[key][name]})" for name in POOL_COUNTERS) +
+            ": the buffer pool's replacement decisions changed; "
+            "re-baseline only if that is intended")
+
+
 def check_server(path: str, failures: list) -> None:
     with open(path) as f:
         records = json.load(f)
@@ -163,6 +211,7 @@ def main() -> int:
     path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_dynamic.json"
     server_path = sys.argv[2] if len(sys.argv) > 2 else None
     epoch_path = sys.argv[3] if len(sys.argv) > 3 else None
+    outofcore_path = sys.argv[4] if len(sys.argv) > 4 else None
     with open(path) as f:
         records = json.load(f)
     summaries = [r for r in records if r.get("name") == "dynamic_summary"]
@@ -215,6 +264,8 @@ def main() -> int:
         check_server(server_path, failures)
     if epoch_path is not None:
         check_epoch(epoch_path, failures)
+    if outofcore_path is not None:
+        check_outofcore(outofcore_path, failures)
     for msg in failures:
         print(f"FAIL: {msg}")
     if not failures:
