@@ -24,7 +24,9 @@ namespace octopus {
 class AdaptiveExecutor : public SpatialIndex {
  public:
   struct Options {
-    OctopusOptions octopus;
+    /// The crawl halo is on, so both routes return the same answer on a
+    /// deformed mesh, not only the scan's.
+    OctopusOptions octopus = {.crawl_halo = true};
     /// Histogram resolution for selectivity estimation.
     int histogram_resolution = 24;
     /// Calibration repetitions for the cost constants.

@@ -100,6 +100,34 @@ TEST(PlannerTest, ExactEitherWay) {
   EXPECT_GT(adaptive.queries_routed_to_scan(), 0u);
 }
 
+TEST(PlannerTest, OctopusRouteIsExactOnDeformedMesh) {
+  // ExactEitherWay's workload with every box sent to OCTOPUS, as the
+  // planner configures it: the crawl halo must find the in-box vertices
+  // the deformation leaves without an in-box neighbour, so the answer
+  // does not depend on where the calibration puts the break-even.
+  TetraMesh mesh =
+      MakeEarthquakeMesh(EarthquakeResolution::kSF1, 0.3).MoveValue();
+  Octopus octopus(AdaptiveExecutor::Options{}.octopus);
+  octopus.Build(mesh);
+  RandomDeformer deformer(0.01f);
+  deformer.Bind(mesh);
+  Rng rng(3);
+  for (int step = 1; step <= 4; ++step) {
+    deformer.ApplyStep(step, &mesh);
+    for (int q = 0; q < 6; ++q) {
+      const float h = rng.NextFloat(0.015f, 0.45f);
+      const VertexId center =
+          static_cast<VertexId>(rng.NextBelow(mesh.num_vertices()));
+      const AABB box = AABB::FromCenterHalfExtent(mesh.position(center),
+                                                  Vec3(h, h, h));
+      std::vector<VertexId> got;
+      octopus.RangeQuery(mesh, box, &got);
+      ASSERT_EQ(Sorted(got), BruteForceRangeQuery(mesh, box))
+          << "step " << step << " query " << q;
+    }
+  }
+}
+
 TEST(PlannerTest, FootprintIncludesHistogram) {
   const TetraMesh mesh = MakeBox(8);
   AdaptiveExecutor adaptive;
