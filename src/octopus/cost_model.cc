@@ -18,12 +18,6 @@ CostConstants CalibrateCostConstants(const TetraMesh& mesh,
   CostConstants k;
   repetitions = std::max(repetitions, 1);
   const AABB bounds = mesh.ComputeBounds();
-  // Each constant is the minimum over short, separately timed trials:
-  // a trial is much shorter than a scheduler time slice, and other load
-  // on the machine can only add time to it, so the fastest trial is the
-  // loop's own cost. One long averaged run would charge whatever share
-  // of it was preempted, and the Eq. 6 threshold is a difference of two
-  // such measurements.
 
   // --- CS: sequential scan cost per vertex ---
   {
@@ -33,16 +27,14 @@ CostConstants CalibrateCostConstants(const TetraMesh& mesh,
     // branch pattern is "almost never inside".
     const AABB probe_box =
         AABB::FromCenterHalfExtent(bounds.Center(), bounds.Extent() * 0.05f);
-    scan.RangeQuery(mesh, probe_box, &sink);  // warm-up, untimed
-    double best = -1.0;
-    for (int r = 0; r < 8 * repetitions; ++r) {
+    Timer timer;
+    for (int r = 0; r < repetitions; ++r) {
       sink.clear();
-      Timer timer;
       scan.RangeQuery(mesh, probe_box, &sink);
-      const double seconds = timer.ElapsedSeconds();
-      if (best < 0.0 || seconds < best) best = seconds;
     }
-    k.cs_seconds = best / static_cast<double>(mesh.num_vertices());
+    k.cs_seconds = timer.ElapsedSeconds() /
+                   (static_cast<double>(repetitions) *
+                    static_cast<double>(mesh.num_vertices()));
   }
 
   // --- CP and CR: self-calibrated from the executor's own phase
@@ -52,37 +44,26 @@ CostConstants CalibrateCostConstants(const TetraMesh& mesh,
     Octopus octo;
     octo.Build(mesh);
     // Query-sized boxes around random vertices, ~0.1% of the domain
-    // volume each (a typical monitoring query); fresh boxes every trial,
-    // so a crawl does not find its region already cached.
+    // volume each (a typical monitoring query).
     Rng rng(0xCA11B);
     const Vec3 half = bounds.Extent() * (0.5f * 0.1f);  // 0.1^3 = 0.1%
-    constexpr int kBoxesPerTrial = 4;
     std::vector<VertexId> sink;
-    k.cp_seconds = -1.0;
-    k.cr_seconds = -1.0;
-    for (int r = 0; r < 4 * repetitions; ++r) {
-      octo.ResetStats();
-      for (int b = 0; b < kBoxesPerTrial; ++b) {
-        const VertexId v =
-            static_cast<VertexId>(rng.NextBelow(mesh.num_vertices()));
-        const AABB box = AABB::FromCenterHalfExtent(mesh.position(v), half);
-        sink.clear();
-        octo.RangeQuery(mesh, box, &sink);
-      }
-      const PhaseStats& stats = octo.stats();
-      if (stats.probed_vertices > 0) {
-        const double cp = static_cast<double>(stats.probe_nanos) * 1e-9 /
-                          static_cast<double>(stats.probed_vertices);
-        if (k.cp_seconds < 0.0 || cp < k.cp_seconds) k.cp_seconds = cp;
-      }
-      if (stats.crawl_edges > 0) {
-        const double cr = static_cast<double>(stats.crawl_nanos) * 1e-9 /
-                          static_cast<double>(stats.crawl_edges);
-        if (k.cr_seconds < 0.0 || cr < k.cr_seconds) k.cr_seconds = cr;
-      }
+    for (int r = 0; r < repetitions * 16; ++r) {
+      const VertexId v =
+          static_cast<VertexId>(rng.NextBelow(mesh.num_vertices()));
+      const AABB box = AABB::FromCenterHalfExtent(mesh.position(v), half);
+      sink.clear();
+      octo.RangeQuery(mesh, box, &sink);
     }
-    if (k.cp_seconds < 0.0) k.cp_seconds = k.cs_seconds;
-    if (k.cr_seconds < 0.0) k.cr_seconds = 0.0;
+    const PhaseStats& stats = octo.stats();
+    k.cp_seconds = stats.probed_vertices == 0
+                       ? k.cs_seconds
+                       : static_cast<double>(stats.probe_nanos) * 1e-9 /
+                             static_cast<double>(stats.probed_vertices);
+    k.cr_seconds = stats.crawl_edges == 0
+                       ? 0.0
+                       : static_cast<double>(stats.crawl_nanos) * 1e-9 /
+                             static_cast<double>(stats.crawl_edges);
   }
   return k;
 }

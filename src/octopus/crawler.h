@@ -11,12 +11,6 @@
 // prefetch calls — is all defined in headers, so it inlines without
 // link-time optimization: with the default epoch-array marks, the
 // in-memory crawl makes no function call per edge.
-//
-// With `halo` set, the crawl also looks one ring past the region: the
-// out-of-box vertices adjacent to it have their neighbours tested too, so
-// an in-box vertex whose every neighbour lies outside the box (a deformed
-// mesh's isolated in-box vertex) is still found when it touches that
-// ring. Off by default: the paper's stop criterion is the plain one.
 #ifndef OCTOPUS_OCTOPUS_CRAWLER_H_
 #define OCTOPUS_OCTOPUS_CRAWLER_H_
 
@@ -58,21 +52,19 @@ class Crawler {
   VisitedMarks& marks() { return marks_; }
 
   /// BFS from `starts`; appends every vertex inside `box` reachable from
-  /// a start through vertices inside `box` (and, with `halo`, through one
-  /// out-of-box vertex adjacent to them). Starts outside the box are
+  /// a start through vertices inside `box`. Starts outside the box are
   /// ignored. Duplicate starts are fine. Primitive- and residency-
   /// agnostic: any `MeshAccessor` can be crawled (paper Sec. IV-B).
   template <storage::MeshAccessor Accessor>
   CrawlStats Crawl(Accessor& mesh, const AABB& box,
                    std::span<const VertexId> starts,
-                   std::vector<VertexId>* out, bool halo = false) {
+                   std::vector<VertexId>* out) {
     CrawlStats stats;
     assert(marks_.Covers(mesh.num_vertices()) &&
            "EnsureSize not called for this mesh");
     marks_.Begin();
 
     queue_.clear();
-    halo_.clear();
     for (VertexId s : starts) {
       if (!marks_.Mark(s)) continue;
       ++stats.vertices_touched;
@@ -82,28 +74,10 @@ class Crawler {
       ++stats.vertices_inside;
     }
 
-    // BFS; queue_ doubles as the FIFO with a moving head index. When it
-    // runs dry, the next halo vertex is expanded: its in-box neighbours
-    // join the queue, its out-of-box ones stay unmarked, so each
-    // out-of-box vertex adjacent to the region is expanded exactly once.
+    // BFS; queue_ doubles as the FIFO with a moving head index.
     constexpr size_t kPrefetchAhead = 8;
-    size_t head = 0;
-    size_t halo_head = 0;
-    while (true) {
-      if (head == queue_.size()) {
-        if (halo_head == halo_.size()) break;
-        const VertexId h = halo_[halo_head++];
-        for (const VertexId n : mesh.neighbors(h)) {
-          ++stats.edges_traversed;
-          if (!box.Contains(mesh.position(n)) || !marks_.Mark(n)) continue;
-          ++stats.vertices_touched;
-          queue_.push_back(n);
-          out->push_back(n);
-          ++stats.vertices_inside;
-        }
-        continue;
-      }
-      const VertexId v = queue_[head++];
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      const VertexId v = queue_[head];
       const std::span<const VertexId> ns = mesh.neighbors(v);
       for (size_t i = 0; i < ns.size(); ++i) {
         // Look ahead within the neighbor run: out of core, lease the next
@@ -118,10 +92,7 @@ class Crawler {
         if (!marks_.Mark(n)) continue;
         ++stats.vertices_touched;
         // Stop criteria: do not expand past vertices outside the query.
-        if (!box.Contains(mesh.position(n))) {
-          if (halo) halo_.push_back(n);
-          continue;
-        }
+        if (!box.Contains(mesh.position(n))) continue;
         queue_.push_back(n);
         out->push_back(n);
         ++stats.vertices_inside;
@@ -146,15 +117,12 @@ class Crawler {
 
   /// Bytes of visited marks + queue.
   size_t ScratchBytes() const {
-    return marks_.ScratchBytes() +
-           (queue_.capacity() + halo_.capacity()) * sizeof(VertexId);
+    return marks_.ScratchBytes() + queue_.capacity() * sizeof(VertexId);
   }
 
  private:
   VisitedMarks marks_;
   std::vector<VertexId> queue_;
-  // Out-of-box vertices adjacent to the region, pending expansion.
-  std::vector<VertexId> halo_;
 };
 
 }  // namespace octopus

@@ -16,17 +16,29 @@
 #include "index/spatial_index.h"
 #include "octopus/cost_model.h"
 #include "octopus/query_executor.h"
+#include "octopus/visited_marks.h"
 
 namespace octopus {
 
+/// Completes a crawl's answer on a deformed mesh. The paper's crawl stops
+/// at out-of-box vertices, so it misses an in-box vertex whose neighbours
+/// all lie outside `box`. This looks one ring past the region: each
+/// out-of-box neighbour of a result vertex has its own neighbours tested,
+/// and an in-box one found there joins the result and is expanded in
+/// turn. `(*out)[first..]` holds the crawl's answer for `box`; found
+/// vertices are appended. Costs one more pass over the result's
+/// adjacency plus the ring's.
+void CrawlHalo(const TetraMesh& mesh, const AABB& box, size_t first,
+               std::vector<VertexId>* out, VisitedMarks* marks);
+
 /// \brief Per-query adaptive executor: OCTOPUS below the break-even
-/// selectivity, linear scan above it.
+/// selectivity, linear scan above it. The OCTOPUS route runs `CrawlHalo`
+/// after the crawl, so both routes return the same answer on a deformed
+/// mesh, whichever one the calibration picks.
 class AdaptiveExecutor : public SpatialIndex {
  public:
   struct Options {
-    /// The crawl halo is on, so both routes return the same answer on a
-    /// deformed mesh, not only the scan's.
-    OctopusOptions octopus = {.crawl_halo = true};
+    OctopusOptions octopus;
     /// Histogram resolution for selectivity estimation.
     int histogram_resolution = 24;
     /// Calibration repetitions for the cost constants.
@@ -64,6 +76,8 @@ class AdaptiveExecutor : public SpatialIndex {
   LinearScan scan_;
   Histogram3D histogram_;
   double break_even_ = 1.0;
+  // CrawlHalo's visited set, reused across queries.
+  mutable VisitedMarks halo_marks_;
   // Routing telemetry mutated by the const query path.
   mutable size_t to_octopus_ = 0;
   mutable size_t to_scan_ = 0;

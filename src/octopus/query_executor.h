@@ -58,12 +58,6 @@ struct OctopusOptions {
   /// proportional to the result size, which is the memory behaviour the
   /// paper reports in Fig. 10(b).
   VisitedMode visited_mode = VisitedMode::kEpochArray;
-  /// Crawl one ring past the query region (octopus/crawler.h). On a
-  /// deformed mesh the plain crawl drops an in-box vertex whose
-  /// neighbours all lie outside the box; the halo finds it when it
-  /// touches that ring, at the price of the ring's edges in
-  /// `crawl_edges`. Off by default: the paper's crawl.
-  bool crawl_halo = false;
 };
 
 /// One shard's share of a batch, Algorithm 1 over any mesh accessor:
@@ -124,8 +118,7 @@ void ExecuteOctopusShard(Accessor& mesh, const SurfaceIndex& surface_index,
       // --- Phase 3: crawling (Sec. IV-B) ---
       timer.Restart();
       const CrawlStats crawl =
-          context->crawler.Crawl(mesh, box, *starts, &out[tile + b],
-                                 options.crawl_halo);
+          context->crawler.Crawl(mesh, box, *starts, &out[tile + b]);
       stats->crawl_edges += crawl.edges_traversed;
       stats->result_vertices += crawl.vertices_inside;
       stats->crawl_nanos += timer.ElapsedNanos();

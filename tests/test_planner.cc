@@ -100,18 +100,18 @@ TEST(PlannerTest, ExactEitherWay) {
   EXPECT_GT(adaptive.queries_routed_to_scan(), 0u);
 }
 
-TEST(PlannerTest, OctopusRouteIsExactOnDeformedMesh) {
-  // ExactEitherWay's workload with every box sent to OCTOPUS, as the
-  // planner configures it: the crawl halo must find the in-box vertices
-  // the deformation leaves without an in-box neighbour, so the answer
-  // does not depend on where the calibration puts the break-even.
+TEST(PlannerTest, CrawlHaloMakesEveryOctopusAnswerExact) {
+  // ExactEitherWay's workload with every box sent through OCTOPUS, so the
+  // check does not depend on where the calibration puts the break-even.
   TetraMesh mesh =
       MakeEarthquakeMesh(EarthquakeResolution::kSF1, 0.3).MoveValue();
-  Octopus octopus(AdaptiveExecutor::Options{}.octopus);
+  Octopus octopus;
   octopus.Build(mesh);
   RandomDeformer deformer(0.01f);
   deformer.Bind(mesh);
+  VisitedMarks marks;
   Rng rng(3);
+  size_t repaired = 0;
   for (int step = 1; step <= 4; ++step) {
     deformer.ApplyStep(step, &mesh);
     for (int q = 0; q < 6; ++q) {
@@ -120,12 +120,19 @@ TEST(PlannerTest, OctopusRouteIsExactOnDeformedMesh) {
           static_cast<VertexId>(rng.NextBelow(mesh.num_vertices()));
       const AABB box = AABB::FromCenterHalfExtent(mesh.position(center),
                                                   Vec3(h, h, h));
-      std::vector<VertexId> got;
+      std::vector<VertexId> got = {kInvalidVertex};  // kept: appends only
       octopus.RangeQuery(mesh, box, &got);
+      const size_t crawled = got.size();
+      CrawlHalo(mesh, box, 1, &got, &marks);
+      if (got.size() > crawled) ++repaired;
+      ASSERT_EQ(got.front(), kInvalidVertex);
+      got.erase(got.begin());
       ASSERT_EQ(Sorted(got), BruteForceRangeQuery(mesh, box))
           << "step " << step << " query " << q;
     }
   }
+  // The paper's crawl alone misses vertices on this workload.
+  EXPECT_GT(repaired, 0u);
 }
 
 TEST(PlannerTest, FootprintIncludesHistogram) {
