@@ -180,7 +180,7 @@ int main() {
   const size_t pool_bytes =
       snapshot_header.Value().FileBytes() + 16 * 4096;
 
-  bench::JsonWriter json;
+  bench::JsonWriter json(scale, steps);
   Table table("bench_dynamic — query work vs simulation step");
   table.SetHeader({"backend", "step", "queries/s", "walks", "walk verts",
                    "crawl edges", "page accesses", "pages rewritten",

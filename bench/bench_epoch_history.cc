@@ -75,7 +75,7 @@ int main() {
     return 1;
   }
 
-  bench::JsonWriter json;
+  bench::JsonWriter json(scale, steps);
   Table table("bench_epoch_history — retention window vs spilled history");
   table.SetHeader({"backend", "step", "publish ms", "cur q ms",
                    "pinned q ms", "pinned pageIO", "resident MB",

@@ -159,7 +159,7 @@ int main() {
   const std::vector<AABB> queries =
       gen.MakeQueries(&rng, queries_per_pool, 0.0005, 0.002);
 
-  bench::JsonWriter json;
+  bench::JsonWriter json(scale, queries_per_pool);
   Table t("Fig. 14(a) — page misses/query vs pool size (LRU)");
   t.SetHeader({"Pool [% of snapshot]", "Pool [KB]", "shuffled",
                "generator", "hilbert", "hilbert saving vs shuffled"});

@@ -330,7 +330,8 @@ class JsonSavingReporter : public benchmark::ConsoleReporter {
     return 1.0;
   }
 
-  bench::JsonWriter writer_;
+  // Fixed fixtures: OCTOPUS_BENCH_SCALE/STEPS do not apply here.
+  bench::JsonWriter writer_{/*scale=*/1.0, /*steps=*/0};
 };
 
 }  // namespace

@@ -219,7 +219,7 @@ int main() {
   table.SetHeader({"config", "io", "queries", "queries/s", "p50 [us]",
                    "p95 [us]", "p99 [us]", "coalesce", "fair",
                    "parity"});
-  bench::JsonWriter json;
+  bench::JsonWriter json(scale, /*steps=*/0);
   bool all_parity_ok = true;
   bool p99_bounded = true;
   for (const BenchConfig& config : configs) {

@@ -10,17 +10,44 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/bench_harness.h"
+
+// Set by CMake at configure time for every bench target.
+#ifndef OCTOPUS_GIT_SHA
+#define OCTOPUS_GIT_SHA "unknown"
+#endif
+#ifndef OCTOPUS_BUILD_TYPE
+#define OCTOPUS_BUILD_TYPE "unknown"
+#endif
 
 namespace octopus::bench {
 
 /// \brief Minimal JSON emitter: an array of flat objects, enough for
 /// bench records ({"name": ..., "real_time_ns": ...}) without a
 /// dependency on a JSON library.
+///
+/// The first object is always the run's provenance record: {"name":
+/// "provenance", git_sha, build_type, hardware_threads, scale, steps}.
+/// tools/check_perf_smoke.py rejects a file without it.
 class JsonWriter {
  public:
+  /// `scale` and `steps` are the bench's settings (steps 0 for a bench
+  /// that simulates no steps).
+  JsonWriter(double scale, int steps) {
+    BeginObject();
+    Field("name", "provenance");
+    Field("git_sha", OCTOPUS_GIT_SHA);
+    Field("build_type", OCTOPUS_BUILD_TYPE);
+    Field("hardware_threads",
+          static_cast<int64_t>(std::thread::hardware_concurrency()));
+    Field("scale", scale);
+    Field("steps", static_cast<int64_t>(steps));
+    EndObject();
+  }
+
   void BeginObject() { first_field_ = true; current_ = "{"; }
 
   void Field(const std::string& name, const std::string& value) {

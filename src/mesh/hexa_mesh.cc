@@ -2,7 +2,8 @@
 #include "mesh/hexa_mesh.h"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "mesh/face_count.h"
 
 namespace octopus {
 
@@ -100,25 +101,9 @@ size_t HexaMesh::MemoryBytes() const {
 }
 
 HexSurfaceInfo ExtractHexSurface(const HexaMesh& mesh) {
-  std::unordered_map<QuadKey, uint8_t, QuadKeyHash> counts;
-  counts.reserve(mesh.num_cells() * 3);
-  for (const HexCell& cell : mesh.cells()) {
-    for (const QuadKey& f : HexFaces(cell)) {
-      ++counts[f];
-    }
-  }
+  const FaceCount<4> faces(mesh.num_vertices(), mesh.cells(), HexFaces);
   HexSurfaceInfo info;
-  std::vector<bool> on_surface(mesh.num_vertices(), false);
-  for (const auto& [face, count] : counts) {
-    if (count == 1) {
-      info.surface_faces.push_back(face);
-      for (VertexId v : face) on_surface[v] = true;
-    }
-  }
-  for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
-    if (on_surface[v]) info.surface_vertices.push_back(v);
-  }
-  std::sort(info.surface_faces.begin(), info.surface_faces.end());
+  faces.Surface(&info.surface_faces, &info.surface_vertices);
   return info;
 }
 

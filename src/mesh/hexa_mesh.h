@@ -28,19 +28,6 @@ using QuadKey = std::array<VertexId, 4>;
 /// Canonicalizes four vertex ids into a QuadKey.
 QuadKey MakeQuadKey(VertexId a, VertexId b, VertexId c, VertexId d);
 
-struct QuadKeyHash {
-  size_t operator()(const QuadKey& f) const {
-    uint64_t h = 0x9E3779B97F4A7C15ull;
-    for (VertexId v : f) {
-      uint64_t x = v;
-      x *= 0xFF51AFD7ED558CCDull;
-      x ^= x >> 33;
-      h = (h ^ x) * 0xC4CEB9FE1A85EC53ull;
-    }
-    return static_cast<size_t>(h ^ (h >> 29));
-  }
-};
-
 /// The six quad faces of a hex cell, canonicalized.
 std::array<QuadKey, 6> HexFaces(const HexCell& cell);
 
@@ -97,7 +84,8 @@ struct HexSurfaceInfo {
 };
 
 /// Extracts the surface via the global (quad) face list — the hexahedral
-/// analog of `ExtractSurface` (paper Sec. IV-E1).
+/// analog of `ExtractSurface` (paper Sec. IV-E1), counted by the same
+/// `FaceCount` kernel: the quads that occur exactly once.
 HexSurfaceInfo ExtractHexSurface(const HexaMesh& mesh);
 
 }  // namespace octopus

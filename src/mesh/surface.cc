@@ -6,47 +6,31 @@
 
 namespace octopus {
 
-SurfaceInfo ExtractSurface(const TetraMesh& mesh) {
-  // Global face list as a multiplicity map. A face is shared by at most two
-  // adjacent tets, so values saturate at 2.
-  std::unordered_map<FaceKey, uint8_t, FaceKeyHash> counts;
-  counts.reserve(mesh.num_tetrahedra() * 2);  // ~2 unique faces per tet
-  for (const Tet& t : mesh.tetrahedra()) {
-    for (const FaceKey& f : TetFaces(t)) {
-      ++counts[f];
-    }
-  }
+TetFaceCount CountFaces(const TetraMesh& mesh) {
+  return TetFaceCount(mesh.num_vertices(), mesh.tetrahedra(), TetFaces);
+}
 
+SurfaceInfo ExtractSurface(const TetFaceCount& faces) {
   SurfaceInfo info;
-  std::vector<bool> on_surface(mesh.num_vertices(), false);
-  for (const auto& [face, count] : counts) {
-    if (count == 1) {
-      info.surface_faces.push_back(face);
-      for (VertexId v : face) on_surface[v] = true;
-    }
-  }
-  for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
-    if (on_surface[v]) info.surface_vertices.push_back(v);
-  }
-  // Canonical face order so extraction output is deterministic for tests.
-  std::sort(info.surface_faces.begin(), info.surface_faces.end());
+  faces.Surface(&info.surface_faces, &info.surface_vertices);
   return info;
 }
 
-void FaceRegistry::Build(const TetraMesh& mesh) {
+SurfaceInfo ExtractSurface(const TetraMesh& mesh) {
+  return ExtractSurface(CountFaces(mesh));
+}
+
+void FaceRegistry::Build(const TetFaceCount& faces) {
   face_count_.clear();
   surface_face_count_.clear();
-  face_count_.reserve(mesh.num_tetrahedra() * 2);
-  for (const Tet& t : mesh.tetrahedra()) {
-    for (const FaceKey& f : TetFaces(t)) {
-      ++face_count_[f];
-    }
-  }
-  for (const auto& [face, count] : face_count_) {
-    if (count == 1) {
+  face_count_.reserve(faces.num_distinct());
+  faces.ForEachFace([&](const FaceKey& face, size_t multiplicity) {
+    face_count_.emplace(
+        face, static_cast<uint8_t>(std::min<size_t>(multiplicity, 255)));
+    if (multiplicity == 1) {
       for (VertexId v : face) ++surface_face_count_[v];
     }
-  }
+  });
 }
 
 size_t FaceRegistry::num_surface_vertices() const {

@@ -1,12 +1,16 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // Global face list and mesh-surface extraction (paper Sec. IV-E1): a face
-// belongs to the mesh surface iff exactly one tetrahedron contains it.
+// belongs to the mesh surface iff exactly one tetrahedron contains it. The
+// face list is a counting sort of face occurrences (mesh/face_count.h),
+// counted once per build and shared by the extraction and the
+// restructuring registry.
 #ifndef OCTOPUS_MESH_SURFACE_H_
 #define OCTOPUS_MESH_SURFACE_H_
 
 #include <unordered_map>
 #include <vector>
 
+#include "mesh/face_count.h"
 #include "mesh/tetra_mesh.h"
 #include "mesh/types.h"
 
@@ -16,12 +20,20 @@ namespace octopus {
 struct SurfaceInfo {
   /// Sorted, unique ids of vertices lying on at least one surface face.
   std::vector<VertexId> surface_vertices;
-  /// All surface faces (canonicalized corner triples).
+  /// All surface faces (canonicalized corner triples), ascending.
   std::vector<FaceKey> surface_faces;
 };
 
-/// Extracts the surface by constructing the global face list and keeping
-/// faces that occur exactly once. O(#tets) time, O(#faces) transient memory.
+/// Face multiplicities of a tetrahedral mesh: the global face list.
+using TetFaceCount = FaceCount<3>;
+
+/// Counts every face of every tetrahedron (see `FaceCount`): O(#tets)
+/// time, one offset per vertex plus two ids per face occurrence.
+TetFaceCount CountFaces(const TetraMesh& mesh);
+
+/// Extracts the surface: the faces that occur exactly once in the global
+/// face list, and their vertices.
+SurfaceInfo ExtractSurface(const TetFaceCount& faces);
 SurfaceInfo ExtractSurface(const TetraMesh& mesh);
 
 /// \brief Incremental face-multiplicity registry.
@@ -41,8 +53,9 @@ class FaceRegistry {
 
   FaceRegistry() = default;
 
-  /// Builds the registry (and per-vertex surface-face counts) from scratch.
-  void Build(const TetraMesh& mesh);
+  /// Builds the registry (and per-vertex surface-face counts) from scratch,
+  /// from the mesh's face count (the one its surface was extracted from).
+  void Build(const TetFaceCount& faces);
 
   /// Applies a connectivity delta; appends every vertex whose surface
   /// membership changed to `transitions` (each vertex at most once).

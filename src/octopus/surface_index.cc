@@ -12,13 +12,15 @@ void SurfaceIndex::Build(const TetraMesh& mesh) {
   set_.clear();
   probe_order_.clear();
 
-  SurfaceInfo info = ExtractSurface(mesh);
+  // One face count feeds both the surface and, if kept, the registry.
+  const TetFaceCount faces = CountFaces(mesh);
+  SurfaceInfo info = ExtractSurface(faces);
   probe_order_ = std::move(info.surface_vertices);  // already sorted
   set_.reserve(probe_order_.size());
   set_.insert(probe_order_.begin(), probe_order_.end());
 
   if (options_.support_restructuring) {
-    registry_.Build(mesh);
+    registry_.Build(faces);
     registry_built_ = true;
   }
 }

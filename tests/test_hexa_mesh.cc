@@ -3,7 +3,9 @@
 // OCTOPUS executor (paper Fig. 1(b): the strategy is primitive-agnostic).
 #include <gtest/gtest.h>
 
-#include <unordered_set>
+#include <algorithm>
+#include <set>
+#include <unordered_map>
 
 #include "mesh/generators/hexa_generator.h"
 #include "common/rng.h"
@@ -45,9 +47,7 @@ TEST(HexFacesTest, SingleCellFaces) {
   // x = 1 face: {1, 3, 5, 7}.
   EXPECT_EQ(faces[1], (QuadKey{1, 3, 5, 7}));
   // All six faces distinct.
-  std::unordered_set<size_t> hashes;
-  for (const QuadKey& f : faces) hashes.insert(QuadKeyHash{}(f));
-  EXPECT_EQ(hashes.size(), 6u);
+  EXPECT_EQ(std::set<QuadKey>(faces.begin(), faces.end()).size(), 6u);
 }
 
 TEST(HexaMeshTest, SingleCellTopology) {
@@ -132,6 +132,94 @@ TEST(HexSurfaceTest, SharedFaceIsInterior) {
   EXPECT_EQ(s.surface_faces.size(), 10u);
   // All 12 vertices still on the surface.
   EXPECT_EQ(s.surface_vertices.size(), 12u);
+}
+
+// ---------- Face-count parity ----------
+//
+// The oracle is the map-based quad extraction the counting-sort
+// `FaceCount` replaced, kept verbatim with the hash it used.
+
+struct QuadKeyHash {
+  size_t operator()(const QuadKey& f) const {
+    uint64_t h = 0x9E3779B97F4A7C15ull;
+    for (VertexId v : f) {
+      uint64_t x = v;
+      x *= 0xFF51AFD7ED558CCDull;
+      x ^= x >> 33;
+      h = (h ^ x) * 0xC4CEB9FE1A85EC53ull;
+    }
+    return static_cast<size_t>(h ^ (h >> 29));
+  }
+};
+
+HexSurfaceInfo MapExtractHexSurface(const HexaMesh& mesh) {
+  std::unordered_map<QuadKey, uint8_t, QuadKeyHash> counts;
+  counts.reserve(mesh.num_cells() * 3);
+  for (const HexCell& cell : mesh.cells()) {
+    for (const QuadKey& f : HexFaces(cell)) {
+      ++counts[f];
+    }
+  }
+  HexSurfaceInfo info;
+  std::vector<bool> on_surface(mesh.num_vertices(), false);
+  for (const auto& [face, count] : counts) {
+    if (count == 1) {
+      info.surface_faces.push_back(face);
+      for (VertexId v : face) on_surface[v] = true;
+    }
+  }
+  for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
+    if (on_surface[v]) info.surface_vertices.push_back(v);
+  }
+  std::sort(info.surface_faces.begin(), info.surface_faces.end());
+  return info;
+}
+
+HexSurfaceInfo ExpectOracleParity(const HexaMesh& mesh) {
+  const HexSurfaceInfo want = MapExtractHexSurface(mesh);
+  const HexSurfaceInfo got = ExtractHexSurface(mesh);
+  EXPECT_EQ(got.surface_vertices, want.surface_vertices);
+  EXPECT_EQ(got.surface_faces, want.surface_faces);
+  return got;
+}
+
+TEST(HexFaceCountParityTest, Grids) {
+  for (int n : {1, 2, 5}) {
+    SCOPED_TRACE(n);
+    ExpectOracleParity(MakeHexBox(n));
+  }
+  auto slab = GenerateHexBoxMesh(6, 3, 4, AABB(Vec3(0, 0, 0), Vec3(6, 3, 4)));
+  ASSERT_TRUE(slab.ok());
+  EXPECT_EQ(ExpectOracleParity(slab.Value()).surface_faces.size(),
+            2u * (6 * 3 + 3 * 4 + 6 * 4));
+  auto slabs = GenerateMaskedHexGrid(
+      6, 6, 7, AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)),
+      [](int, int, int k) { return k <= 1 || k >= 5; });
+  ASSERT_TRUE(slabs.ok());
+  ExpectOracleParity(slabs.Value());
+}
+
+TEST(HexFaceCountParityTest, DegenerateInputs) {
+  std::vector<Vec3> positions(16, Vec3(0, 0, 0));
+  const HexCell a{0, 1, 2, 3, 4, 5, 6, 7};
+  // b and c put their x = 0 face on a's x = 1 face {1, 3, 5, 7}.
+  const HexCell b{1, 8, 3, 9, 5, 10, 7, 11};
+  const HexCell c{1, 12, 3, 13, 5, 14, 7, 15};
+  const HexSurfaceInfo none = ExpectOracleParity(HexaMesh(positions, {}));
+  EXPECT_TRUE(none.surface_faces.empty());
+  EXPECT_EQ(ExpectOracleParity(HexaMesh(positions, {a})).surface_faces.size(),
+            6u);
+  const HexSurfaceInfo shared = ExpectOracleParity(HexaMesh(positions, {a, b}));
+  EXPECT_EQ(shared.surface_faces.size(), 10u);
+  const HexSurfaceInfo twice = ExpectOracleParity(HexaMesh(positions, {a, a}));
+  EXPECT_TRUE(twice.surface_faces.empty());
+  EXPECT_TRUE(twice.surface_vertices.empty());
+  const HexSurfaceInfo three =
+      ExpectOracleParity(HexaMesh(positions, {a, b, c}));
+  EXPECT_EQ(three.surface_faces.size(), 15u);
+  EXPECT_EQ(std::count(three.surface_faces.begin(), three.surface_faces.end(),
+                       (QuadKey{1, 3, 5, 7})),
+            0);
 }
 
 TEST(HexOctopusTest, ExactOnStaticMesh) {

@@ -3,15 +3,20 @@
 // mesh stats and mesh IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <unordered_map>
 #include <unordered_set>
 
+#include "common/rng.h"
+#include "mesh/generators/datasets.h"
 #include "mesh/generators/grid_generator.h"
 #include "mesh/mesh_builder.h"
 #include "mesh/mesh_io.h"
 #include "mesh/mesh_stats.h"
 #include "mesh/surface.h"
 #include "mesh/tetra_mesh.h"
+#include "sim/restructurer.h"
 #include "test_util.h"
 
 namespace octopus {
@@ -237,7 +242,7 @@ TEST(SurfaceTest, BoxMeshSurfaceIsBoundaryLattice) {
 TEST(FaceRegistryTest, MatchesExtractionAfterBuild) {
   const TetraMesh mesh = MakeTwoTetMesh();
   FaceRegistry reg;
-  reg.Build(mesh);
+  reg.Build(CountFaces(mesh));
   const SurfaceInfo s = ExtractSurface(mesh);
   EXPECT_EQ(reg.num_surface_vertices(), s.surface_vertices.size());
   for (VertexId v : s.surface_vertices) {
@@ -248,7 +253,7 @@ TEST(FaceRegistryTest, MatchesExtractionAfterBuild) {
 TEST(FaceRegistryTest, DeltaTracksSurfaceTransitions) {
   TetraMesh mesh = MakeSingleTetMesh();
   FaceRegistry reg;
-  reg.Build(mesh);
+  reg.Build(CountFaces(mesh));
 
   // Centroid split: remove the tet, add 4 around a new vertex 4. The new
   // vertex is interior; the original 4 stay on the surface.
@@ -271,7 +276,7 @@ TEST(FaceRegistryTest, DeltaTracksSurfaceTransitions) {
 
   // Cross-check against a fresh registry.
   FaceRegistry fresh;
-  fresh.Build(mesh);
+  fresh.Build(CountFaces(mesh));
   EXPECT_EQ(fresh.num_surface_vertices(), reg.num_surface_vertices());
 }
 
@@ -290,7 +295,7 @@ TEST(FaceRegistryTest, RemovalExposesInteriorVertex) {
   ASSERT_TRUE(mesh.ApplyRestructure(split));
 
   FaceRegistry reg;
-  reg.Build(mesh);
+  reg.Build(CountFaces(mesh));
   ASSERT_FALSE(reg.IsSurfaceVertex(m));
 
   RestructureDelta removal;
@@ -305,8 +310,152 @@ TEST(FaceRegistryTest, RemovalExposesInteriorVertex) {
   EXPECT_TRUE(reg.IsSurfaceVertex(m));
 
   FaceRegistry fresh;
-  fresh.Build(mesh);
+  fresh.Build(CountFaces(mesh));
   EXPECT_EQ(fresh.num_surface_vertices(), reg.num_surface_vertices());
+}
+
+// ---------- Face-count parity ----------
+//
+// The oracle is the map-based extraction the counting-sort `FaceCount`
+// replaced, kept verbatim: one hash-map entry per distinct face.
+
+SurfaceInfo MapExtractSurface(const TetraMesh& mesh) {
+  // Global face list as a multiplicity map. A face is shared by at most two
+  // adjacent tets, so values saturate at 2.
+  std::unordered_map<FaceKey, uint8_t, FaceKeyHash> counts;
+  counts.reserve(mesh.num_tetrahedra() * 2);  // ~2 unique faces per tet
+  for (const Tet& t : mesh.tetrahedra()) {
+    for (const FaceKey& f : TetFaces(t)) {
+      ++counts[f];
+    }
+  }
+
+  SurfaceInfo info;
+  std::vector<bool> on_surface(mesh.num_vertices(), false);
+  for (const auto& [face, count] : counts) {
+    if (count == 1) {
+      info.surface_faces.push_back(face);
+      for (VertexId v : face) on_surface[v] = true;
+    }
+  }
+  for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
+    if (on_surface[v]) info.surface_vertices.push_back(v);
+  }
+  // Canonical face order so extraction output is deterministic for tests.
+  std::sort(info.surface_faces.begin(), info.surface_faces.end());
+  return info;
+}
+
+size_t MapDistinctFaces(const TetraMesh& mesh) {
+  std::unordered_set<FaceKey, FaceKeyHash> faces;
+  for (const Tet& t : mesh.tetrahedra()) {
+    for (const FaceKey& f : TetFaces(t)) faces.insert(f);
+  }
+  return faces.size();
+}
+
+// Extraction, the face count and a registry built from it all agree with
+// the oracle. Returns the surface for further checks.
+SurfaceInfo ExpectOracleParity(const TetraMesh& mesh) {
+  const SurfaceInfo want = MapExtractSurface(mesh);
+  const SurfaceInfo got = ExtractSurface(mesh);
+  EXPECT_EQ(got.surface_vertices, want.surface_vertices);
+  EXPECT_EQ(got.surface_faces, want.surface_faces);
+
+  const TetFaceCount faces = CountFaces(mesh);
+  EXPECT_EQ(faces.num_distinct(), MapDistinctFaces(mesh));
+  FaceRegistry reg;
+  reg.Build(faces);
+  EXPECT_EQ(reg.num_faces(), faces.num_distinct());
+  EXPECT_EQ(reg.num_surface_vertices(), want.surface_vertices.size());
+  for (VertexId v : want.surface_vertices) {
+    EXPECT_TRUE(reg.IsSurfaceVertex(v)) << "vertex " << v;
+  }
+  return got;
+}
+
+TEST(FaceCountParityTest, NeuroMeshes) {
+  for (int level : {0, 1}) {
+    SCOPED_TRACE(level);
+    auto r = MakeNeuroMesh(level, 0.05);
+    ASSERT_TRUE(r.ok());
+    const SurfaceInfo s = ExpectOracleParity(r.Value());
+    EXPECT_GT(s.surface_faces.size(), 0u);
+  }
+}
+
+TEST(FaceCountParityTest, EarthquakeMesh) {
+  auto r = MakeEarthquakeMesh(EarthquakeResolution::kSF2, 0.1);
+  ASSERT_TRUE(r.ok());
+  ExpectOracleParity(r.Value());
+}
+
+TEST(FaceCountParityTest, CubeGrid) {
+  auto r = GenerateBoxMesh(7, 5, 6, AABB(Vec3(0, 0, 0), Vec3(7, 5, 6)));
+  ASSERT_TRUE(r.ok());
+  const SurfaceInfo s = ExpectOracleParity(r.Value());
+  // Two boundary triangles per unit square of the box's faces.
+  EXPECT_EQ(s.surface_faces.size(), 4u * (7 * 5 + 5 * 6 + 7 * 6));
+}
+
+TEST(FaceCountParityTest, AfterRestructuringDeltas) {
+  TetraMesh mesh =
+      GenerateBoxMesh(4, 4, 4, AABB(Vec3(0, 0, 0), Vec3(1, 1, 1))).MoveValue();
+  Rng rng(7);
+  ASSERT_TRUE(RandomRefinement(&mesh, 12, &rng).ok());
+  ExpectOracleParity(mesh);
+  const FaceKey glued = ExtractSurface(mesh).surface_faces.front();
+  ASSERT_TRUE(AddTetOnSurfaceFace(&mesh, glued, Vec3(-1, -1, -1)).ok());
+  ExpectOracleParity(mesh);
+  // The last tet of the refinement holds a centroid vertex that stays in
+  // three other tets, so removing it orphans nothing and exposes faces.
+  ASSERT_TRUE(RemoveTet(&mesh, static_cast<TetId>(mesh.num_tetrahedra() - 2))
+                  .ok());
+  ASSERT_TRUE(SplitTetAtCentroid(&mesh, 0).ok());
+  ExpectOracleParity(mesh);
+}
+
+TEST(FaceCountParityTest, NoCells) {
+  const TetraMesh empty;
+  EXPECT_TRUE(ExpectOracleParity(empty).surface_vertices.empty());
+  const TetraMesh loose({Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)}, {});
+  const SurfaceInfo s = ExpectOracleParity(loose);
+  EXPECT_TRUE(s.surface_vertices.empty());
+  EXPECT_TRUE(s.surface_faces.empty());
+}
+
+TEST(FaceCountParityTest, OneAndTwoCells) {
+  EXPECT_EQ(ExpectOracleParity(MakeSingleTetMesh()).surface_faces.size(),
+            4u);
+  const SurfaceInfo s = ExpectOracleParity(MakeTwoTetMesh());
+  EXPECT_EQ(s.surface_faces.size(), 6u);
+  EXPECT_EQ(std::count(s.surface_faces.begin(), s.surface_faces.end(),
+                       MakeFaceKey(1, 2, 3)),
+            0);
+}
+
+TEST(FaceCountParityTest, DuplicatedCellHasNoSurface) {
+  const std::vector<Vec3> corners = {Vec3(0, 0, 0), Vec3(1, 0, 0),
+                                     Vec3(0, 1, 0), Vec3(0, 0, 1)};
+  const TetraMesh twice(corners, {Tet{0, 1, 2, 3}, Tet{3, 1, 0, 2}});
+  const SurfaceInfo s = ExpectOracleParity(twice);
+  EXPECT_TRUE(s.surface_faces.empty());
+  EXPECT_TRUE(s.surface_vertices.empty());
+}
+
+TEST(FaceCountParityTest, FaceSharedByThreeTetsIsNotSurface) {
+  std::vector<Vec3> positions = {Vec3(0, 0, 0), Vec3(1, 0, 0),
+                                 Vec3(0, 1, 0), Vec3(0, 0, 1),
+                                 Vec3(0, 0, -1), Vec3(1, 1, 1)};
+  const TetraMesh fan(std::move(positions),
+                      {Tet{0, 1, 2, 3}, Tet{4, 0, 1, 2}, Tet{2, 5, 1, 0}});
+  const SurfaceInfo s = ExpectOracleParity(fan);
+  // Each tet keeps its three other faces; {0, 1, 2} occurs three times.
+  EXPECT_EQ(s.surface_faces.size(), 9u);
+  EXPECT_EQ(std::count(s.surface_faces.begin(), s.surface_faces.end(),
+                       MakeFaceKey(0, 1, 2)),
+            0);
+  EXPECT_EQ(CountFaces(fan).num_distinct(), 10u);
 }
 
 // ---------- MeshStats ----------

@@ -54,6 +54,11 @@ When also given BENCH_outofcore.json, additionally enforces:
     the `outofcore` baseline for those settings exactly. A bookkeeping
     change that keeps the decisions keeps every one of them.
 
+Every input file must also carry one provenance record (name
+"provenance": git_sha, build_type, hardware_threads, scale, steps), which
+bench/bench_util.h's JsonWriter writes first, so a committed number says
+which commit, build and host produced it.
+
 Usage: check_perf_smoke.py [BENCH_dynamic.json] [BENCH_server.json]
            [BENCH_epoch.json] [BENCH_outofcore.json]
 """
@@ -70,6 +75,8 @@ BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 EPOCH_COUNTERS = ["pinned_page_accesses", "spill_bytes_total",
                   "resident_overlay_bytes", "spilled_epochs"]
 POOL_COUNTERS = ["page_misses", "page_hits", "page_evictions"]
+PROVENANCE_FIELDS = ["git_sha", "build_type", "hardware_threads", "scale",
+                     "steps"]
 TRAVERSAL_COUNTERS = [
     f"{backend}_{counter}"
     for backend in ("in_memory", "paged")
@@ -189,6 +196,23 @@ def check_outofcore(path: str, failures: list) -> None:
             "re-baseline only if that is intended")
 
 
+def check_provenance(path: str, failures: list) -> None:
+    """The file must hold exactly one complete provenance record."""
+    with open(path) as f:
+        records = [r for r in json.load(f) if r.get("name") == "provenance"]
+    missing = PROVENANCE_FIELDS if len(records) != 1 else [
+        k for k in PROVENANCE_FIELDS if k not in records[0]]
+    if missing:
+        failures.append(f"{path}: {len(records)} provenance record(s), "
+                        f"missing {missing}: regenerate it with the "
+                        f"current bench")
+        return
+    p = records[0]
+    print(f"  provenance {os.path.basename(path):<20} = {p['git_sha']}"
+          f" {p['build_type']}, {p['hardware_threads']} hw threads, "
+          f"scale {p['scale']}, steps {p['steps']}")
+
+
 def check_server(path: str, failures: list) -> None:
     with open(path) as f:
         records = json.load(f)
@@ -260,6 +284,9 @@ def main() -> int:
     print(f"  probe_position_reads      = {reads} "
           f"(expected {expected_reads})")
     check_traversal_baseline(s, failures)
+    for given in (path, server_path, epoch_path, outofcore_path):
+        if given is not None:
+            check_provenance(given, failures)
     if server_path is not None:
         check_server(server_path, failures)
     if epoch_path is not None:
