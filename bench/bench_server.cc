@@ -7,7 +7,10 @@
 // the in-process engine — counters and result sets, not wall-clock
 // multipliers, so the numbers are meaningful on the 1-core CI runner
 // too. Emits BENCH_server.json.
+#include <time.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -50,8 +53,19 @@ struct BenchConfig {
   int io_threads = 1;
 };
 
+/// CPU time of `clock` (a process or thread CPU clock).
+int64_t CpuNanos(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
 struct BenchOutcome {
   double wall_seconds = 0.0;
+  /// CPU time of the server's own threads (I/O, scheduler, serializer,
+  /// engine) over the timed region: the process's CPU time minus the
+  /// client threads' and the driving thread's.
+  double server_cpu_seconds = 0.0;
   server::ServerMetrics metrics;
   uint64_t trace_records = 0;
   uint64_t journal_events = 0;
@@ -123,44 +137,55 @@ BenchOutcome RunConfig(const BenchConfig& config, const TetraMesh& mesh,
   std::vector<char> client_ok(static_cast<size_t>(config.clients), 1);
   std::vector<double> client_wall(static_cast<size_t>(config.clients),
                                   0.0);
-  Timer wall;
-  for (int c = 0; c < config.clients; ++c) {
-    clients.emplace_back([&, c] {
-      Timer client_timer;
-      auto connected =
-          client::RemoteClient::Connect("127.0.0.1", srv.port());
-      if (!connected.ok()) {
+  auto run_client = [&](int c) {
+    Timer client_timer;
+    auto connected =
+        client::RemoteClient::Connect("127.0.0.1", srv.port());
+    if (!connected.ok()) {
+      client_ok[c] = 0;
+      return;
+    }
+    QueryGenerator gen(mesh);
+    Rng rng(0xBE7C + static_cast<uint64_t>(c));
+    for (int r = 0; r < config.requests_per_client; ++r) {
+      const std::vector<AABB> queries =
+          c == 0 ? client0_queries[r]
+                 : gen.MakeQueries(&rng, config.queries_per_request,
+                                   0.0011, 0.0018);
+      auto result = connected.Value()->ExecuteBatch(queries);
+      if (!result.ok()) {
         client_ok[c] = 0;
         return;
       }
-      QueryGenerator gen(mesh);
-      Rng rng(0xBE7C + static_cast<uint64_t>(c));
-      for (int r = 0; r < config.requests_per_client; ++r) {
-        const std::vector<AABB> queries =
-            c == 0 ? client0_queries[r]
-                   : gen.MakeQueries(&rng, config.queries_per_request,
-                                     0.0011, 0.0018);
-        auto result = connected.Value()->ExecuteBatch(queries);
-        if (!result.ok()) {
-          client_ok[c] = 0;
-          return;
-        }
-        if (c == 0) {
-          // Loopback parity against the precomputed in-process results.
-          for (size_t q = 0; q < queries.size(); ++q) {
-            if (result.Value().results.per_query[q] !=
-                client0_expected[r].per_query[q]) {
-              client_ok[c] = 0;
-              return;
-            }
+      if (c == 0) {
+        // Loopback parity against the precomputed in-process results.
+        for (size_t q = 0; q < queries.size(); ++q) {
+          if (result.Value().results.per_query[q] !=
+              client0_expected[r].per_query[q]) {
+            client_ok[c] = 0;
+            return;
           }
         }
       }
-      client_wall[c] = client_timer.ElapsedSeconds();
+    }
+    client_wall[c] = client_timer.ElapsedSeconds();
+  };
+  std::vector<int64_t> client_cpu(static_cast<size_t>(config.clients), 0);
+  const int64_t process_cpu = CpuNanos(CLOCK_PROCESS_CPUTIME_ID);
+  const int64_t main_cpu = CpuNanos(CLOCK_THREAD_CPUTIME_ID);
+  Timer wall;
+  for (int c = 0; c < config.clients; ++c) {
+    clients.emplace_back([&, c] {
+      run_client(c);
+      client_cpu[c] = CpuNanos(CLOCK_THREAD_CPUTIME_ID);
     });
   }
   for (auto& t : clients) t.join();
   outcome.wall_seconds = wall.ElapsedSeconds();
+  int64_t server_cpu = CpuNanos(CLOCK_PROCESS_CPUTIME_ID) - process_cpu -
+                       (CpuNanos(CLOCK_THREAD_CPUTIME_ID) - main_cpu);
+  for (const int64_t nanos : client_cpu) server_cpu -= nanos;
+  outcome.server_cpu_seconds = static_cast<double>(server_cpu) / 1e9;
 
   srv.Stop();
   server_thread.join();
@@ -327,31 +352,46 @@ int main() {
     json.EndObject();
   }
 
-  // Tracing-overhead summary: best-of-3 interleaved runs of a warm
-  // paged single-client config with the ring off and on.
-  // Single-client because N client threads on a 1-core runner make
-  // wall clock a scheduling lottery — sequential round trips measure
-  // the request path itself; best-of-3 shaves the remaining noise.
+  // Tracing-overhead summary: the server threads' CPU time over a warm
+  // paged single-client run with the ring (and journal) on, divided by
+  // the same run with them off — the median over kOverheadPairs pairs,
+  // whose order alternates so drift in machine speed cancels. CPU time,
+  // not wall clock: on a 1-core runner wall clock is a scheduling
+  // lottery, while the server's own CPU is what tracing costs.
   // check_perf_smoke.py holds the ratio to <= 1.05 (tracing must stay
   // effectively free).
   {
-    BenchConfig off_config{"overhead_paged_untraced", 1, 96, 16, true, 0};
+    constexpr int kOverheadPairs = 11;
+    BenchConfig off_config{"overhead_paged_untraced", 1, 192, 16, true, 0};
     BenchConfig on_config = off_config;
     on_config.name = "overhead_paged_traced";
     on_config.trace_ring = 1024;
     on_config.journal_slots = 1024;
-    double best_off = 0.0;
-    double best_on = 0.0;
-    for (int round = 0; round < 3; ++round) {
-      const BenchOutcome off = RunConfig(off_config, mesh, snapshot_path);
-      const BenchOutcome on = RunConfig(on_config, mesh, snapshot_path);
+    std::vector<double> ratios;
+    std::vector<double> off_cpu;
+    std::vector<double> on_cpu;
+    for (int pair = 0; pair < kOverheadPairs; ++pair) {
+      BenchOutcome off;
+      BenchOutcome on;
+      if (pair % 2 == 0) {
+        off = RunConfig(off_config, mesh, snapshot_path);
+        on = RunConfig(on_config, mesh, snapshot_path);
+      } else {
+        on = RunConfig(on_config, mesh, snapshot_path);
+        off = RunConfig(off_config, mesh, snapshot_path);
+      }
       all_parity_ok &= off.parity_ok && on.parity_ok;
-      best_off = round == 0 ? off.wall_seconds
-                            : std::min(best_off, off.wall_seconds);
-      best_on = round == 0 ? on.wall_seconds
-                           : std::min(best_on, on.wall_seconds);
+      off_cpu.push_back(off.server_cpu_seconds);
+      on_cpu.push_back(on.server_cpu_seconds);
+      ratios.push_back(off.server_cpu_seconds > 0
+                           ? on.server_cpu_seconds / off.server_cpu_seconds
+                           : 0.0);
     }
-    const double overhead = best_off > 0 ? best_on / best_off : 0.0;
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const double overhead = median(ratios);
 
     // I/O-thread scaling: the same 16-client in-memory load through one
     // epoll thread and through four. Recorded on every machine; the
@@ -394,17 +434,18 @@ int main() {
 
     json.BeginObject();
     json.Field("name", std::string("server_summary"));
-    json.Field("untraced_wall_seconds", best_off);
-    json.Field("traced_wall_seconds", best_on);
+    json.Field("untraced_server_cpu_seconds", median(off_cpu));
+    json.Field("traced_server_cpu_seconds", median(on_cpu));
+    json.Field("tracing_overhead_pairs", static_cast<int64_t>(ratios.size()));
     json.Field("tracing_overhead", overhead);
     json.Field("hw_concurrency", static_cast<int64_t>(hw));
     json.Field("scaling_qps_io1", qps_io1);
     json.Field("scaling_qps_io4", qps_io4);
     json.Field("io_thread_scaling", scaling);
     json.EndObject();
-    std::printf("\nTracing overhead (warm paged, best of 2): %.3fx "
-                "(%.4fs traced / %.4fs untraced)\n",
-                overhead, best_on, best_off);
+    std::printf("\nTracing overhead (warm paged, server CPU, median of "
+                "%d pairs): %.3fx (%.4fs traced / %.4fs untraced)\n",
+                kOverheadPairs, overhead, median(on_cpu), median(off_cpu));
     std::printf("I/O-thread scaling (16 clients, 4 vs 1 threads): %.2fx "
                 "on %u hardware threads%s\n",
                 scaling, hw,

@@ -31,7 +31,7 @@ enum class EventKind : uint8_t {
   kStepApplied = 1,    ///< a=step applied, b=pages rewritten (paged)
   kEpochPublished,     ///< epoch=id, a=step, b=resident bytes after
   kEpochSpilled,       ///< epoch=id, a=pages written, b=bytes written
-  kEpochReloaded,      ///< epoch=id, a=sidecar pages read (in-memory copy)
+  kEpochReloaded,      ///< epoch=id, a=sidecar pages read (both backends)
   kEpochEvicted,       ///< epoch=id, a=step, b=1 if it was spilled
   kEpochPinned,        ///< epoch=id, session=pinner, a=session pin count
   kEpochUnpinned,      ///< epoch=id, session=unpinner, a=session pin count

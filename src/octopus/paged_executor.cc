@@ -23,7 +23,7 @@ PagedOctopus::PagedOctopus(std::unique_ptr<storage::PagedMeshStore> store,
 
 storage::PagedMeshAccessor& PagedOctopus::AccessorFor(
     engine::ExecutionContext* context,
-    const storage::PositionOverlay* overlay, size_t shards) const {
+    std::span<const std::byte* const> position_pages, size_t shards) const {
   if (context->paged_accessor == nullptr ||
       &context->paged_accessor->store() != store_.get()) {
     context->paged_accessor = std::make_unique<storage::PagedMeshAccessor>(
@@ -31,9 +31,9 @@ storage::PagedMeshAccessor& PagedOctopus::AccessorFor(
   } else {
     context->paged_accessor->set_stats(&context->stats.page_io);
   }
-  // Opens the batch scope: binds the overlay and sizes the lease budget
-  // so `shards` concurrent accessors can never exhaust the shared pool.
-  context->paged_accessor->BeginBatch(overlay, shards);
+  // Opens the batch scope: binds the page table and sizes the lease
+  // budget so `shards` concurrent accessors can never exhaust the pool.
+  context->paged_accessor->BeginBatch(position_pages, shards);
   return *context->paged_accessor;
 }
 
@@ -48,12 +48,12 @@ void PagedOctopus::RangeQuery(const AABB& box,
 void PagedOctopus::RangeQueryBatch(
     std::span<const AABB> boxes, engine::QueryBatchResult* out,
     engine::ThreadPool* pool,
-    const storage::PositionOverlay* overlay) const {
+    std::span<const std::byte* const> position_pages) const {
   const size_t shards_hint = pool != nullptr ? pool->threads() : 1;
   ExecuteOctopusBatch(
-      [this, overlay, shards_hint](engine::ExecutionContext* context)
+      [this, position_pages, shards_hint](engine::ExecutionContext* context)
           -> storage::PagedMeshAccessor& {
-        return AccessorFor(context, overlay, shards_hint);
+        return AccessorFor(context, position_pages, shards_hint);
       },
       surface_index_, options_.executor, boxes, out, pool, &contexts_);
 }

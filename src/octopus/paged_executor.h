@@ -57,16 +57,15 @@ class PagedOctopus {
   /// Per-query results are independent of the thread count and equal to
   /// the in-memory results on the same (layout-permuted) mesh.
   ///
-  /// `overlay` pins the batch to a position epoch: every shard's
-  /// accessor reads displaced-position delta pages from it instead of
-  /// the base snapshot (see storage/delta_overlay.h). Null = the base
-  /// snapshot's own positions (epoch 0). The caller keeps the overlay
-  /// alive for the duration of the batch.
-  void RangeQueryBatch(std::span<const AABB> boxes,
-                       engine::QueryBatchResult* out,
-                       engine::ThreadPool* pool = nullptr,
-                       const storage::PositionOverlay* overlay =
-                           nullptr) const;
+  /// `position_pages` pins the batch to a position epoch: one entry per
+  /// position page, the epoch's bytes or null for the base snapshot
+  /// (`storage::ResidentEpoch::pages()`); every shard's accessor reads
+  /// through it. Empty = the base snapshot's own positions (epoch 0).
+  /// The caller keeps the table and its pages alive for the batch.
+  void RangeQueryBatch(
+      std::span<const AABB> boxes, engine::QueryBatchResult* out,
+      engine::ThreadPool* pool = nullptr,
+      std::span<const std::byte* const> position_pages = {}) const;
 
   /// Surface index + buffer pool frames actually allocated + per-context
   /// scratch: everything resident, honestly counted — the number the
@@ -85,11 +84,13 @@ class PagedOctopus {
 
   /// Returns the context's paged accessor, creating or rebinding it to
   /// this store on first use (contexts are reused across executors),
-  /// with a batch begun against `overlay` (may be null = base positions)
-  /// and a lease budget sized for `shards` concurrent accessors.
+  /// with a batch begun against `position_pages` (empty = base
+  /// positions) and a lease budget sized for `shards` concurrent
+  /// accessors.
   storage::PagedMeshAccessor& AccessorFor(
       engine::ExecutionContext* context,
-      const storage::PositionOverlay* overlay, size_t shards) const;
+      std::span<const std::byte* const> position_pages,
+      size_t shards) const;
 
   Options options_;
   std::unique_ptr<storage::PagedMeshStore> store_;

@@ -58,8 +58,8 @@ EpochStore::~EpochStore() = default;
 Status EpochStore::Init() {
   OCTOPUS_RETURN_NOT_OK(options_.Validate());
   if (!options_.spill_path.empty()) {
-    auto spill = storage::EpochSpillFile::Create(
-        options_.spill_path, page_bytes_, options_.spill_pool_bytes);
+    auto spill =
+        storage::EpochSpillFile::Create(options_.spill_path, page_bytes_);
     if (!spill.ok()) return spill.status();
     spill_ = spill.MoveValue();
   }

@@ -5,7 +5,7 @@
 // but live" into "stale, live, *and* repeatable": the newest epochs stay
 // memory-resident (count- and byte-capped retention window), older
 // epochs have their overlay pages spilled to an on-disk `.oct2d` sidecar
-// and read back through a byte-capped BufferManager when queried, and
+// and read back whole, once per batch that queries them, and
 // epochs past the history cap are evicted entirely — unless a session
 // pinned them, which exempts them from eviction (never from spilling:
 // pins cost disk, not memory) until the pin is released or the session
@@ -59,7 +59,9 @@ struct EpochRetentionOptions {
   /// leaving the retention window are evicted directly, and pinned
   /// epochs stay resident (pins then cost memory, not disk).
   std::string spill_path;
-  /// Byte cap of the sidecar's reload pool (>= 2 pages).
+  /// Sizes nothing: spilled epochs are read back whole per batch, with
+  /// no pool. Kept only because octobench's provenance record prints
+  /// it; drop it once that record stops.
   size_t spill_pool_bytes = 1u << 20;
 
   /// Rejects windows that cannot hold a single epoch and inconsistent
@@ -133,9 +135,9 @@ class EpochStore {
   engine::EpochInfo CurrentInfo() const;
 
   /// Pins epoch `id` for one batch: its resident overlay, or once
-  /// spilled its sidecar-backed twin (whose reads price page I/O into
-  /// the reader's stats). NotFound = the epoch was evicted (or never
-  /// existed): the EPOCH_GONE case.
+  /// spilled its sidecar-backed twin (which the reader reloads, pricing
+  /// the page I/O into its stats). NotFound = the epoch was evicted (or
+  /// never existed): the EPOCH_GONE case.
   Result<PinnedEpochState> PinEpoch(engine::EpochId id) const;
 
   /// Session-pin accounting: a pinned epoch is exempt from eviction

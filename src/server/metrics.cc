@@ -253,6 +253,8 @@ const MetricDef kMetricTable[] = {
      "Size of the spill sidecar file."},
     {"octopus_epoch_spill_pages_free", kGauge, FIELD(spill_pages_free),
      "Sidecar pages free for reuse by the next spill."},
+    {"octopus_epoch_reload_pages_total", kCounter, FIELD(epoch_reload_pages),
+     "Sidecar pages read back for batches at spilled epochs."},
     {"octopus_buffer_pool_cap_bytes", kGauge, FIELD(pool_cap_bytes),
      "Configured buffer-pool byte cap."},
     {"octopus_buffer_pool_resident_bytes", kGauge, FIELD(pool_resident_bytes),

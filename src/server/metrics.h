@@ -191,6 +191,7 @@ struct MetricsSource {
   uint64_t spill_bytes_written = 0;
   uint64_t sidecar_bytes = 0;
   uint64_t spill_pages_free = 0;
+  uint64_t epoch_reload_pages = 0;
   uint64_t pool_cap_bytes = 0;
   uint64_t pool_resident_bytes = 0;
   uint64_t pool_evictions = 0;

@@ -14,6 +14,7 @@ MetricsSource QueryServer::ReadMetricsSource() const {
   source.metrics = MetricsSnapshot();
   source.engine = source.metrics.EngineTotal();
   source.epoch = backend_->CurrentEpoch();
+  source.epoch_reload_pages = backend_->epoch_reload_pages();
   if (const EpochStore* store = backend_->epoch_store()) {
     source.resident_epochs = store->resident_epochs();
     source.spilled_epochs = store->spilled_epochs();

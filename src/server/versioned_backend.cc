@@ -173,44 +173,60 @@ engine::EpochInfo VersionedBackend::CurrentEpoch() const {
   return store_ != nullptr ? store_->CurrentInfo() : engine::EpochInfo{};
 }
 
-void VersionedBackend::ExecutePinned(const PinnedEpochState* pin,
-                                     std::span<const AABB> boxes,
-                                     engine::QueryBatchResult* out,
-                                     PhaseStats* batch_stats) {
-  if (paged_ != nullptr) {
-    paged_->ResetStats();
-    paged_->RangeQueryBatch(boxes, out, engine_.pool(),
-                            pin != nullptr ? pin->overlay.get() : nullptr);
-    *batch_stats = paged_->stats();
-  } else {
-    common::MutexLock lock(scratch_mu_);
-    MeshGraphView graph = mesh_->Graph();
-    storage::PageIOStats refill_io;
-    if (pin != nullptr) {
+Status VersionedBackend::ExecutePinned(const PinnedEpochState* pin,
+                                       std::span<const AABB> boxes,
+                                       engine::QueryBatchResult* out,
+                                       PhaseStats* batch_stats) {
+  common::MutexLock lock(scratch_mu_);
+  // Every batch runs against a resident epoch: a spilled epoch's pages
+  // are read back from the sidecar first, once, on this thread, and
+  // each page read is priced as one page miss of this batch.
+  storage::PageIOStats reload_io;
+  if (pin != nullptr) {
+    Status reload;
+    if (paged_ != nullptr) {
+      reload = paged_epoch_.Load(*pin->overlay, &reload_io);
+    } else if (scratch_source_ != pin->overlay) {
       // The flat executor reads one array: refill it from the overlay
       // only when the pinned overlay changes (once per step on the
       // current-epoch path; resident pages are free memory copies).
-      if (scratch_source_ != pin->overlay) {
-        scratch_.resize(num_vertices_);
-        pin->overlay->CopyPositions(scratch_, &refill_io);
-        scratch_source_ = pin->overlay;
-        if (journal_ != nullptr && pin->overlay->spilled_pages() > 0) {
-          journal_->Emit(obs::EventKind::kEpochReloaded, pin->info.epoch,
-                         0, pin->overlay->spilled_pages());
-        }
-      }
-      graph.positions = scratch_;
+      scratch_.resize(num_vertices_);
+      reload = pin->overlay->CopyPositions(scratch_, &reload_io);
+      scratch_source_ = reload.ok() ? pin->overlay : nullptr;
     }
+    if (!reload.ok()) {
+      return Status::IOError("epoch " + std::to_string(pin->info.epoch) +
+                             " could not be read back: " + reload.message());
+    }
+    if (reload_io.page_misses > 0) {
+      reload_pages_.fetch_add(reload_io.page_misses,
+                              std::memory_order_relaxed);
+      if (journal_ != nullptr) {
+        journal_->Emit(obs::EventKind::kEpochReloaded, pin->info.epoch, 0,
+                       reload_io.page_misses);
+      }
+    }
+  }
+  if (paged_ != nullptr) {
+    // A static backend never loads an epoch: its table stays empty, the
+    // snapshot's own positions.
+    paged_->ResetStats();
+    paged_->RangeQueryBatch(boxes, out, engine_.pool(), paged_epoch_.pages());
+    *batch_stats = paged_->stats();
+  } else {
+    MeshGraphView graph = mesh_->Graph();
+    if (pin != nullptr) graph.positions = scratch_;
     contexts_.ResetStats();
     ExecuteOctopusBatch(graph, surface_index_, octopus_options_, boxes,
                         out, engine_.pool(), &contexts_);
     *batch_stats = contexts_.stats();
-    batch_stats->page_io.Merge(refill_io);
   }
+  batch_stats->page_io.Merge(reload_io);
   if (pin != nullptr) {
     out->epoch = pin->info;
     batch_stats->stale_steps = pin->info.step;
   }
+  return Status::OK();
 }
 
 void VersionedBackend::Execute(std::span<const AABB> boxes,
@@ -218,14 +234,13 @@ void VersionedBackend::Execute(std::span<const AABB> boxes,
                                PhaseStats* batch_stats) {
   // Pin the epoch for the whole batch: the position state (and the
   // buffers behind it) stays alive and immutable even if a step
-  // publishes a successor mid-batch.
-  if (store_ != nullptr) {
-    const std::optional<PinnedEpochState> pin = store_->PinNewest();
-    ExecutePinned(pin.has_value() ? &*pin : nullptr, boxes, out,
-                  batch_stats);
-    return;
-  }
-  ExecutePinned(nullptr, boxes, out, batch_stats);
+  // publishes a successor mid-batch. The newest epoch is never spilled,
+  // so there is nothing to read back and nothing can fail.
+  std::optional<PinnedEpochState> pin;
+  if (store_ != nullptr) pin = store_->PinNewest();
+  [[maybe_unused]] const Status status = ExecutePinned(
+      pin.has_value() ? &*pin : nullptr, boxes, out, batch_stats);
+  assert(status.ok() && "the newest epoch is always resident");
 }
 
 Status VersionedBackend::ExecuteAt(engine::EpochId wire_epoch,
@@ -246,8 +261,7 @@ Status VersionedBackend::ExecuteAt(engine::EpochId wire_epoch,
   }
   auto pinned = store_->PinEpoch(wire_epoch);
   if (!pinned.ok()) return pinned.status();
-  ExecutePinned(&pinned.Value(), boxes, out, batch_stats);
-  return Status::OK();
+  return ExecutePinned(&pinned.Value(), boxes, out, batch_stats);
 }
 
 Result<engine::EpochInfo> VersionedBackend::PinEpoch(

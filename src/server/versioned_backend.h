@@ -7,11 +7,14 @@
 // `PositionOverlay` of the pages that differ from the previous epoch
 // into an `EpochStore`, where recent epochs stay resident, older ones
 // spill to a `.oct2d` sidecar and remain queryable (`ExecuteAt`), and
-// epochs past the history cap are evicted unless pinned. Paged queries
-// read through the overlay; in-memory queries read a flat copy of it,
-// refilled only when the pinned epoch changes. The surface index built
-// at load time is never touched — the paper's stale-index claim, serving
-// a mesh that moves *and* remembers where it has been.
+// epochs past the history cap are evicted unless pinned. Every batch
+// runs against a resident epoch: a spilled one is read back from the
+// sidecar once, before the batch, into memory the backend owns. Paged
+// queries read through a per-batch page table over the epoch's pages;
+// in-memory queries read a flat copy, refilled only when the pinned
+// epoch changes. The surface index built at load time is never touched
+// — the paper's stale-index claim, serving a mesh that moves *and*
+// remembers where it has been.
 //
 // Thread model: `Execute`/`ExecuteAt`/`PinEpoch`/`UnpinEpoch` belong to
 // the event-loop thread; `AdvanceStep` may run on a dedicated stepper
@@ -120,9 +123,11 @@ class VersionedBackend {
 
   /// Executes against a historical epoch: `wire_epoch` 0 selects the
   /// current epoch (== `Execute`), any other value the epoch with that
-  /// id. Spilled epochs are served through the sidecar (the reload I/O
-  /// lands in `batch_stats->page_io`). NotFound = the epoch was evicted
-  /// or never existed — the server answers EPOCH_GONE.
+  /// id. A spilled epoch is read back from the sidecar first (one page
+  /// miss per page in `batch_stats->page_io`). NotFound = the epoch was
+  /// evicted or never existed; IOError = its sidecar pages could not be
+  /// read back (the message names the epoch). The server answers
+  /// EPOCH_GONE to both.
   Status ExecuteAt(engine::EpochId wire_epoch, std::span<const AABB> boxes,
                    engine::QueryBatchResult* out, PhaseStats* batch_stats);
 
@@ -147,6 +152,10 @@ class VersionedBackend {
   /// Snapshot page size; 0 for the in-memory backend.
   uint32_t page_bytes() const { return page_bytes_; }
   int threads() const { return engine_.threads(); }
+  /// Sidecar pages read back for batches at spilled epochs (lifetime).
+  uint64_t epoch_reload_pages() const {
+    return reload_pages_.load(std::memory_order_relaxed);
+  }
 
  private:
   explicit VersionedBackend(int threads)
@@ -154,11 +163,13 @@ class VersionedBackend {
 
   /// Runs `boxes` against one pinned epoch (current or historical; null
   /// = the static load-time state) on whichever executor this backend
-  /// owns.
-  void ExecutePinned(const PinnedEpochState* pin,
-                     std::span<const AABB> boxes,
-                     engine::QueryBatchResult* out,
-                     PhaseStats* batch_stats);
+  /// owns, reading a spilled epoch back first (the one reload path:
+  /// priced, counted, journaled as `epoch_reloaded`). IOError when the
+  /// reload fails; nothing is executed then.
+  Status ExecutePinned(const PinnedEpochState* pin,
+                       std::span<const AABB> boxes,
+                       engine::QueryBatchResult* out,
+                       PhaseStats* batch_stats);
 
   engine::QueryEngine engine_;
   // Exactly one executor is set.
@@ -184,16 +195,19 @@ class VersionedBackend {
   std::vector<Vec3> base_positions_;
   common::Mutex step_mu_;  // serializes AdvanceStep
 
-  // In-memory read side: one flat copy of the overlay `scratch_source_`
-  // (null = none yet). The tag is the overlay itself, held so its
-  // identity cannot be recycled: a spilled epoch's sidecar twin is a new
-  // overlay, so reading it again is a priced reload. Only the scheduler
-  // thread executes, so the lock is uncontended; it makes that
-  // ownership checkable.
+  // The read side's resident epoch. In memory: one flat copy of the
+  // overlay `scratch_source_` (null = none yet). The tag is the overlay
+  // itself, held so its identity cannot be recycled: a spilled epoch's
+  // sidecar twin is a new overlay, so reading it again is a priced
+  // reload. Paged: the batch's position page table, a spilled epoch's
+  // pages reloaded into its buffer. Only the scheduler thread executes,
+  // so the lock is uncontended; it makes that ownership checkable.
   common::Mutex scratch_mu_;
   std::vector<Vec3> scratch_ GUARDED_BY(scratch_mu_);
   std::shared_ptr<const storage::PositionOverlay> scratch_source_
       GUARDED_BY(scratch_mu_);
+  storage::ResidentEpoch paged_epoch_ GUARDED_BY(scratch_mu_);
+  std::atomic<uint64_t> reload_pages_{0};
 
   /// Epoch history: publication, retention, spill, pins. The store's
   /// single mutex makes every publication one atomic swap as observed

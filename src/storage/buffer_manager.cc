@@ -49,7 +49,8 @@ BufferManager::BufferManager(int fd, size_t page_bytes, uint64_t num_pages,
       fd_(fd) {
   // Frames allocate lazily; only pre-reserve bookkeeping for pools that
   // plausibly fill (a generous cap can exceed the snapshot many times
-  // over). A file that grows (ExtendTo) grows the bookkeeping with it.
+  // over): every frame holds a distinct page, so there are never more
+  // frames than pages.
   const size_t frames = std::min<size_t>(max_frames_, num_pages);
   frames_.reserve(frames);
   lru_.Grow(frames);
@@ -99,19 +100,9 @@ size_t BufferManager::TryAcquireFrame(PageIOStats* stats) {
     frames_.emplace_back();
     frames_.back().data = std::make_unique<std::byte[]>(page_bytes_);
     assert(frames_.size() * page_bytes_ <= options_.pool_bytes);
+    assert(2 * frames_.size() <= page_table_.num_slots());
     const auto index = static_cast<uint32_t>(frames_.size() - 1);
-    lru_.Grow(frames_.size());
     lru_.PushBack(index);
-    if (2 * frames_.size() > page_table_.num_slots()) {
-      // Past the reserved size (the file grew): rebuild at twice the
-      // slots, keeping the table at most half full.
-      page_table_.Reset(2 * page_table_.num_slots());
-      for (uint32_t i = 0; i < index; ++i) {
-        if (frames_[i].page != kInvalidPageId) {
-          page_table_.Insert(frames_[i].page, i);
-        }
-      }
-    }
     return index;
   }
   const size_t victim = PickVictim();
@@ -124,23 +115,6 @@ size_t BufferManager::TryAcquireFrame(PageIOStats* stats) {
     }
   }
   return victim;
-}
-
-void BufferManager::ExtendTo(uint64_t num_pages) {
-  common::MutexLock lock(mu_);
-  num_pages_ = std::max(num_pages_, num_pages);
-}
-
-void BufferManager::Discard(PageId page) {
-  common::MutexLock lock(mu_);
-  const uint32_t index = FindFrame(page);
-  if (index == kNoIndex) return;
-  assert(frames_[index].pins == 0 && "discard of a pinned page");
-  EraseFromPageTable(index);
-  frames_[index].referenced = false;
-  // An empty frame is the first victim.
-  lru_.Remove(index);
-  lru_.PushFront(index);
 }
 
 void BufferManager::EraseFromPageTable(uint32_t index) {

@@ -60,19 +60,6 @@ class BufferManager {
       const std::string& path, size_t page_bytes, uint64_t num_pages,
       const Options& options);
 
-  /// Raises the readable page count (monotonic): a growing file — the
-  /// epoch spill sidecar — writes pages past the old end and then
-  /// extends the pool so they become pinnable. The writer must have
-  /// written the new pages before calling. Never shrinks.
-  void ExtendTo(uint64_t num_pages);
-
-  /// Drops the cached frame of `page`, if any, so the next pin reads
-  /// the file again: the epoch spill sidecar calls this after
-  /// rewriting a recycled page, whose frame would still hold the
-  /// previous owner's bytes. The page must not be pinned — nothing may
-  /// read a page while it is being rewritten.
-  void Discard(PageId page);
-
   ~BufferManager();
 
   BufferManager(const BufferManager&) = delete;
@@ -163,13 +150,12 @@ class BufferManager {
 
   mutable common::Mutex mu_;
   common::CondVar frame_freed_;
-  uint64_t num_pages_ GUARDED_BY(mu_);  // grows via ExtendTo
+  const uint64_t num_pages_;
   const int fd_;  // read-only; pread needs no seek state
   std::vector<Frame> frames_ GUARDED_BY(mu_);
   /// Resident page -> frame index; at most half full.
   IndexHashTable page_table_ GUARDED_BY(mu_);
-  /// Every frame in access order, least recent first; a discarded
-  /// (empty) frame moves to the head.
+  /// Every frame in access order, least recent first.
   LruList lru_ GUARDED_BY(mu_);
   size_t clock_hand_ GUARDED_BY(mu_) = 0;
   PageIOStats totals_ GUARDED_BY(mu_);

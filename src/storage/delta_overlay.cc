@@ -18,41 +18,58 @@ size_t PositionOverlay::resident_bytes() const {
   return bytes;
 }
 
-bool PositionOverlay::ReadBytes(uint64_t index, size_t offset, size_t len,
-                                void* dst, PageIOStats* stats) const {
-  if (index < pages_.size() && pages_[index] != nullptr) {
-    const PageBytes& page = *pages_[index];
-    assert(offset + len <= page.size() &&
-           "read past the page's entry bytes");
-    std::memcpy(dst, page.data() + offset, len);
-    // A resident delta page is memory by construction: count it as a
-    // pool hit so hits + misses still equal accesses.
-    ++stats->page_hits;
-    return true;
-  }
-  if (index < spilled_.size() && spilled_[index] != kInvalidPageId) {
-    extent_->pool()->CopyOut(spilled_[index], offset, len, dst, stats);
-    return true;
-  }
-  return false;
-}
-
-void PositionOverlay::CopyPositions(std::span<Vec3> out,
-                                    PageIOStats* stats) const {
+Status PositionOverlay::CopyPositions(std::span<Vec3> out,
+                                      PageIOStats* stats) const {
   const size_t per_page = positions_per_page_;
+  std::vector<std::span<std::byte>> spilled;
   for (size_t page = 0, begin = 0; begin < out.size();
        ++page, begin += per_page) {
     const size_t bytes =
         std::min(per_page, out.size() - begin) * sizeof(Vec3);
+    std::byte* dst = reinterpret_cast<std::byte*>(out.data() + begin);
     if (const std::byte* resident = Lookup(page)) {
       assert(resident_page_bytes(page) == bytes && "page geometry mismatch");
-      std::memcpy(out.data() + begin, resident, bytes);
+      std::memcpy(dst, resident, bytes);
       continue;
     }
-    [[maybe_unused]] const bool covered =
-        ReadBytes(page, 0, bytes, out.data() + begin, stats);
-    assert(covered && "a full overlay covers every page");
+    assert(spilled_id(page) != kInvalidPageId &&
+           "a full overlay covers every page");
+    spilled.emplace_back(dst, bytes);
   }
+  return ReadSpilled(spilled, stats);
+}
+
+Status PositionOverlay::ReadSpilled(std::span<const std::span<std::byte>> dst,
+                                    PageIOStats* stats) const {
+  if (dst.empty()) return Status::OK();
+  assert(extent_ != nullptr && dst.size() == extent_->ids().size() &&
+         "one destination per spilled page");
+  OCTOPUS_RETURN_NOT_OK(extent_->Read(dst));
+  stats->page_misses += dst.size();
+  return Status::OK();
+}
+
+Status ResidentEpoch::Load(const PositionOverlay& overlay,
+                           PageIOStats* stats) {
+  const size_t slot_bytes = overlay.positions_per_page() * sizeof(Vec3);
+  const size_t spilled = overlay.spilled_pages();
+  if (buffer_.size() < spilled * slot_bytes) {
+    buffer_.resize(spilled * slot_bytes);
+  }
+  pages_.assign(overlay.num_page_slots(), nullptr);
+  reload_.clear();
+  for (uint64_t page = 0; page < pages_.size(); ++page) {
+    if (const std::byte* resident = overlay.Lookup(page)) {
+      pages_[page] = resident;
+    } else if (overlay.spilled_id(page) != kInvalidPageId) {
+      std::byte* slot = buffer_.data() + reload_.size() * slot_bytes;
+      reload_.emplace_back(slot, slot_bytes);
+      pages_[page] = slot;
+    }
+  }
+  const Status status = overlay.ReadSpilled(reload_, stats);
+  if (!status.ok()) pages_.clear();
+  return status;
 }
 
 std::shared_ptr<const PositionOverlay> PositionOverlay::BuildNext(

@@ -9,19 +9,22 @@
 //
 // On the paged backend the base is the OCT2 snapshot, the step-0
 // source of truth, and a step rewrites only the position pages whose
-// bytes changed; paged readers consult the overlay before the buffer
-// pool. In memory there is no base file (the mesh array is the live
-// simulation state), so every overlay covers every page, and the
-// executor reads a flat copy (`CopyPositions`).
+// bytes changed; paged readers go through a per-batch page table
+// (`ResidentEpoch`) that points at the overlay's pages and leaves the
+// rest to the buffer pool. In memory there is no base file (the mesh
+// array is the live simulation state), so every overlay covers every
+// page, and the executor reads a flat copy (`CopyPositions`).
 //
 // An overlay's pages live in one of two places: in memory (the hot,
-// recent epochs) or in an on-disk spill sidecar reached through a
-// `BufferManager` (epochs past the retention window — see
-// storage/epoch_spill.h). Readers go through `ReadBytes`, which hides
-// the distinction; spilled reads are priced into the caller's
-// `PageIOStats` exactly like base-snapshot reads. A spilled overlay
-// holds the `SpillExtent` owning its sidecar pages, so they are
-// recycled only once the last reader of the epoch lets go.
+// recent epochs) or in an on-disk spill sidecar (epochs past the
+// retention window — see storage/epoch_spill.h). Every batch runs
+// against a resident epoch: a batch that pins a spilled overlay first
+// reads its sidecar pages back in one pass (`ReadSpilled`: one `preadv`
+// per run of consecutive sidecar ids, one page miss per page) into
+// memory the reader owns — the flat copy in memory, the
+// `ResidentEpoch` buffer on the paged backend. A spilled overlay holds
+// the `SpillExtent` owning its sidecar pages, so they are recycled only
+// once the last reader of the epoch lets go.
 #ifndef OCTOPUS_STORAGE_DELTA_OVERLAY_H_
 #define OCTOPUS_STORAGE_DELTA_OVERLAY_H_
 
@@ -31,8 +34,8 @@
 #include <span>
 #include <vector>
 
+#include "common/status.h"
 #include "common/vec3.h"
-#include "storage/buffer_manager.h"
 #include "storage/epoch_spill.h"
 #include "storage/page.h"
 
@@ -55,30 +58,12 @@ class PositionOverlay {
 
   /// Bytes of *memory-resident* position page `index` (relative to the
   /// positions section), or null when the page is not resident here
-  /// (never rewritten, or spilled to disk — use `ReadBytes`).
+  /// (never rewritten, or spilled to disk).
   const std::byte* Lookup(uint64_t index) const {
     return index < pages_.size() && pages_[index] != nullptr
                ? pages_[index]->data()
                : nullptr;
   }
-
-  /// True when the overlay holds bytes for page `index` at all —
-  /// resident or spilled. The inline hot-path test: probe and position
-  /// reads check this before paying an out-of-line overlay read, so
-  /// pages the simulation never rewrote cost two loads, not a call.
-  bool Covers(uint64_t index) const {
-    return (index < pages_.size() && pages_[index] != nullptr) ||
-           (index < spilled_.size() && spilled_[index] != kInvalidPageId);
-  }
-
-  /// Copies `len` bytes at `offset` within overlay page `index` into
-  /// `dst`. Returns false when the overlay has no bytes for that page
-  /// (caller reads the base snapshot). Resident pages count a pool hit;
-  /// spilled pages read through the sidecar's buffer pool and count
-  /// hits/misses/evictions there — spill reload I/O is priced, not
-  /// hidden. `offset + len` must stay within the page's entry bytes.
-  bool ReadBytes(uint64_t index, size_t offset, size_t len, void* dst,
-                 PageIOStats* stats) const;
 
   /// Pages this overlay holds fresh bytes for in memory (shared or
   /// owned); spilled pages are not resident.
@@ -109,14 +94,6 @@ class PositionOverlay {
     return index < spilled_.size() ? spilled_[index] : kInvalidPageId;
   }
 
-  /// The sidecar's read pool (null while nothing is spilled) — exposed
-  /// so `PagedMeshAccessor` can lease spilled delta pages through the
-  /// same mechanism as base-snapshot pages instead of paying a
-  /// `CopyOut` pin round trip per read.
-  BufferManager* spill_pool() const {
-    return extent_ != nullptr ? extent_->pool() : nullptr;
-  }
-
   /// Entry bytes of memory-resident page `index` (0 when not resident).
   size_t resident_page_bytes(uint64_t index) const {
     return index < pages_.size() && pages_[index] != nullptr
@@ -124,12 +101,24 @@ class PositionOverlay {
                : 0;
   }
 
+  /// Positions per page (the tail page holds fewer).
+  size_t positions_per_page() const { return positions_per_page_; }
+
   /// Copies the whole epoch into `out` (one entry per vertex). Resident
-  /// pages are plain memory copies and count nothing; spilled pages read
-  /// through the sidecar pool and price their I/O into `stats`. The
+  /// pages are plain memory copies and count nothing; spilled pages are
+  /// read from the sidecar straight into `out` (`ReadSpilled`). The
   /// overlay must cover every page — true of in-memory epochs, whose
-  /// diff base is empty.
-  void CopyPositions(std::span<Vec3> out, PageIOStats* stats) const;
+  /// diff base is empty. IOError when the reload fails; `out` is then
+  /// partly written.
+  Status CopyPositions(std::span<Vec3> out, PageIOStats* stats) const;
+
+  /// Reads every spilled page back from the sidecar: the `i`-th spilled
+  /// page in page order into `dst[i]` (its entry bytes; a span may stop
+  /// short of the page), one `preadv` per run of consecutive sidecar
+  /// ids, each page priced as one page miss into `stats`. IOError on a
+  /// short read or an I/O error — never zero-filled positions.
+  Status ReadSpilled(std::span<const std::span<std::byte>> dst,
+                     PageIOStats* stats) const;
 
   /// Derives the next epoch's overlay for `positions` (`num_vertices`
   /// entries packed `page_bytes / 12` to a page, like an OCT2 positions
@@ -147,8 +136,8 @@ class PositionOverlay {
       size_t* pages_rewritten);
 
   /// Builds the disk-backed twin of `src`: page `i` is recorded as
-  /// spilled at sidecar page id `sidecar_ids[i]` — one of `extent`'s
-  /// ids — and served through the extent's pool on read; where the id
+  /// spilled at sidecar page id `sidecar_ids[i]` — `extent`'s ids, in
+  /// page order — and read back through the extent; where the id
   /// is `kInvalidPageId` the twin keeps `src`'s resident bytes (if
   /// any). The twin holds `extent`, so its pages stay valid as long as
   /// the twin lives. Callers swap the twin in for `src` and let readers
@@ -163,10 +152,33 @@ class PositionOverlay {
   /// Sidecar page id per overlay page (`kInvalidPageId` = not spilled).
   /// Empty for fully resident overlays.
   std::vector<PageId> spilled_;
-  /// Owner of the spilled pages' sidecar ids (and the pool reading
-  /// them); set iff any page is spilled.
+  /// Owner of the spilled pages' sidecar ids (and the descriptor
+  /// reading them); set iff any page is spilled.
   std::shared_ptr<const SpillExtent> extent_;
   size_t positions_per_page_ = 0;
+};
+
+/// \brief One epoch's position pages as memory for the length of a
+/// batch: the page table paged readers go through. Entry `i` points at
+/// position page `i`'s entry bytes — the overlay's resident page, or
+/// the spilled page reloaded into this object's buffer — or is null
+/// where the overlay leaves the page to the base snapshot. Reused
+/// across batches: once warm, binding a resident epoch allocates
+/// nothing and the buffer stays at the largest spilled epoch seen.
+class ResidentEpoch {
+ public:
+  /// Points the table at `overlay`'s resident pages and reloads its
+  /// spilled pages into the buffer (`PositionOverlay::ReadSpilled`:
+  /// one page miss per page into `stats`). On error the table is empty.
+  /// The table is valid while `overlay` lives and until the next `Load`.
+  Status Load(const PositionOverlay& overlay, PageIOStats* stats);
+
+  std::span<const std::byte* const> pages() const { return pages_; }
+
+ private:
+  std::vector<const std::byte*> pages_;
+  std::vector<std::byte> buffer_;
+  std::vector<std::span<std::byte>> reload_;  ///< per spilled page
 };
 
 }  // namespace octopus::storage

@@ -20,6 +20,23 @@ namespace octopus::storage {
 namespace {
 constexpr char kSpillMagic[4] = {'O', 'C', '2', 'D'};
 constexpr uint32_t kSpillVersion = 1;
+
+/// Resumes a vectored transfer after `done` bytes landed: skips the
+/// entries from `*next` that completed and trims a partial one.
+void AdvanceIov(std::vector<iovec>* iov, size_t* next, size_t done) {
+  while (done > 0) {
+    iovec& entry = (*iov)[*next];
+    if (done >= entry.iov_len) {
+      done -= entry.iov_len;
+      ++*next;
+    } else {
+      entry.iov_base = static_cast<char*>(entry.iov_base) + done;
+      entry.iov_len -= done;
+      done = 0;
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<PageId> SpillPageAllocator::Allocate(size_t n) {
@@ -44,16 +61,54 @@ uint64_t SpillPageAllocator::pages_free() const {
   return free_.size();
 }
 
+SpillHandle::~SpillHandle() { ::close(fd); }
+
+Status SpillExtent::Read(std::span<const std::span<std::byte>> dst) const {
+  assert(dst.size() == ids_.size() && "one destination per page");
+  const size_t page_bytes = file_->page_bytes;
+  // The zero pad past a short destination is read into one scratch page
+  // (every pad of the call lands there; nothing reads it back).
+  std::vector<std::byte> pad;
+  std::vector<iovec> iov;
+  for (size_t begin = 0, end = 0; begin < ids_.size(); begin = end) {
+    end = begin + 1;
+    while (end < ids_.size() && ids_[end] == ids_[end - 1] + 1) ++end;
+    iov.clear();
+    for (size_t i = begin; i < end; ++i) {
+      assert(dst[i].size() <= page_bytes && "destination exceeds the page");
+      if (!dst[i].empty()) iov.push_back({dst[i].data(), dst[i].size()});
+      if (dst[i].size() < page_bytes) {
+        if (pad.empty()) pad.resize(page_bytes);
+        iov.push_back({pad.data(), page_bytes - dst[i].size()});
+      }
+    }
+    off_t offset = static_cast<off_t>(ids_[begin]) * page_bytes;
+    for (size_t next = 0; next < iov.size();) {
+      const int count =
+          static_cast<int>(std::min<size_t>(iov.size() - next, IOV_MAX));
+      const ssize_t got = ::preadv(file_->fd, iov.data() + next, count,
+                                   offset);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) {
+        return Status::IOError(
+            "spill reload failed: " + file_->path + ": " +
+            (got < 0 ? std::strerror(errno)
+                     : "short read at sidecar page " +
+                           std::to_string(offset / page_bytes) +
+                           " (the sidecar was truncated)"));
+      }
+      offset += got;
+      AdvanceIov(&iov, &next, static_cast<size_t>(got));
+    }
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<EpochSpillFile>> EpochSpillFile::Create(
-    const std::string& path, uint32_t page_bytes, size_t pool_bytes) {
+    const std::string& path, uint32_t page_bytes) {
   if (page_bytes < kMinPageBytes || page_bytes > (1u << 24)) {
     return Status::InvalidArgument("implausible spill page size " +
                                    std::to_string(page_bytes));
-  }
-  if (pool_bytes < 2 * static_cast<size_t>(page_bytes)) {
-    return Status::InvalidArgument(
-        "spill pool must cover at least 2 pages (" +
-        std::to_string(2 * static_cast<size_t>(page_bytes)) + " bytes)");
   }
   // Exclusive create: the sidecar owns its path for the length of the
   // run and deletes it on close, so silently truncating an existing
@@ -68,20 +123,11 @@ Result<std::unique_ptr<EpochSpillFile>> EpochSpillFile::Create(
         "the sidecar refuses to overwrite — delete a stale sidecar or "
         "pick another --spill-path)");
   }
-  BufferManager::Options options;
-  options.pool_bytes = pool_bytes;
-  auto pool = BufferManager::Open(path, page_bytes, /*num_pages=*/1,
-                                  options);
-  if (!pool.ok()) {
-    ::close(fd);
-    std::remove(path.c_str());
-    return pool.status();
-  }
-  // From here on the destructor closes and removes the file, so a
-  // failed header write never leaves a half-written sidecar behind.
+  // From here on the destructor removes the file (and the last holder
+  // of the handle closes it), so a failed header write never leaves a
+  // half-written sidecar behind.
   std::unique_ptr<EpochSpillFile> spill(new EpochSpillFile(
-      path, page_bytes, fd,
-      std::shared_ptr<BufferManager>(pool.MoveValue())));
+      std::make_shared<const SpillHandle>(fd, page_bytes, path)));
   std::byte header[12];
   std::memcpy(header, kSpillMagic, sizeof(kSpillMagic));
   std::memcpy(header + 4, &kSpillVersion, sizeof(kSpillVersion));
@@ -93,25 +139,21 @@ Result<std::unique_ptr<EpochSpillFile>> EpochSpillFile::Create(
   return spill;
 }
 
-EpochSpillFile::EpochSpillFile(std::string path, uint32_t page_bytes, int fd,
-                               std::shared_ptr<BufferManager> pool)
-    : path_(std::move(path)),
-      page_bytes_(page_bytes),
-      fd_(fd),
-      pool_(std::move(pool)),
+EpochSpillFile::EpochSpillFile(std::shared_ptr<const SpillHandle> file)
+    : file_(std::move(file)),
       allocator_(std::make_shared<SpillPageAllocator>()),
-      zero_page_(page_bytes) {}
+      zero_page_(file_->page_bytes) {}
 
 EpochSpillFile::~EpochSpillFile() {
-  ::close(fd_);
-  // The pool (and any spilled overlay still holding it) may outlive us;
-  // on POSIX the unlinked file stays readable through its open handle.
-  std::remove(path_.c_str());
+  // Extents still held by spilled overlays may outlive us; they keep the
+  // descriptor open, and the unlinked file stays readable through it.
+  std::remove(path().c_str());
 }
 
 uint64_t EpochSpillFile::file_bytes() const {
   struct stat st;
-  return ::fstat(fd_, &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
+  return ::fstat(file_->fd, &st) == 0 ? static_cast<uint64_t>(st.st_size)
+                                      : 0;
 }
 
 Result<std::shared_ptr<const SpillExtent>> EpochSpillFile::Write(
@@ -119,7 +161,7 @@ Result<std::shared_ptr<const SpillExtent>> EpochSpillFile::Write(
   // The extent owns its ids from the start: an early return below drops
   // it, which hands the ids straight back to the free list.
   auto extent = std::make_shared<const SpillExtent>(
-      allocator_, allocator_->Allocate(pages.size()), pool_);
+      allocator_, allocator_->Allocate(pages.size()), file_);
   const std::span<const PageId> ids = extent->ids();
   for (size_t begin = 0, end = 0; begin < ids.size(); begin = end) {
     end = begin + 1;
@@ -127,10 +169,6 @@ Result<std::shared_ptr<const SpillExtent>> EpochSpillFile::Write(
     OCTOPUS_RETURN_NOT_OK(
         WriteRun(ids[begin], pages.subspan(begin, end - begin)));
   }
-  // A recycled id may still sit in the pool with the previous owner's
-  // bytes; drop those frames before anyone can read the new ones.
-  for (const PageId id : ids) pool_->Discard(id);
-  if (!ids.empty()) pool_->ExtendTo(uint64_t{ids.back()} + 1);
   pages_written_.fetch_add(ids.size(), std::memory_order_relaxed);
   return extent;
 }
@@ -139,42 +177,33 @@ Status EpochSpillFile::WriteRun(
     PageId first, std::span<const std::span<const std::byte>> pages) {
   std::vector<iovec> iov;
   iov.reserve(2 * pages.size());
+  const uint32_t page_bytes = file_->page_bytes;
   for (const std::span<const std::byte> page : pages) {
-    assert(page.size() <= page_bytes_ && "entry bytes exceed the page");
+    assert(page.size() <= page_bytes && "entry bytes exceed the page");
     if (!page.empty()) {
       iov.push_back({const_cast<std::byte*>(page.data()), page.size()});
     }
     // Zero-pad to the full page, exactly like the OCT2 writer, so a
     // reloaded page is byte-identical to its resident twin.
-    if (page.size() < page_bytes_) {
+    if (page.size() < page_bytes) {
       iov.push_back({const_cast<std::byte*>(zero_page_.data()),
-                     page_bytes_ - page.size()});
+                     page_bytes - page.size()});
     }
   }
-  off_t offset = static_cast<off_t>(first) * page_bytes_;
+  off_t offset = static_cast<off_t>(first) * page_bytes;
   for (size_t next = 0; next < iov.size();) {
     const int count =
         static_cast<int>(std::min<size_t>(iov.size() - next, IOV_MAX));
-    const ssize_t written = ::pwritev(fd_, iov.data() + next, count, offset);
+    const ssize_t written =
+        ::pwritev(file_->fd, iov.data() + next, count, offset);
     if (written < 0 && errno == EINTR) continue;
     if (written <= 0) {
-      return Status::IOError("spill write failed: " + path_ + ": " +
+      return Status::IOError("spill write failed: " + path() + ": " +
                              (written < 0 ? std::strerror(errno)
                                           : "no progress"));
     }
-    // A short write resumes mid-vector: skip what landed, trim the
-    // partially written entry.
     offset += written;
-    for (size_t left = static_cast<size_t>(written); left > 0;) {
-      if (left >= iov[next].iov_len) {
-        left -= iov[next].iov_len;
-        ++next;
-      } else {
-        iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + left;
-        iov[next].iov_len -= left;
-        left = 0;
-      }
-    }
+    AdvanceIov(&iov, &next, static_cast<size_t>(written));
   }
   return Status::OK();
 }

@@ -4,9 +4,12 @@
 // for both backends, since every epoch is a `PositionOverlay`. The base
 // OCT2 snapshot stays the step-0 source of truth and is never written;
 // the sidecar is a cache of *history* — created per serving run,
-// deleted on close — whose pages are read back on demand through a
-// byte-capped `BufferManager`, so reloading a spilled epoch costs
-// measurable page I/O instead of resident memory.
+// deleted on close. A batch that pins a spilled epoch reads the epoch's
+// pages back once, with one `preadv` per run of consecutive sidecar ids
+// (`SpillExtent::Read`), into memory it owns for the length of the
+// batch: a spilled epoch costs disk and priced page I/O per batch, not
+// resident memory between batches. A short read or an I/O error is a
+// typed IOError, never zero-filled positions.
 //
 // Layout: page 0 is a small header ("OC2D", version, page size); every
 // other page holds one spilled overlay page, zero-padded to the page
@@ -34,7 +37,6 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "storage/buffer_manager.h"
 #include "storage/page.h"
 
 namespace octopus::storage {
@@ -60,17 +62,34 @@ class SpillPageAllocator {
   PageId next_ GUARDED_BY(mu_) = 1;  // page 0 is the header
 };
 
-/// \brief The sidecar pages of one spill, readable through `pool()`.
-/// Owns its ids: destroying the extent hands them back for reuse, so a
-/// spilled epoch's pages stay valid exactly as long as something holds
-/// the extent (held by the epoch's spilled overlay twin).
+/// \brief The sidecar's open descriptor, shared by the file and every
+/// extent: a spilled epoch stays readable while anything holds it, even
+/// past the file's close (an unlinked file stays readable through an
+/// open descriptor).
+struct SpillHandle {
+  SpillHandle(int fd, uint32_t page_bytes, std::string path)
+      : fd(fd), page_bytes(page_bytes), path(std::move(path)) {}
+  ~SpillHandle();
+  SpillHandle(const SpillHandle&) = delete;
+  SpillHandle& operator=(const SpillHandle&) = delete;
+
+  const int fd;
+  const uint32_t page_bytes;
+  const std::string path;
+};
+
+/// \brief The sidecar pages of one spill. Owns its ids: destroying the
+/// extent hands them back for reuse, so a spilled epoch's pages stay
+/// valid exactly as long as something holds the extent (held by the
+/// epoch's spilled overlay twin).
 class SpillExtent {
  public:
   SpillExtent(std::shared_ptr<SpillPageAllocator> allocator,
-              std::vector<PageId> ids, std::shared_ptr<BufferManager> pool)
+              std::vector<PageId> ids,
+              std::shared_ptr<const SpillHandle> file)
       : allocator_(std::move(allocator)),
         ids_(std::move(ids)),
-        pool_(std::move(pool)) {}
+        file_(std::move(file)) {}
   ~SpillExtent() { allocator_->Release(ids_); }
 
   SpillExtent(const SpillExtent&) = delete;
@@ -78,28 +97,35 @@ class SpillExtent {
 
   /// Sidecar page id of each written page, in `Write` order.
   std::span<const PageId> ids() const { return ids_; }
-  BufferManager* pool() const { return pool_.get(); }
+
+  /// Reads the extent back: page `ids()[i]` into `dst[i]` (one span per
+  /// id, at most a page; the rest of the page — the writer's zero pad —
+  /// is skipped), with one `preadv` per run of consecutive ids. IOError
+  /// on an I/O error or a short read (a truncated sidecar): the caller
+  /// never sees zero-filled bytes. Thread-safe.
+  Status Read(std::span<const std::span<std::byte>> dst) const;
 
  private:
   std::shared_ptr<SpillPageAllocator> allocator_;
   std::vector<PageId> ids_;
-  std::shared_ptr<BufferManager> pool_;
+  std::shared_ptr<const SpillHandle> file_;
 };
 
-/// \brief The spill file + its page allocator + the read pool over it.
+/// \brief The spill file + its page allocator.
 ///
 /// Thread-safe: `Write` may run on several threads at once (each writes
-/// only the ids it was just allocated), and readers go through
-/// `pool()`, thread-safe like every `BufferManager`.
+/// only the ids it was just allocated), and extents read concurrently
+/// with both (`pread`/`pwrite` keep no seek state).
 class EpochSpillFile {
  public:
   /// Creates `path` (exclusively — an existing file is an error) with a
-  /// header page. `pool_bytes` caps the reload pool (>= 2 pages).
+  /// header page.
   static Result<std::unique_ptr<EpochSpillFile>> Create(
-      const std::string& path, uint32_t page_bytes, size_t pool_bytes);
+      const std::string& path, uint32_t page_bytes);
 
-  /// Closes and deletes the sidecar: it holds no data that outlives the
-  /// serving run (history is rebuilt from step 0 next time).
+  /// Deletes the sidecar: it holds no data that outlives the serving
+  /// run (history is rebuilt from step 0 next time). The descriptor
+  /// closes with its last holder.
   ~EpochSpillFile();
 
   EpochSpillFile(const EpochSpillFile&) = delete;
@@ -107,39 +133,32 @@ class EpochSpillFile {
 
   /// Writes `pages` (each at most one page; shorter ones are zero-padded
   /// to the page size, writer-identical) to freshly allocated ids, one
-  /// `pwritev` per run of consecutive ids, and makes them readable
-  /// through the pool, after discarding any frame the pool still caches
-  /// for a recycled id. IOError on a failed write, with the ids returned
-  /// to the free list.
+  /// `pwritev` per run of consecutive ids. IOError on a failed write,
+  /// with the ids returned to the free list.
   Result<std::shared_ptr<const SpillExtent>> Write(
       std::span<const std::span<const std::byte>> pages);
 
-  const std::shared_ptr<BufferManager>& pool() const { return pool_; }
-  uint32_t page_bytes() const { return page_bytes_; }
-  const std::string& path() const { return path_; }
+  uint32_t page_bytes() const { return file_->page_bytes; }
+  const std::string& path() const { return file_->path; }
   /// Pages written so far (excluding the header page), monotonic: a
   /// recycled id counts again each time it is rewritten.
   uint64_t pages_written() const {
     return pages_written_.load(std::memory_order_relaxed);
   }
-  uint64_t bytes_written() const { return pages_written() * page_bytes_; }
+  uint64_t bytes_written() const { return pages_written() * page_bytes(); }
   /// The file's size on disk — its footprint, header page included.
   uint64_t file_bytes() const;
   /// Ids below the high-water mark that no extent owns.
   uint64_t pages_free() const { return allocator_->pages_free(); }
 
  private:
-  EpochSpillFile(std::string path, uint32_t page_bytes, int fd,
-                 std::shared_ptr<BufferManager> pool);
+  explicit EpochSpillFile(std::shared_ptr<const SpillHandle> file);
 
   /// Writes `pages` at consecutive ids starting at `first` (one run).
   Status WriteRun(PageId first,
                   std::span<const std::span<const std::byte>> pages);
 
-  const std::string path_;
-  const uint32_t page_bytes_;
-  const int fd_;  // write handle; the pool holds its own read handle
-  const std::shared_ptr<BufferManager> pool_;
+  const std::shared_ptr<const SpillHandle> file_;
   const std::shared_ptr<SpillPageAllocator> allocator_;
   /// One page of zeros: the pad source of every short page.
   const std::vector<std::byte> zero_page_;

@@ -91,35 +91,23 @@ Result<std::unique_ptr<PagedMeshStore>> PagedMeshStore::Open(
   std::vector<Vec3> surface_positions;
   OCTOPUS_RETURN_NOT_OK(
       GatherSurfacePositions(f.get(), h, surface, &surface_positions));
-  // The ids ascend, so each position page's surface vertices are one
-  // contiguous rank range; record where each page's range starts.
-  const size_t per_page = h.PositionsPerPage();
-  const size_t position_pages = (h.num_vertices + per_page - 1) / per_page;
-  std::vector<uint32_t> surface_page_ranks(position_pages + 1);
-  for (size_t p = 0, rank = 0; p <= position_pages; ++p) {
-    while (rank < surface.size() && surface[rank] < p * per_page) ++rank;
-    surface_page_ranks[p] = static_cast<uint32_t>(rank);
-  }
 
   auto buffer =
       BufferManager::Open(path, h.page_bytes, h.num_pages, options);
   if (!buffer.ok()) return buffer.status();
   return std::unique_ptr<PagedMeshStore>(
       new PagedMeshStore(h, std::move(surface), std::move(surface_positions),
-                         std::move(surface_page_ranks), buffer.MoveValue()));
+                         buffer.MoveValue()));
 }
 
 void PagedMeshAccessor::ConfigureLeases(size_t shards) {
-  // Per-shard frame budget: with `shards` accessors sharing the pool(s),
+  // Per-shard frame budget: with `shards` accessors sharing the pool,
   // each may hold at most (frames/shards - 2) lease pins, leaving two
   // frames of per-shard headroom for transient pins. Lease pins alone
   // can then never exhaust the pool, which is what makes "never block
   // while leasing" a liveness guarantee and not just a policy.
-  size_t frames = store_->buffer_manager()->max_frames();
-  if (overlay_ != nullptr && overlay_->spill_pool() != nullptr) {
-    frames = std::min(frames, overlay_->spill_pool()->max_frames());
-  }
-  const size_t per_shard = frames / std::max<size_t>(shards, 1);
+  const size_t per_shard = store_->buffer_manager()->max_frames() /
+                           std::max<size_t>(shards, 1);
   lease_cap_ =
       per_shard > 2 ? std::min(kDefaultLeaseCap, per_shard - 2) : 0;
   zero_copy_ = lease_cap_ >= kMinLeasesForZeroCopy;
@@ -132,106 +120,68 @@ void PagedMeshAccessor::ConfigureLeases(size_t shards) {
   }
 }
 
-void PagedMeshAccessor::BeginBatch(const PositionOverlay* overlay,
-                                   size_t shards) {
+void PagedMeshAccessor::BeginBatch(
+    std::span<const std::byte* const> position_pages, size_t shards) {
   EndBatch();
-  overlay_ = overlay;
+  pages_ = position_pages;
+  if (touched_.size() < pages_.size()) touched_.resize(pages_.size(), 0);
   ConfigureLeases(shards);
-  if (overlay_ != nullptr) PatchProbePositions();
-}
-
-void PagedMeshAccessor::PatchProbePositions() {
-  const std::vector<Vec3>& base = store_->surface_positions();
-  const std::vector<VertexId>& ids = store_->surface_vertices();
-  const std::vector<uint32_t>& page_ranks = store_->surface_page_ranks();
-  const size_t per_page = store_->header().PositionsPerPage();
-
-  // Revert last batch's patches (the previous overlay's pages need not
-  // be this one's) before applying the new delta.
-  for (const uint32_t p : patched_pages_) {
-    std::copy(base.begin() + page_ranks[p], base.begin() + page_ranks[p + 1],
-              patched_probe_.begin() + page_ranks[p]);
-  }
-  patched_pages_.clear();
-
-  bool patched = false;
-  const size_t num_slots = overlay_->num_page_slots();
-  for (uint64_t p = 0; p < num_slots; ++p) {
-    const std::byte* resident = overlay_->Lookup(p);
-    const PageId spilled =
-        resident != nullptr ? kInvalidPageId : overlay_->spilled_id(p);
-    if (resident == nullptr && spilled == kInvalidPageId) continue;
-    const uint32_t lo = page_ranks[p];
-    const uint32_t hi = page_ranks[p + 1];
-    if (lo == hi) continue;
-    if (!patched) {
-      if (patched_probe_.empty()) {
-        patched_probe_.assign(base.begin(), base.end());
-      }
-      patched = true;
-    }
-    if (resident != nullptr) {
-      // Price the page once per batch, exactly as the crawl's first
-      // touch through `ReadOverlay` would; further reads (probe or
-      // crawl) of its bytes are then free re-reads.
-      if (lease_cap_ == 0) {
-        ++stats_->page_hits;
-      } else {
-        if (overlay_touched_.size() < num_slots) {
-          overlay_touched_.resize(num_slots, 0);
-        }
-        if (overlay_touched_[p] == 0) {
-          overlay_touched_[p] = 1;
-          ++stats_->page_hits;
-          ++stats_->pages_leased;
-          ++stats_->pages_distinct;
-        }
-      }
-    }
-    for (uint32_t rank = lo; rank != hi; ++rank) {
-      const VertexId v = ids[rank];
-      const size_t offset = (v - p * per_page) * sizeof(Vec3);
-      if (resident != nullptr) {
-        std::memcpy(&patched_probe_[rank], resident + offset,
-                    sizeof(Vec3));
-      } else {
-        ReadPooled(overlay_->spill_pool(), kTagSpill, spilled, offset,
-                   sizeof(Vec3), &patched_probe_[rank]);
-      }
-    }
-    patched_pages_.push_back(static_cast<uint32_t>(p));
-  }
-  probe_positions_ =
-      patched ? patched_probe_.data() : base.data();
 }
 
 void PagedMeshAccessor::EndBatch() {
-  span_pool_ = nullptr;
+  pages_ = {};
   span_page_ = kInvalidPageId;
   ReleaseLeases(false);
   degraded_ = false;
   last_prefetch_page_ = ~0ull;
-  probe_positions_ = store_->surface_positions().data();
-  distinct_.clear();
-  std::fill(overlay_touched_.begin(), overlay_touched_.end(),
-            static_cast<uint8_t>(0));
+  if (++batch_stamp_ == 0) {
+    // Wrapped: no page may keep a stamp a later batch reuses.
+    std::fill(page_stamps_.begin(), page_stamps_.end(), 0u);
+    batch_stamp_ = 1;
+  }
+  std::fill(touched_.begin(), touched_.end(), static_cast<uint8_t>(0));
 }
 
-PagedMeshAccessor::Lease* PagedMeshAccessor::FindLease(BufferManager* pool,
-                                                       PageId page) {
+void PagedMeshAccessor::TouchEpochPage(uint32_t index,
+                                       const std::byte* page) {
+  touched_[index] = 1;
+  ++stats_->page_hits;
+  if (lease_cap_ != 0) {
+    ++stats_->pages_leased;
+    ++stats_->pages_distinct;
+    // Epoch bytes are stable for the batch: position()'s MRU may serve
+    // this page directly from them.
+    pos_mru_index_ = index;
+    pos_mru_data_ = page;
+  }
+}
+
+void PagedMeshAccessor::ReadEpochPage(uint32_t index, const std::byte* page,
+                                      size_t offset, Vec3* dst) {
+  if (lease_cap_ == 0) {
+    // Pre-lease pricing: every epoch-page read is a pool hit.
+    ++stats_->page_hits;
+  } else if (touched_[index] == 0) {
+    TouchEpochPage(index, page);
+  } else {
+    ++stats_->lease_hits;
+    pos_mru_index_ = index;
+    pos_mru_data_ = page;
+  }
+  std::memcpy(dst, page + offset, sizeof(Vec3));
+}
+
+PagedMeshAccessor::Lease* PagedMeshAccessor::FindLease(PageId page) {
   if (count_ == 0) return nullptr;
   const std::array<Lease, kDefaultLeaseCap>& leases = leases_;
   const uint32_t index = lease_table_.Find(
-      LeaseKey(pool, page), [&leases, pool, page](uint32_t i) {
-        return leases[i].pool == pool && leases[i].page == page;
-      });
+      page, [&leases, page](uint32_t i) { return leases[i].page == page; });
   return index == kNoIndex ? nullptr : &leases_[index];
 }
 
-const std::byte* PagedMeshAccessor::AcquireLease(BufferManager* pool,
-                                                 uint8_t tag, PageId page,
+const std::byte* PagedMeshAccessor::AcquireLease(PageId page,
                                                  bool speculative) {
-  const std::byte* data = pool->TryPin(page, stats_);
+  const std::byte* data = store_->buffer_manager()->TryPin(page, stats_);
   if (data == nullptr) {
     // Pool pressure (every frame pinned). Degrade to transient pins for
     // the rest of the batch rather than ever blocking while holding
@@ -247,18 +197,17 @@ const std::byte* PagedMeshAccessor::AcquireLease(BufferManager* pool,
     return nullptr;
   }
   ++stats_->pages_leased;
-  NoteDistinct(tag, page);
-  InsertLease(pool, page, data);
+  NoteDistinct(page);
+  InsertLease(page, data);
   return data;
 }
 
-void PagedMeshAccessor::InsertLease(BufferManager* pool, PageId page,
-                                    const std::byte* data) {
+void PagedMeshAccessor::InsertLease(PageId page, const std::byte* data) {
   if (count_ == lease_cap_) RevokeLRU();
   const uint32_t index = free_[kDefaultLeaseCap - 1 - count_];
   ++count_;
-  leases_[index] = Lease{data, pool, page};
-  lease_table_.Insert(LeaseKey(pool, page), index);
+  leases_[index] = Lease{data, page};
+  lease_table_.Insert(page, index);
   lease_lru_.PushBack(index);
   mru_ = &leases_[index];
 }
@@ -277,16 +226,15 @@ void PagedMeshAccessor::RevokeLRU() {
   assert(victim != kNoIndex &&
          "lease cap must exceed the (single) protected span");
   if (mru_ == &leases_[victim]) mru_ = nullptr;
-  leases_[victim].pool->Unpin(leases_[victim].page);
+  store_->buffer_manager()->Unpin(leases_[victim].page);
   DropLease(victim);
 }
 
 void PagedMeshAccessor::DropLease(uint32_t index) {
   const std::array<Lease, kDefaultLeaseCap>& leases = leases_;
-  lease_table_.Erase(LeaseKey(leases[index].pool, leases[index].page), index,
-                     [&leases](uint32_t i) {
-                       return LeaseKey(leases[i].pool, leases[i].page);
-                     });
+  lease_table_.Erase(leases[index].page, index, [&leases](uint32_t i) {
+    return uint64_t{leases[i].page};
+  });
   lease_lru_.Remove(index);
   leases_[index] = Lease{};
   --count_;
@@ -303,48 +251,46 @@ void PagedMeshAccessor::ReleaseLeases(bool keep_span) {
       // Keep this pin; the caller's span aliases its frame.
       mru_ = &leases_[i];
     } else {
-      leases_[i].pool->Unpin(leases_[i].page);
+      store_->buffer_manager()->Unpin(leases_[i].page);
       DropLease(i);
     }
     i = next;
   }
 }
 
-void PagedMeshAccessor::ReadPooled(BufferManager* pool, uint8_t tag,
-                                   PageId page, size_t offset, size_t len,
+void PagedMeshAccessor::ReadPooled(PageId page, size_t offset, size_t len,
                                    void* dst) {
   if (lease_cap_ != 0 && !degraded_) {
-    if (Lease* l = mru_; l != nullptr && l->page == page &&
-                         l->pool == pool) {
+    if (Lease* l = mru_; l != nullptr && l->page == page) {
       TouchLease(l);
       ++stats_->lease_hits;
       std::memcpy(dst, l->data + offset, len);
       return;
     }
-    if (Lease* l = FindLease(pool, page)) {
+    if (Lease* l = FindLease(page)) {
       TouchLease(l);
       ++stats_->lease_hits;
       mru_ = l;
       std::memcpy(dst, l->data + offset, len);
       return;
     }
-    if (const std::byte* data = AcquireLease(pool, tag, page, false)) {
+    if (const std::byte* data = AcquireLease(page, false)) {
       std::memcpy(dst, data + offset, len);
       return;
     }
   }
-  TransientRead(pool, tag, page, offset, len, dst);
+  TransientRead(page, offset, len, dst);
 }
 
-void PagedMeshAccessor::TransientRead(BufferManager* pool, uint8_t tag,
-                                      PageId page, size_t offset,
+void PagedMeshAccessor::TransientRead(PageId page, size_t offset,
                                       size_t len, void* dst) {
+  BufferManager* pool = store_->buffer_manager();
   if (lease_cap_ == 0) {
     // Leasing disabled (tiny pool): the pre-lease behavior exactly.
     pool->CopyOut(page, offset, len, dst, stats_);
     return;
   }
-  NoteDistinct(tag, page);
+  NoteDistinct(page);
   if (const std::byte* data = pool->TryPin(page, stats_)) {
     std::memcpy(dst, data + offset, len);
     pool->Unpin(page);
@@ -360,58 +306,19 @@ void PagedMeshAccessor::TransientRead(BufferManager* pool, uint8_t tag,
   pool->CopyOut(page, offset, len, dst, stats_);
 }
 
-bool PagedMeshAccessor::ReadOverlay(uint64_t index, size_t offset,
-                                    size_t len, void* dst) {
-  if (const std::byte* resident = overlay_->Lookup(index)) {
-    if (lease_cap_ == 0) {
-      // Pre-lease pricing: every resident-delta read is a pool hit.
-      ++stats_->page_hits;
-    } else {
-      if (overlay_touched_.size() < overlay_->num_page_slots()) {
-        overlay_touched_.resize(overlay_->num_page_slots(), 0);
-      }
-      if (overlay_touched_[index] == 0) {
-        overlay_touched_[index] = 1;
-        ++stats_->page_hits;
-        ++stats_->pages_leased;
-        ++stats_->pages_distinct;
-      } else {
-        ++stats_->lease_hits;
-      }
-      // Resident delta bytes are stable for the batch: position()'s MRU
-      // may serve this page directly from them.
-      pos_mru_index_ = index;
-      pos_mru_data_ = resident;
-    }
-    std::memcpy(dst, resident + offset, len);
-    return true;
-  }
-  const PageId spilled = overlay_->spilled_id(index);
-  if (spilled != kInvalidPageId) {
-    ReadPooled(overlay_->spill_pool(), kTagSpill, spilled, offset, len,
-               dst);
-    return true;
-  }
-  return false;
-}
-
 void PagedMeshAccessor::PrefetchPosition(VertexId v) {
   if (lease_cap_ == 0 || degraded_) return;
-  const SnapshotHeader& h = store_->header();
-  const uint64_t page_index = pos_div_.Div(v);
+  const uint32_t page_index = pos_div_.Div(v);
   if (page_index == last_prefetch_page_) return;
   last_prefetch_page_ = page_index;
-  if (overlay_ != nullptr &&
-      (overlay_->Lookup(page_index) != nullptr ||
-       overlay_->spilled_id(page_index) != kInvalidPageId)) {
-    return;  // resident delta is already memory; spills are not speculated
+  if (page_index < pages_.size() && pages_[page_index] != nullptr) {
+    return;  // an epoch page is already memory
   }
   if (count_ >= lease_cap_) return;  // never revoke for speculation
-  BufferManager* pool = store_->buffer_manager();
-  const PageId page =
-      static_cast<PageId>(h.positions_start_page + page_index);
-  if (FindLease(pool, page) != nullptr) return;
-  AcquireLease(pool, kTagBase, page, /*speculative=*/true);
+  const PageId page = static_cast<PageId>(
+      store_->header().positions_start_page + page_index);
+  if (FindLease(page) != nullptr) return;
+  AcquireLease(page, /*speculative=*/true);
 }
 
 uint32_t PagedMeshAccessor::ReadU32(uint64_t section_start_page,
@@ -421,8 +328,7 @@ uint32_t PagedMeshAccessor::ReadU32(uint64_t section_start_page,
   const uint32_t n = static_cast<uint32_t>(index);
   const uint32_t page_index = u32_div_.Div(n);
   uint32_t value = 0;
-  ReadPooled(store_->buffer_manager(), kTagBase,
-             static_cast<PageId>(section_start_page + page_index),
+  ReadPooled(static_cast<PageId>(section_start_page + page_index),
              (n - page_index * u32_div_.divisor()) * sizeof(uint32_t),
              sizeof(uint32_t), &value);
   return value;
@@ -433,7 +339,6 @@ std::span<const VertexId> PagedMeshAccessor::neighbors(VertexId v) {
   const size_t per_page = h.U32PerPage();
   // This call invalidates the previous span (accessor contract), so its
   // lease loses revocation protection up front.
-  span_pool_ = nullptr;
   span_page_ = kInvalidPageId;
 
   // CSR offsets for v and v+1; one page access when they share a page
@@ -441,8 +346,7 @@ std::span<const VertexId> PagedMeshAccessor::neighbors(VertexId v) {
   uint32_t range[2];
   const uint32_t offsets_page = u32_div_.Div(v);
   if (offsets_page == u32_div_.Div(v + 1)) {
-    ReadPooled(store_->buffer_manager(), kTagBase,
-               static_cast<PageId>(h.adj_offsets_start_page + offsets_page),
+    ReadPooled(static_cast<PageId>(h.adj_offsets_start_page + offsets_page),
                (v - offsets_page * u32_div_.divisor()) * sizeof(uint32_t),
                2 * sizeof(uint32_t), range);
   } else {
@@ -460,20 +364,18 @@ std::span<const VertexId> PagedMeshAccessor::neighbors(VertexId v) {
       // aliasing the leased frame bytes directly — no memcpy. The
       // lease is revocation-protected until the next neighbors() call
       // (position() calls never invalidate the span).
-      BufferManager* pool = store_->buffer_manager();
       const PageId page =
           static_cast<PageId>(h.adj_start_page + entry_page);
       const std::byte* data = nullptr;
-      if (Lease* l = FindLease(pool, page)) {
+      if (Lease* l = FindLease(page)) {
         TouchLease(l);
         ++stats_->lease_hits;
         mru_ = l;
         data = l->data;
       } else {
-        data = AcquireLease(pool, kTagBase, page, false);
+        data = AcquireLease(page, false);
       }
       if (data != nullptr) {
-        span_pool_ = pool;
         span_page_ = page;
         return {reinterpret_cast<const VertexId*>(
                     data + within * sizeof(uint32_t)),
@@ -490,8 +392,7 @@ std::span<const VertexId> PagedMeshAccessor::neighbors(VertexId v) {
     const uint64_t entry = range[0] + done;
     const size_t within = entry % per_page;
     const size_t chunk = std::min(degree - done, per_page - within);
-    ReadPooled(store_->buffer_manager(), kTagBase,
-               static_cast<PageId>(h.adj_start_page + entry / per_page),
+    ReadPooled(static_cast<PageId>(h.adj_start_page + entry / per_page),
                within * sizeof(uint32_t), chunk * sizeof(uint32_t),
                scratch_.data() + done);
     done += chunk;

@@ -25,6 +25,13 @@
 //    count, so blocked threads can never pin the whole pool;
 //  * every lease is released at batch end (`EndBatch`), so counters are
 //    deterministic and an idle accessor holds no pool resources.
+//
+// Epoch positions: a batch binds a per-batch position page table
+// (`ResidentEpoch::pages()`, storage/delta_overlay.h) with one pointer
+// per position page — the epoch's memory bytes, or null for the base
+// snapshot. `position`, `ProbePosition` and `PrefetchPosition` read it
+// directly; a spilled epoch was reloaded into memory before the batch,
+// so no page of an epoch is ever read through the pool.
 #ifndef OCTOPUS_STORAGE_PAGED_MESH_H_
 #define OCTOPUS_STORAGE_PAGED_MESH_H_
 
@@ -33,7 +40,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -76,18 +82,11 @@ class PagedMeshStore {
   /// `surface_vertices()` (== the probe order). Loaded once at `Open`
   /// alongside the id list and priced the same way: the surface probe is
   /// index-side work, so `ProbePosition` serves undeformed positions
-  /// from here at memory speed — only overlay-covered (deformed) pages
+  /// from here at memory speed — only the epoch's (deformed) pages
   /// cost page accesses, which keeps a query's page-access count near
   /// the distinct pages its walk and crawl actually touch.
   const std::vector<Vec3>& surface_positions() const {
     return surface_positions_;
-  }
-
-  /// Surface ranks by position page: the surface vertices on position
-  /// page `p` are ranks [surface_page_ranks()[p], surface_page_ranks()[p
-  /// + 1]) of `surface_vertices()` (one entry per page, plus one).
-  const std::vector<uint32_t>& surface_page_ranks() const {
-    return surface_page_ranks_;
   }
 
   BufferManager* buffer_manager() const { return buffer_.get(); }
@@ -100,25 +99,21 @@ class PagedMeshStore {
   /// footprints alongside the surface hash table.
   size_t ResidentBytes() const {
     return surface_vertices_.capacity() * sizeof(VertexId) +
-           surface_positions_.capacity() * sizeof(Vec3) +
-           surface_page_ranks_.capacity() * sizeof(uint32_t);
+           surface_positions_.capacity() * sizeof(Vec3);
   }
 
  private:
   PagedMeshStore(SnapshotHeader header, std::vector<VertexId> surface,
                  std::vector<Vec3> surface_positions,
-                 std::vector<uint32_t> surface_page_ranks,
                  std::unique_ptr<BufferManager> buffer)
       : header_(header),
         surface_vertices_(std::move(surface)),
         surface_positions_(std::move(surface_positions)),
-        surface_page_ranks_(std::move(surface_page_ranks)),
         buffer_(std::move(buffer)) {}
 
   SnapshotHeader header_;
   std::vector<VertexId> surface_vertices_;
   std::vector<Vec3> surface_positions_;
-  std::vector<uint32_t> surface_page_ranks_;
   std::unique_ptr<BufferManager> buffer_;
 };
 
@@ -142,6 +137,12 @@ class PagedMeshStore {
 /// per batch (`pages_distinct` is the exact per-shard count). With
 /// leasing off (`lease_cap() == 0`, e.g. a 2-page pool) every read is a
 /// transient pin priced per call — the pre-lease behavior, bit for bit.
+///
+/// Epoch pages (the bound page table's non-null entries) are memory and
+/// pin nothing: the first touch of one in a batch is priced like a lease
+/// acquisition (`page_hits`, `pages_leased`, `pages_distinct`), later
+/// crawl reads count `lease_hits` and later probe reads count nothing.
+/// With leasing off every crawl read of one is a `page_hits`.
 class PagedMeshAccessor {
  public:
   /// Upper bound on leases per accessor; the effective cap is the
@@ -159,9 +160,10 @@ class PagedMeshAccessor {
   PagedMeshAccessor(const PagedMeshStore* store, PageIOStats* stats)
       : store_(store),
         stats_(stats),
-        probe_positions_(store->surface_positions().data()) {
+        base_probe_(store->surface_positions().data()) {
     pos_div_.Init(
         static_cast<uint32_t>(store->header().PositionsPerPage()));
+    page_stamps_.resize(store->header().num_pages);
     u32_div_.Init(static_cast<uint32_t>(store->header().U32PerPage()));
     ConfigureLeases(1);
   }
@@ -173,14 +175,15 @@ class PagedMeshAccessor {
   const PagedMeshStore& store() const { return *store_; }
   void set_stats(PageIOStats* stats) { stats_ = stats; }
 
-  /// Binds the accessor to a batch: releases any stale leases, pins
-  /// position reads to `overlay` (null = base snapshot), and sizes the
-  /// lease budget for `shards` concurrent accessors sharing the pool.
-  /// While an overlay is set, position pages present in it are served
-  /// from its (memory-resident) delta bytes or its spill sidecar — the
-  /// epoch the caller pinned; the overlay must outlive the batch.
-  /// Adjacency always reads the base file: connectivity never deforms.
-  void BeginBatch(const PositionOverlay* overlay, size_t shards);
+  /// Binds the accessor to a batch: releases any stale leases, reads
+  /// positions through `position_pages` — one entry per position page,
+  /// the epoch's bytes or null for the base snapshot; empty = the base
+  /// snapshot throughout (see `ResidentEpoch`) — and sizes the lease
+  /// budget for `shards` concurrent accessors sharing the pool. The
+  /// table and the bytes it points at must outlive the batch. Adjacency
+  /// always reads the base file: connectivity never deforms.
+  void BeginBatch(std::span<const std::byte* const> position_pages,
+                  size_t shards);
 
   /// Releases every lease, clears the degraded flag and the per-batch
   /// first-touch tracking. Idempotent; called by the batch core after a
@@ -190,13 +193,12 @@ class PagedMeshAccessor {
   size_t num_vertices() const { return store_->num_vertices(); }
 
   Vec3 position(VertexId v) {
-    const uint64_t page_index = pos_div_.Div(v);
-    const size_t offset =
-        (v - page_index * pos_div_.divisor()) * sizeof(Vec3);
+    const uint32_t page_index = pos_div_.Div(v);
+    const size_t offset = PositionOffset(v, page_index);
     Vec3 p;
     // MRU fast path: consecutive reads overwhelmingly land on the last
     // position page (crawl locality); serve them with one compare and a
-    // 12-byte copy — no overlay lookup, no lease-table probe.
+    // 12-byte copy — no page-table lookup, no lease-table probe.
     if (page_index == pos_mru_index_) {
       ++stats_->lease_hits;
       std::memcpy(&p, pos_mru_data_ + offset, sizeof(Vec3));
@@ -209,21 +211,22 @@ class PagedMeshAccessor {
   std::span<const VertexId> neighbors(VertexId v);
 
   /// The surface probe's position read: `rank` is the vertex's index in
-  /// the probe order (== the store's surface list). Overlay-covered
-  /// (deformed) pages read through the overlay like `position`; all
-  /// other reads come from the store's resident surface positions — the
-  /// probe is index work, not crawled-data I/O.
-  /// The probe is a bare array read: `probe_positions_` points at the
-  /// store's base surface positions, or — while an overlay is bound — at
-  /// a batch-local copy `BeginBatch` patched with the overlay's deformed
-  /// pages (priced once per covered page, like the crawl's first touch).
-  /// Either way the per-candidate cost matches the in-memory executor.
-  Vec3 ProbePosition(size_t rank, VertexId) const {
-    return probe_positions_[rank];
-  }
-
-  void PrefetchProbePosition(size_t rank, VertexId) {
-    __builtin_prefetch(probe_positions_ + rank);
+  /// the probe order (== the store's surface list). A page the bound
+  /// table holds is read from it; every other read comes from the
+  /// store's resident base surface positions — the probe is index work,
+  /// not crawled-data I/O — so the per-candidate cost stays a few loads.
+  /// Both are read in ascending order, so no software prefetch is needed.
+  Vec3 ProbePosition(size_t rank, VertexId v) {
+    const uint32_t page_index = pos_div_.Div(v);
+    if (page_index < pages_.size()) {
+      if (const std::byte* page = pages_[page_index]) {
+        if (touched_[page_index] == 0) TouchEpochPage(page_index, page);
+        Vec3 p;
+        std::memcpy(&p, page + PositionOffset(v, page_index), sizeof(Vec3));
+        return p;
+      }
+    }
+    return base_probe_[rank];
   }
 
   /// Real out-of-core prefetch: leases `v`'s position page ahead of
@@ -238,9 +241,8 @@ class PagedMeshAccessor {
   size_t ScratchBytes() const {
     return scratch_.capacity() * sizeof(VertexId) + sizeof(leases_) +
            lease_table_.num_slots() * sizeof(uint32_t) +
-           overlay_touched_.capacity() * sizeof(uint8_t) +
-           patched_probe_.capacity() * sizeof(Vec3) +
-           patched_pages_.capacity() * sizeof(uint32_t);
+           touched_.capacity() * sizeof(uint8_t) +
+           page_stamps_.capacity() * sizeof(uint32_t);
   }
 
   // Lease introspection (tests and benches).
@@ -252,7 +254,6 @@ class PagedMeshAccessor {
  private:
   struct Lease {
     const std::byte* data = nullptr;  ///< null marks a free entry
-    BufferManager* pool = nullptr;    ///< pool holding the pin
     PageId page = 0;
   };
 
@@ -277,28 +278,17 @@ class PagedMeshAccessor {
     uint32_t d_ = 1;
   };
 
-  // Tags namespacing `pages_distinct` keys across pools.
-  static constexpr uint8_t kTagBase = 0;
-  static constexpr uint8_t kTagSpill = 1;
-
   void ConfigureLeases(size_t shards);
 
-  bool HasSpan() const { return span_pool_ != nullptr; }
-  bool IsSpanLease(const Lease& l) const {
-    return HasSpan() && l.pool == span_pool_ && l.page == span_page_;
-  }
+  bool IsSpanLease(const Lease& l) const { return l.page == span_page_; }
 
-  static uint64_t LeaseKey(const BufferManager* pool, PageId page) {
-    return page + (reinterpret_cast<uintptr_t>(pool) >> 4);
-  }
-  Lease* FindLease(BufferManager* pool, PageId page);
+  Lease* FindLease(PageId page);
   /// Marks a held lease most recently used.
   void TouchLease(const Lease* l) {
     lease_lru_.Touch(static_cast<uint32_t>(l - leases_.data()));
   }
-  const std::byte* AcquireLease(BufferManager* pool, uint8_t tag,
-                                PageId page, bool speculative);
-  void InsertLease(BufferManager* pool, PageId page, const std::byte* data);
+  const std::byte* AcquireLease(PageId page, bool speculative);
+  void InsertLease(PageId page, const std::byte* data);
   void RevokeLRU();
   /// Forgets entry `index` (its pin must be released or kept elsewhere).
   void DropLease(uint32_t index);
@@ -306,55 +296,58 @@ class PagedMeshAccessor {
   /// the outstanding zero-copy span (if any) survives.
   void ReleaseLeases(bool keep_span);
 
-  void NoteDistinct(uint8_t tag, PageId page) {
-    if (distinct_.insert((static_cast<uint64_t>(tag) << 32) | page).second) {
+  void NoteDistinct(PageId page) {
+    if (page_stamps_[page] != batch_stamp_) {
+      page_stamps_[page] = batch_stamp_;
       ++stats_->pages_distinct;
     }
   }
 
-  /// Read through the lease table, falling back to a transient pin.
-  void ReadPooled(BufferManager* pool, uint8_t tag, PageId page,
-                  size_t offset, size_t len, void* dst);
-  void TransientRead(BufferManager* pool, uint8_t tag, PageId page,
-                     size_t offset, size_t len, void* dst);
+  /// Read of a base-snapshot page through the lease table, falling back
+  /// to a transient pin.
+  void ReadPooled(PageId page, size_t offset, size_t len, void* dst);
+  void TransientRead(PageId page, size_t offset, size_t len, void* dst);
 
-  /// Overlay read of position page `index`; false = page not in the
-  /// overlay (read the base snapshot).
-  bool ReadOverlay(uint64_t index, size_t offset, size_t len, void* dst);
+  size_t PositionOffset(VertexId v, uint32_t page_index) const {
+    return (v - page_index * pos_div_.divisor()) * sizeof(Vec3);
+  }
 
-  /// Points `probe_positions_` at a batch-local surface-position array
-  /// patched with the bound overlay's deformed pages (reverting last
-  /// batch's patches first). Called by `BeginBatch` when an overlay is
-  /// set.
-  void PatchProbePositions();
+  /// Prices the batch's first touch of epoch page `index` (see the class
+  /// comment).
+  void TouchEpochPage(uint32_t index, const std::byte* page);
 
-  void ReadPosition(uint64_t page_index, size_t offset, Vec3* dst) {
-    if (overlay_ != nullptr && overlay_->Covers(page_index) &&
-        ReadOverlay(page_index, offset, sizeof(Vec3), dst)) {
-      return;
+  void ReadPosition(uint32_t page_index, size_t offset, Vec3* dst) {
+    if (page_index < pages_.size()) {
+      if (const std::byte* page = pages_[page_index]) {
+        ReadEpochPage(page_index, page, offset, dst);
+        return;
+      }
     }
-    const SnapshotHeader& h = store_->header();
-    BufferManager* pool = store_->buffer_manager();
-    const PageId page =
-        static_cast<PageId>(h.positions_start_page + page_index);
-    ReadPooled(pool, kTagBase, page, offset, sizeof(Vec3), dst);
+    const PageId base_page = static_cast<PageId>(
+        store_->header().positions_start_page + page_index);
+    ReadPooled(base_page, offset, sizeof(Vec3), dst);
     // If the read left a lease on this page, remember its frame for the
     // MRU fast path in position().
-    if (mru_ != nullptr && mru_->page == page && mru_->pool == pool) {
+    if (mru_ != nullptr && mru_->page == base_page) {
       pos_mru_index_ = page_index;
       pos_mru_data_ = mru_->data;
     }
   }
+  void ReadEpochPage(uint32_t index, const std::byte* page, size_t offset,
+                     Vec3* dst);
 
   uint32_t ReadU32(uint64_t section_start_page, uint64_t index);
 
   const PagedMeshStore* store_;
   PageIOStats* stats_;
-  const PositionOverlay* overlay_ = nullptr;
+  /// The bound batch's position page table (empty = base snapshot) and
+  /// the store's base probe-order positions.
+  std::span<const std::byte* const> pages_;
+  const Vec3* base_probe_;
   std::vector<VertexId> scratch_;  // neighbors() copy-out target
 
   // Lease table: up to lease_cap_ held leases in stable entries, found
-  // through an open-addressed (pool, page) -> entry index table, and
+  // through an open-addressed page -> entry index table, and
   // kept on a recency list (least recently used first) that picks the
   // revocation victim. Free entry indices sit on a stack:
   // free_[0, kDefaultLeaseCap - count_).
@@ -368,37 +361,31 @@ class PagedMeshAccessor {
   /// Pool pressure hit: serve the rest of the batch through transient
   /// pins (graceful degradation; reset by EndBatch).
   bool degraded_ = false;
-  /// Key of the lease backing the current zero-copy neighbors() span
-  /// (revocation-protected); span_pool_ == nullptr means no such span.
-  BufferManager* span_pool_ = nullptr;
+  /// Page of the lease backing the current zero-copy neighbors() span
+  /// (revocation-protected); kInvalidPageId means no such span.
   PageId span_page_ = kInvalidPageId;
   uint64_t last_prefetch_page_ = ~0ull;
   /// MRU caches for the two per-read hot paths. `mru_` points at the
   /// most recently used lease entry (entries never move; revoking that
   /// entry or a release resets it); the pos pair short-circuits
-  /// `position()` to a stable frame or overlay-resident byte range keyed
-  /// by position page index. Never populated with transient-pin data, and never in
-  /// legacy (lease_cap_ == 0) mode where every read must be re-priced.
+  /// `position()` to a stable frame or epoch page keyed by position page
+  /// index. Never populated with transient-pin data, and never in legacy
+  /// (lease_cap_ == 0) mode where every read must be re-priced.
   Lease* mru_ = nullptr;
   uint64_t pos_mru_index_ = ~0ull;
   const std::byte* pos_mru_data_ = nullptr;
   FastDiv pos_div_;
   FastDiv u32_div_;
-  /// Probe-order positions the current batch reads: the store's base
-  /// array, or `patched_probe_` while an overlay is bound (see
-  /// `PatchProbePositions`). `patched_pages_` records the position pages
-  /// whose surface ranks the last patch overwrote, so the next batch
-  /// reverts only those.
-  const Vec3* probe_positions_ = nullptr;
-  std::vector<Vec3> patched_probe_;
-  std::vector<uint32_t> patched_pages_;
-  /// Per-batch first-touch bit per overlay page slot: memory-resident
-  /// delta pages pin nothing, so they bypass the bounded lease table —
-  /// this prices them once per batch (hit + lease) and `lease_hits`
-  /// thereafter.
-  std::vector<uint8_t> overlay_touched_;
-  /// Exact distinct (pool, page) pairs touched this batch.
-  std::unordered_set<uint64_t> distinct_;
+  /// Per-batch first-touch byte per epoch page: epoch pages pin
+  /// nothing, so they bypass the bounded lease table — this prices them
+  /// once per batch.
+  std::vector<uint8_t> touched_;
+  /// Exact distinct base pages touched this batch: page `p` was touched
+  /// iff `page_stamps_[p] == batch_stamp_`, so ending a batch is one
+  /// increment. One word per snapshot page — a fraction of the O(V)
+  /// position state a batch already holds.
+  std::vector<uint32_t> page_stamps_;
+  uint32_t batch_stamp_ = 1;
 };
 
 }  // namespace octopus::storage

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -26,6 +27,8 @@
 #include "engine/query_engine.h"
 #include "mesh/generators/grid_generator.h"
 #include "mesh/mesh_io.h"
+#include "obs/event_journal.h"
+#include "octopus/paged_executor.h"
 #include "server/epoch_store.h"
 #include "server/versioned_backend.h"
 #include "common/rng.h"
@@ -104,8 +107,7 @@ std::shared_ptr<const storage::SpillExtent> MustWrite(
 
 TEST(EpochSpillFileTest, WrittenPagesReloadByteIdentically) {
   const std::string path = TempPath("spill_basic.oct2d");
-  auto spill = storage::EpochSpillFile::Create(path, /*page_bytes=*/256,
-                                               /*pool_bytes=*/1024);
+  auto spill = storage::EpochSpillFile::Create(path, /*page_bytes=*/256);
   ASSERT_TRUE(spill.ok()) << spill.status().ToString();
 
   // A short page is zero-padded to the page size, like the OCT2 writer.
@@ -121,21 +123,47 @@ TEST(EpochSpillFileTest, WrittenPagesReloadByteIdentically) {
   EXPECT_EQ(spill.Value()->pages_written(), 1u);
   EXPECT_EQ(spill.Value()->file_bytes(), 2u * 256);
 
-  storage::PageIOStats stats;
-  std::vector<std::byte> read_back(256);
-  spill.Value()->pool()->CopyOut(id, 0, 256, read_back.data(), &stats);
-  EXPECT_EQ(stats.page_misses, 1u);
+  std::vector<std::byte> read_back(256, std::byte{0xAB});
+  const std::span<std::byte> dst(read_back);
+  ASSERT_TRUE(extent->Read(std::span(&dst, 1)).ok());
   EXPECT_EQ(std::memcmp(read_back.data(), content.data(), content.size()),
             0);
   for (size_t i = content.size(); i < 256; ++i) {
     EXPECT_EQ(read_back[i], std::byte{0}) << "pad byte " << i;
   }
 
+  // A destination shorter than the page reads the entry bytes only.
+  std::vector<std::byte> entry(content.size());
+  const std::span<std::byte> entry_dst(entry);
+  ASSERT_TRUE(extent->Read(std::span(&entry_dst, 1)).ok());
+  EXPECT_EQ(entry, content);
+
   // The sidecar is a per-run cache: closing deletes it.
   spill.Value().reset();
   std::FILE* gone = std::fopen(path.c_str(), "rb");
   EXPECT_EQ(gone, nullptr);
   if (gone != nullptr) std::fclose(gone);
+}
+
+// A truncated sidecar is a typed reload error, never zero-filled bytes.
+TEST(EpochSpillFileTest, TruncatedSidecarIsATypedReloadError) {
+  const std::string path = TempPath("spill_truncated.oct2d");
+  auto spill = storage::EpochSpillFile::Create(path, /*page_bytes=*/256);
+  ASSERT_TRUE(spill.ok()) << spill.status().ToString();
+  const std::vector<std::byte> content(256, std::byte{0x5A});
+  auto extent = MustWrite(spill.Value().get(), {content, content, content});
+  ASSERT_NE(extent, nullptr);
+  ASSERT_EQ(::truncate(path.c_str(), 2 * 256 + 100), 0);
+
+  std::vector<std::byte> pages(3 * 256, std::byte{0x11});
+  const std::span<std::byte> all(pages);
+  const std::span<std::byte> dst[] = {all.subspan(0, 256),
+                                      all.subspan(256, 256),
+                                      all.subspan(512, 256)};
+  const Status status = extent->Read(dst);
+  EXPECT_EQ(status.code(), Status::Code::kIOError);
+  EXPECT_NE(status.message().find("short read"), std::string::npos)
+      << status.ToString();
 }
 
 // --- PositionOverlay tail-page semantics ---
@@ -224,8 +252,10 @@ TEST(DeltaOverlayTest, TailPageIsStableAndWriterIdentical) {
   std::remove(moved_path.c_str());
 }
 
-// Spilled overlay pages read back byte-identically through ReadBytes,
-// and the spill reload is priced as page I/O.
+// A spilled overlay reloads byte-identically into a `ResidentEpoch`:
+// every page the overlay held in memory points at the same bytes, pages
+// it leaves to the base stay null, and the reload costs exactly one
+// page miss per spilled page.
 TEST(DeltaOverlayTest, SpilledPagesReadBackIdentically) {
   const TetraMesh mesh = MakeBox(6);
   const std::string snap_path = TempPath("spill_overlay.oct2");
@@ -236,16 +266,22 @@ TEST(DeltaOverlayTest, SpilledPagesReadBackIdentically) {
   ASSERT_TRUE(header.ok());
   const storage::SnapshotHeader& h = header.Value();
 
+  // Move every other position page, so the overlay leaves the rest to
+  // the base snapshot.
+  const size_t per_page = h.PositionsPerPage();
   std::vector<Vec3> moved = mesh.positions();
-  for (Vec3& p : moved) p += Vec3(0.01f, 0.02f, -0.01f);
+  for (VertexId v = 0; v < moved.size(); ++v) {
+    if ((v / per_page) % 2 == 0) moved[v] += Vec3(0.01f, 0.02f, -0.01f);
+  }
   size_t rewritten = 0;
   auto overlay = storage::PositionOverlay::BuildNext(
       h.num_vertices, h.page_bytes, nullptr, mesh.positions(), moved,
       &rewritten);
   ASSERT_GT(rewritten, 1u);
+  ASSERT_LT(rewritten, overlay->num_page_slots());
 
   auto spill = storage::EpochSpillFile::Create(
-      TempPath("spill_overlay.oct2d"), h.page_bytes, 4 * h.page_bytes);
+      TempPath("spill_overlay.oct2d"), h.page_bytes);
   ASSERT_TRUE(spill.ok()) << spill.status().ToString();
   std::vector<std::span<const std::byte>> pages;
   for (uint64_t page = 0; page < overlay->num_page_slots(); ++page) {
@@ -265,26 +301,32 @@ TEST(DeltaOverlayTest, SpilledPagesReadBackIdentically) {
   EXPECT_EQ(twin->resident_bytes(), 0u);
   EXPECT_EQ(twin->spilled_pages(), overlay->resident_pages());
 
-  storage::PageIOStats resident_io;
-  storage::PageIOStats spilled_io;
-  const size_t per_page = h.PositionsPerPage();
-  for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
-    Vec3 from_resident;
-    Vec3 from_spill;
-    const uint64_t page = v / per_page;
-    const size_t offset = (v % per_page) * sizeof(Vec3);
-    if (!overlay->ReadBytes(page, offset, sizeof(Vec3), &from_resident,
-                            &resident_io)) {
-      continue;
+  storage::ResidentEpoch reloaded;
+  storage::PageIOStats io;
+  for (int pass = 0; pass < 2; ++pass) {
+    io.Reset();
+    ASSERT_TRUE(reloaded.Load(*twin, &io).ok());
+    EXPECT_EQ(io.page_misses, rewritten);
+    EXPECT_EQ(io.PageAccesses(), rewritten);
+    ASSERT_EQ(reloaded.pages().size(), overlay->num_page_slots());
+    for (uint64_t page = 0; page < overlay->num_page_slots(); ++page) {
+      const size_t bytes = overlay->resident_page_bytes(page);
+      if (bytes == 0) {
+        EXPECT_EQ(reloaded.pages()[page], nullptr) << "page " << page;
+        continue;
+      }
+      ASSERT_NE(reloaded.pages()[page], nullptr) << "page " << page;
+      EXPECT_EQ(std::memcmp(reloaded.pages()[page], overlay->Lookup(page),
+                            bytes),
+                0)
+          << "page " << page;
     }
-    ASSERT_TRUE(twin->ReadBytes(page, offset, sizeof(Vec3), &from_spill,
-                                &spilled_io));
-    EXPECT_EQ(std::memcmp(&from_resident, &from_spill, sizeof(Vec3)), 0)
-        << "vertex " << v;
   }
-  // The reload really went through the sidecar pool (2-page cap over
-  // more pages: real misses and evictions, honestly counted).
-  EXPECT_GT(spilled_io.page_misses, 0u);
+  // A resident overlay binds without reading anything.
+  io.Reset();
+  ASSERT_TRUE(reloaded.Load(*overlay, &io).ok());
+  EXPECT_EQ(io.PageAccesses(), 0u);
+  EXPECT_EQ(reloaded.pages()[0], overlay->Lookup(0));
   std::remove(snap_path.c_str());
 }
 
@@ -313,7 +355,7 @@ TEST(DeltaOverlayTest, CopyPositionsPricesOnlySpilledPages) {
   // Spill one fresh page (1) and one shared page (3); the rest stay
   // resident in the twin.
   auto spill = storage::EpochSpillFile::Create(
-      TempPath("copy_positions.oct2d"), kPageBytes, 4 * kPageBytes);
+      TempPath("copy_positions.oct2d"), kPageBytes);
   ASSERT_TRUE(spill.ok()) << spill.status().ToString();
   auto extent = MustWrite(
       spill.Value().get(),
@@ -331,7 +373,7 @@ TEST(DeltaOverlayTest, CopyPositionsPricesOnlySpilledPages) {
 
   std::vector<Vec3> copy(kVertices);
   storage::PageIOStats io;
-  mixed->CopyPositions(copy, &io);
+  ASSERT_TRUE(mixed->CopyPositions(copy, &io).ok());
   EXPECT_EQ(std::memcmp(copy.data(), epoch2.data(),
                         kVertices * sizeof(Vec3)),
             0);
@@ -358,7 +400,7 @@ PinnedEpochState InMemoryEpoch(uint64_t epoch, size_t vertices) {
 std::vector<Vec3> Positions(const PinnedEpochState& pin, size_t vertices,
                             storage::PageIOStats* io) {
   std::vector<Vec3> positions(vertices);
-  pin.overlay->CopyPositions(positions, io);
+  EXPECT_TRUE(pin.overlay->CopyPositions(positions, io).ok());
   return positions;
 }
 
@@ -367,7 +409,6 @@ TEST(EpochStoreTest, SpillsPastWindowEvictsPastHistoryPinsExempt) {
   options.retention_epochs = 2;
   options.history_epochs = 4;
   options.spill_path = TempPath("store_policy.oct2d");
-  options.spill_pool_bytes = 16 * storage::kDefaultPageBytes;
   EpochStore store(storage::kDefaultPageBytes, options);
   ASSERT_TRUE(store.Init().ok());
 
@@ -523,7 +564,6 @@ TEST(EpochStoreTest, HeldEpochBlocksRecyclingUntilReleasedOnAnotherThread) {
   options.retention_epochs = kWindow;
   options.history_epochs = kHistory;
   options.spill_path = TempPath("store_recycle.oct2d");
-  options.spill_pool_bytes = 16 * storage::kDefaultPageBytes;
   EpochStore store(storage::kDefaultPageBytes, options);
   ASSERT_TRUE(store.Init().ok());
 
@@ -694,9 +734,9 @@ TEST(EpochHistoryTest, BoundedMemoryAcrossManyStepsPaged) {
 // every page below its high-water mark is either owned by a retained
 // spilled epoch or free, and every retained spilled epoch reads back
 // exactly what it was while current — byte for byte and as query
-// answers. The reload pool caches every page the sidecar can hold, so
-// a recycled id whose stale frame were not discarded would be served
-// from the pool with a previous epoch's bytes.
+// answers. Recycled ids are rewritten by later spills, so a reload that
+// read the wrong page or a stale run would serve a previous epoch's
+// bytes.
 void RunBoundedSidecar(bool paged) {
   constexpr uint64_t kWindow = 3;
   constexpr uint64_t kHistory = 6;
@@ -723,8 +763,6 @@ void RunBoundedSidecar(bool paged) {
   EpochRetentionOptions retention;
   retention.retention_epochs = kWindow;
   retention.history_epochs = kHistory;
-  retention.spill_pool_bytes =
-      (kHistory - kWindow + 2) * pages_per_epoch * page_bytes;
   retention.spill_path =
       TempPath(paged ? "bounded_sidecar_p.oct2d" : "bounded_sidecar_m.oct2d");
   ASSERT_TRUE(backend->ConfigureRetention(retention).ok());
@@ -773,12 +811,14 @@ void RunBoundedSidecar(bool paged) {
       const storage::PositionOverlay& twin = *pinned.Value().overlay;
       owned_pages += twin.spilled_pages();
       storage::PageIOStats io;
+      storage::ResidentEpoch reloaded;
+      ASSERT_TRUE(reloaded.Load(twin, &io).ok());
+      EXPECT_EQ(io.page_misses, twin.spilled_pages());
       for (uint64_t page = 0; page < want.overlay->num_page_slots(); ++page) {
         const size_t bytes = want.overlay->resident_page_bytes(page);
         if (bytes == 0) continue;
-        std::vector<std::byte> read(bytes);
-        ASSERT_TRUE(twin.ReadBytes(page, 0, bytes, read.data(), &io));
-        ASSERT_EQ(std::memcmp(read.data(), want.overlay->Lookup(page), bytes),
+        ASSERT_EQ(std::memcmp(reloaded.pages()[page],
+                              want.overlay->Lookup(page), bytes),
                   0)
             << "step " << step << " epoch " << epoch << " page " << page;
       }
@@ -870,6 +910,285 @@ TEST(EpochHistoryTest, PublicationIsAtomicUnderConcurrentPins) {
   stepper.join();
   EXPECT_GT(backend->CurrentEpoch().step, 0u);
   std::remove(snap_path.c_str());
+}
+
+// --- Reloading spilled epochs: parity, pricing, typed faults ---
+
+/// The traversal counters a reload must not move.
+void ExpectSameTraversal(const PhaseStats& got, const PhaseStats& want) {
+  EXPECT_EQ(got.queries, want.queries);
+  EXPECT_EQ(got.probed_vertices, want.probed_vertices);
+  EXPECT_EQ(got.probe_position_reads, want.probe_position_reads);
+  EXPECT_EQ(got.walk_invocations, want.walk_invocations);
+  EXPECT_EQ(got.walk_vertices, want.walk_vertices);
+  EXPECT_EQ(got.crawl_edges, want.crawl_edges);
+  EXPECT_EQ(got.result_vertices, want.result_vertices);
+}
+
+// The paged executor over a reloaded epoch: the same ids in the same
+// order, the same traversal counters and the same page counters as over
+// the resident overlay it was spilled from — with half the position
+// pages left to the base snapshot, so the table mixes reloaded pages
+// and base reads. The reload itself costs exactly one miss per page.
+TEST(ReloadParityTest, PagedExecutorReadsAReloadedEpochLikeTheResidentOne) {
+  TetraMesh mesh = MakeBox(12);
+  const std::string snap_path = TempPath("reload_parity.oct2");
+  constexpr size_t kPageBytes = 512;
+  ASSERT_TRUE(SaveSnapshot(mesh, snap_path,
+                           storage::SnapshotOptions{.page_bytes = kPageBytes})
+                  .ok());
+  const std::vector<Vec3> base = mesh.positions();
+  const size_t per_page = kPageBytes / sizeof(Vec3);
+  Rng jitter(7);
+  for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
+    if ((v / per_page) % 2 == 1) continue;  // left to the base snapshot
+    mesh.mutable_positions()[v] +=
+        Vec3(0.02f * static_cast<float>(jitter.NextBelow(3)), 0.01f, 0.0f);
+  }
+  size_t rewritten = 0;
+  auto overlay = storage::PositionOverlay::BuildNext(
+      mesh.num_vertices(), kPageBytes, nullptr, base, mesh.positions(),
+      &rewritten);
+  ASSERT_GT(rewritten, 1u);
+  ASSERT_LT(rewritten, overlay->num_page_slots());
+
+  auto spill = storage::EpochSpillFile::Create(
+      TempPath("reload_parity.oct2d"), kPageBytes);
+  ASSERT_TRUE(spill.ok()) << spill.status().ToString();
+  std::vector<std::span<const std::byte>> pages;
+  for (uint64_t page = 0; page < overlay->num_page_slots(); ++page) {
+    if (const std::byte* bytes = overlay->Lookup(page)) {
+      pages.emplace_back(bytes, overlay->resident_page_bytes(page));
+    }
+  }
+  auto extent = MustWrite(spill.Value().get(), pages);
+  ASSERT_NE(extent, nullptr);
+  std::vector<storage::PageId> ids(overlay->num_page_slots(),
+                                   storage::kInvalidPageId);
+  for (uint64_t page = 0, next = 0; page < ids.size(); ++page) {
+    if (overlay->Lookup(page) != nullptr) ids[page] = extent->ids()[next++];
+  }
+  auto twin = storage::PositionOverlay::SpilledTwin(*overlay, std::move(ids),
+                                                    std::move(extent));
+
+  QueryGenerator gen(mesh);
+  Rng rng(0xB0B);
+  const std::vector<AABB> boxes = gen.MakeQueries(&rng, 24, 0.01, 0.06);
+  engine::ThreadPool pool(4);
+  for (engine::ThreadPool* p :
+       {static_cast<engine::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+    // Two executors with private pools, so both batches see the same
+    // pool history and page counters must agree exactly.
+    PagedOctopus::Options options;
+    options.pool.pool_bytes = 32 * kPageBytes;
+    auto resident_exec = PagedOctopus::Open(snap_path, options);
+    auto reloaded_exec = PagedOctopus::Open(snap_path, options);
+    ASSERT_TRUE(resident_exec.ok() && reloaded_exec.ok());
+
+    storage::ResidentEpoch resident;
+    storage::ResidentEpoch reloaded;
+    storage::PageIOStats resident_io;
+    storage::PageIOStats reload_io;
+    ASSERT_TRUE(resident.Load(*overlay, &resident_io).ok());
+    ASSERT_TRUE(reloaded.Load(*twin, &reload_io).ok());
+    EXPECT_EQ(resident_io.PageAccesses(), 0u);
+    EXPECT_EQ(reload_io.page_misses, rewritten);
+    EXPECT_EQ(reload_io.PageAccesses(), rewritten);
+
+    engine::QueryBatchResult want;
+    engine::QueryBatchResult got;
+    resident_exec.Value()->RangeQueryBatch(boxes, &want, p,
+                                           resident.pages());
+    reloaded_exec.Value()->RangeQueryBatch(boxes, &got, p, reloaded.pages());
+    EXPECT_EQ(got.per_query, want.per_query);
+    const PhaseStats& got_stats = reloaded_exec.Value()->stats();
+    const PhaseStats& want_stats = resident_exec.Value()->stats();
+    ExpectSameTraversal(got_stats, want_stats);
+    EXPECT_GT(want_stats.result_vertices, 0u);
+    // Shards share the pool, so only one thread fixes the hit/miss split.
+    if (p == nullptr) {
+      EXPECT_EQ(got_stats.page_io.page_hits, want_stats.page_io.page_hits);
+      EXPECT_EQ(got_stats.page_io.page_misses,
+                want_stats.page_io.page_misses);
+    }
+    EXPECT_EQ(got_stats.page_io.PageAccesses(),
+              want_stats.page_io.PageAccesses());
+    EXPECT_EQ(got_stats.page_io.lease_hits, want_stats.page_io.lease_hits);
+    EXPECT_EQ(got_stats.page_io.pages_leased,
+              want_stats.page_io.pages_leased);
+    EXPECT_EQ(got_stats.page_io.pages_distinct,
+              want_stats.page_io.pages_distinct);
+  }
+  std::remove(snap_path.c_str());
+}
+
+/// A backend over `mesh` (a snapshot of it when `paged`) with a small
+/// retention window and a spill sidecar at `spill_path`.
+std::unique_ptr<VersionedBackend> SpillingBackend(
+    const TetraMesh& mesh, bool paged, const std::string& spill_path,
+    obs::EventJournal* journal = nullptr) {
+  std::unique_ptr<VersionedBackend> backend;
+  if (paged) {
+    const std::string snap_path = spill_path + ".oct2";
+    EXPECT_TRUE(SaveSnapshot(mesh, snap_path,
+                             storage::SnapshotOptions{.page_bytes = 1024})
+                    .ok());
+    auto opened = VersionedBackend::OpenSnapshot(snap_path, 64 * 1024, 1);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    if (!opened.ok()) return nullptr;
+    backend = opened.MoveValue();
+  } else {
+    backend = VersionedBackend::FromMesh(mesh, 1);
+  }
+  backend->AttachJournal(journal);
+  EpochRetentionOptions retention;
+  retention.retention_epochs = 2;
+  retention.history_epochs = 8;
+  retention.spill_path = spill_path;
+  EXPECT_TRUE(backend->ConfigureRetention(retention).ok());
+  EXPECT_TRUE(backend->BindDeformer(ParitySpec()).ok());
+  return backend;
+}
+
+// A batch at a spilled epoch returns the same ids, in the same order,
+// with the same traversal counters, as the same batch while that epoch
+// was current; its reload reads each spilled page once, counted as one
+// page miss, in `epoch_reload_pages` and in one `epoch_reloaded` event.
+void RunReloadParity(bool paged) {
+  const TetraMesh mesh = MakeBox(10);
+  obs::EventJournal journal(256);
+  auto backend = SpillingBackend(
+      mesh, paged,
+      TempPath(paged ? "reload_parity_p.oct2d" : "reload_parity_m.oct2d"),
+      &journal);
+  ASSERT_NE(backend, nullptr);
+  const EpochStore* store = backend->epoch_store();
+  QueryGenerator gen(mesh);
+  Rng rng(0xFACE);
+  const std::vector<AABB> queries = gen.MakeQueries(&rng, 12, 0.01, 0.05);
+
+  struct Captured {
+    std::vector<std::vector<VertexId>> answers;
+    PhaseStats stats;
+  };
+  std::map<engine::EpochId, Captured> captured;
+  for (int step = 0; step < 6; ++step) {
+    if (step > 0) backend->AdvanceStep();
+    engine::QueryBatchResult out;
+    PhaseStats stats;
+    backend->Execute(queries, &out, &stats);
+    captured[out.epoch.epoch] = {out.per_query, stats};
+  }
+  ASSERT_GE(store->spilled_epochs(), 3u);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const server::EpochEntryView& entry : store->View().entries) {
+      if (!entry.spilled) continue;
+      const engine::EpochId epoch = entry.info.epoch;
+      SCOPED_TRACE("pass " + std::to_string(pass) + " epoch " +
+                   std::to_string(epoch));
+      auto pin = store->PinEpoch(epoch);
+      ASSERT_TRUE(pin.ok());
+      // Paged, the step-0 epoch equals the snapshot: nothing to spill.
+      const size_t spilled_pages = pin.Value().overlay->spilled_pages();
+      ASSERT_TRUE(spilled_pages > 0 || (paged && epoch == 1));
+
+      const uint64_t pages_before = backend->epoch_reload_pages();
+      const uint64_t events_before = journal.total_emitted();
+      engine::QueryBatchResult out;
+      PhaseStats stats;
+      ASSERT_TRUE(backend->ExecuteAt(epoch, queries, &out, &stats).ok());
+      const Captured& want = captured.at(epoch);
+      EXPECT_EQ(out.epoch.epoch, epoch);
+      EXPECT_EQ(out.per_query, want.answers);
+      ExpectSameTraversal(stats, want.stats);
+
+      // Exact pricing: one page miss per spilled page (in memory there
+      // is no other I/O), the same count on the counter and the event.
+      EXPECT_EQ(backend->epoch_reload_pages() - pages_before, spilled_pages);
+      if (!paged) EXPECT_EQ(stats.page_io.page_misses, spilled_pages);
+      EXPECT_GE(stats.page_io.page_misses, spilled_pages);
+      std::vector<obs::JournalEvent> events;
+      journal.Snapshot(&events);
+      ASSERT_EQ(journal.total_emitted(),
+                events_before + (spilled_pages > 0 ? 1 : 0));
+      if (spilled_pages > 0) {
+        EXPECT_EQ(events.back().kind, obs::EventKind::kEpochReloaded);
+        EXPECT_EQ(events.back().epoch, epoch);
+        EXPECT_EQ(events.back().a, spilled_pages);
+      }
+
+      // Back to the current epoch: resident, nothing read back.
+      const uint64_t pages_after = backend->epoch_reload_pages();
+      backend->Execute(queries, &out, &stats);
+      EXPECT_EQ(backend->epoch_reload_pages(), pages_after);
+    }
+  }
+}
+
+TEST(ReloadParityTest, SpilledEpochBatchMatchesItsCurrentBatchInMemory) {
+  RunReloadParity(false);
+}
+
+TEST(ReloadParityTest, SpilledEpochBatchMatchesItsCurrentBatchPaged) {
+  RunReloadParity(true);
+}
+
+// A sidecar truncated under a pinned spilled epoch: the batch fails with
+// a typed IOError naming the epoch — never zero-filled positions — and
+// current-epoch batches keep answering.
+void RunTruncatedSidecar(bool paged) {
+  const TetraMesh mesh = MakeBox(10);
+  const std::string spill_path =
+      TempPath(paged ? "reload_fault_p.oct2d" : "reload_fault_m.oct2d");
+  auto backend = SpillingBackend(mesh, paged, spill_path);
+  ASSERT_NE(backend, nullptr);
+  // Epoch 2 (step 1): paged, epoch 1 equals the snapshot and spills
+  // nothing.
+  backend->AdvanceStep();
+  ASSERT_TRUE(backend->PinEpoch(2).ok());
+  for (int step = 0; step < 4; ++step) backend->AdvanceStep();
+  auto spilled = backend->epoch_store()->PinEpoch(2);
+  ASSERT_TRUE(spilled.ok());
+  ASSERT_GT(spilled.Value().overlay->spilled_pages(), 0u);
+
+  QueryGenerator gen(mesh);
+  Rng rng(0xDEAD);
+  const std::vector<AABB> queries = gen.MakeQueries(&rng, 6, 0.01, 0.05);
+  engine::QueryBatchResult current;
+  PhaseStats current_stats;
+  backend->Execute(queries, &current, &current_stats);
+
+  ASSERT_EQ(
+      ::truncate(spill_path.c_str(), backend->epoch_store()->page_bytes()),
+      0);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    engine::QueryBatchResult out;
+    PhaseStats stats;
+    const Status status = backend->ExecuteAt(2, queries, &out, &stats);
+    EXPECT_EQ(status.code(), Status::Code::kIOError) << status.ToString();
+    EXPECT_NE(status.message().find("epoch 2 "), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("short read"), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_EQ(backend->epoch_reload_pages(), 0u);
+
+  engine::QueryBatchResult again;
+  PhaseStats again_stats;
+  backend->Execute(queries, &again, &again_stats);
+  EXPECT_EQ(again.epoch.epoch, current.epoch.epoch);
+  EXPECT_EQ(again.per_query, current.per_query);
+  ExpectSameTraversal(again_stats, current_stats);
+}
+
+TEST(ReloadFaultTest, TruncatedSidecarIsATypedErrorInMemory) {
+  RunTruncatedSidecar(false);
+}
+
+TEST(ReloadFaultTest, TruncatedSidecarIsATypedErrorPaged) {
+  RunTruncatedSidecar(true);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "engine/thread_pool.h"
@@ -322,6 +323,7 @@ class MinTickLeaseModel {
 
   void EndBatch() {
     ticks_.clear();
+    distinct_.clear();
     span_ = storage::kInvalidPageId;
     pos_mru_ = ~0ull;
     last_prefetch_ = ~0ull;
@@ -332,6 +334,7 @@ class MinTickLeaseModel {
 
   size_t lease_hits = 0;
   size_t pages_leased = 0;
+  size_t pages_distinct = 0;
   size_t revocations = 0;
 
  private:
@@ -347,6 +350,8 @@ class MinTickLeaseModel {
 
   void Acquire(storage::PageId page) {
     ++pages_leased;
+    // The distinct-page oracle: a node-based set, cleared per batch.
+    if (distinct_.insert(page).second) ++pages_distinct;
     if (ticks_.size() == cap_) Revoke();
     ticks_[page] = ++tick_;
   }
@@ -372,6 +377,7 @@ class MinTickLeaseModel {
   const bool zero_copy_;
   std::vector<uint32_t> offsets_;
   std::map<storage::PageId, uint64_t> ticks_;
+  std::unordered_set<storage::PageId> distinct_;
   uint64_t tick_ = 0;
   storage::PageId span_ = storage::kInvalidPageId;
   uint64_t pos_mru_ = ~0ull;
@@ -381,8 +387,9 @@ class MinTickLeaseModel {
 /// Random crawl-like reads (position, neighbors with zero-copy spans,
 /// prefetch, batch ends) through one accessor on a pool of `frames`
 /// frames: after every read, the pages the pool holds pinned must be
-/// exactly the model's leases, the lease counters must agree, and the
-/// outstanding span must still read the right neighbors.
+/// exactly the model's leases, the lease counters (`pages_distinct`
+/// included) must agree, and the outstanding span must still read the
+/// right neighbors.
 void RunRevocationParity(size_t frames, int ops, uint64_t seed) {
   SCOPED_TRACE("frames " + std::to_string(frames));
   const TetraMesh mesh = MakeBox(6);
@@ -423,7 +430,7 @@ void RunRevocationParity(size_t frames, int ops, uint64_t seed) {
       model.Prefetch(v);
     } else {
       accessor.EndBatch();
-      accessor.BeginBatch(nullptr, 1);
+      accessor.BeginBatch({}, 1);
       model.EndBatch();
       span = {};
     }
@@ -436,6 +443,7 @@ void RunRevocationParity(size_t frames, int ops, uint64_t seed) {
     ASSERT_EQ(stats.lease_revocations, model.revocations) << "op " << op;
     ASSERT_EQ(stats.lease_hits, model.lease_hits) << "op " << op;
     ASSERT_EQ(stats.pages_leased, model.pages_leased) << "op " << op;
+    ASSERT_EQ(stats.pages_distinct, model.pages_distinct) << "op " << op;
     ASSERT_EQ(accessor.leases_held(), model.held()) << "op " << op;
     for (storage::PageId page = 0; page < h.num_pages; ++page) {
       ASSERT_EQ(pool->PinCount(page).value_or(0), model.Leased(page) ? 1u : 0u)

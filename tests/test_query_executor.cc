@@ -598,6 +598,9 @@ TEST(FusedProbeParityTest, PagedDeformedOverlayMatchesPerQueryScan) {
       mesh.num_vertices(), kPageBytes, nullptr, base, mesh.positions(),
       &rewritten);
   ASSERT_GT(rewritten, 0u);
+  storage::ResidentEpoch epoch;
+  storage::PageIOStats reload_io;
+  ASSERT_TRUE(epoch.Load(*overlay, &reload_io).ok());
 
   engine::ThreadPool pool(4);
   for (const double fraction : kParityFractions) {
@@ -614,7 +617,7 @@ TEST(FusedProbeParityTest, PagedDeformedOverlayMatchesPerQueryScan) {
       SCOPED_TRACE("fraction " + std::to_string(fraction) + " batch " +
                    std::to_string(n));
       const std::vector<AABB> boxes = ParityBoxes(mesh, surface_index, n, n);
-      accessor.BeginBatch(overlay.get(), 1);
+      accessor.BeginBatch(epoch.pages(), 1);
       ExpectProbeMatchesReference(accessor, mesh, surface_index,
                                   options.executor, boxes);
       accessor.EndBatch();
@@ -623,7 +626,7 @@ TEST(FusedProbeParityTest, PagedDeformedOverlayMatchesPerQueryScan) {
         SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
         paged.Value()->ResetStats();
         engine::QueryBatchResult results;
-        paged.Value()->RangeQueryBatch(boxes, &results, p, overlay.get());
+        paged.Value()->RangeQueryBatch(boxes, &results, p, epoch.pages());
         ExpectBatchMatchesReference(results, paged.Value()->stats(), mesh,
                                     surface_index, options.executor, boxes);
       }
@@ -865,6 +868,9 @@ TEST(WalkParityTest, PagedDeformedOverlayMatchesAllocatingWalk) {
       mesh.num_vertices(), kPageBytes, nullptr, neuro.base, mesh.positions(),
       &rewritten);
   ASSERT_GT(rewritten, 0u);
+  storage::ResidentEpoch epoch;
+  storage::PageIOStats reload_io;
+  ASSERT_TRUE(epoch.Load(*overlay, &reload_io).ok());
 
   engine::ThreadPool pool(4);
   for (const VisitedMode mode : kVisitedModes) {
@@ -885,8 +891,8 @@ TEST(WalkParityTest, PagedDeformedOverlayMatchesAllocatingWalk) {
     storage::PagedMeshAccessor accessor(store.Value().get(), &io);
     storage::PagedMeshAccessor reference_accessor(
         reference_store.Value().get(), &reference_io);
-    accessor.BeginBatch(overlay.get(), 1);
-    reference_accessor.BeginBatch(overlay.get(), 1);
+    accessor.BeginBatch(epoch.pages(), 1);
+    reference_accessor.BeginBatch(epoch.pages(), 1);
     VisitedMarks marks(mode);
     marks.EnsureSize(mesh.num_vertices());
     std::vector<WalkFrontier> heap;
@@ -913,7 +919,7 @@ TEST(WalkParityTest, PagedDeformedOverlayMatchesAllocatingWalk) {
                                   &pool}) {
       paged.Value()->ResetStats();
       engine::QueryBatchResult results;
-      paged.Value()->RangeQueryBatch(boxes, &results, p, overlay.get());
+      paged.Value()->RangeQueryBatch(boxes, &results, p, epoch.pages());
       ExpectBatchMatchesReference(results, paged.Value()->stats(), mesh,
                                   surface_index, options.executor, boxes);
     }

@@ -1213,6 +1213,98 @@ TEST(ServerIntegrationTest, JournalRecordsLifecycleAndServesIt) {
   EXPECT_TRUE(saw_drain_ended);
 }
 
+// A spilled epoch is read back once per batch on both backends: the
+// reload is journaled as `epoch_reloaded`, counted by
+// `octopus_epoch_reload_pages_total` (scrape and STATS alike), and a
+// sidecar truncated under the pinned epoch answers a typed EPOCH_GONE
+// naming the epoch while current-epoch requests keep answering.
+TEST(ServerIntegrationTest, SpilledEpochReloadIsObservableAndFailsTyped) {
+  const TetraMesh mesh = MakeBox(6);
+  for (const bool paged : {false, true}) {
+    SCOPED_TRACE(paged ? "paged" : "in memory");
+    const std::string stem = ::testing::TempDir() + "/reload_server_" +
+                             (paged ? "p" : "m");
+    std::unique_ptr<VersionedBackend> backend;
+    if (paged) {
+      ASSERT_TRUE(SaveSnapshot(mesh, stem + ".oct2",
+                               storage::SnapshotOptions{.page_bytes = 1024})
+                      .ok());
+      auto opened = VersionedBackend::OpenSnapshot(stem + ".oct2",
+                                                   /*pool_bytes=*/64 * 1024,
+                                                   /*threads=*/1);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      backend = opened.MoveValue();
+    } else {
+      backend = VersionedBackend::FromMesh(mesh, 1);
+    }
+    server::EpochRetentionOptions retention;
+    retention.retention_epochs = 2;
+    retention.history_epochs = 4;
+    retention.spill_path = stem + ".oct2d";
+    ASSERT_TRUE(backend->ConfigureRetention(retention).ok());
+    DeformerSpec spec;
+    spec.kind = DeformerKind::kRandom;
+    spec.amplitude = 0.02f;
+    spec.seed = 2026;
+    ASSERT_TRUE(backend->BindDeformer(spec).ok());
+
+    obs::EventJournal journal(256);
+    ServerOptions options;
+    options.metrics_port = 0;
+    options.journal = &journal;
+    ServerFixture fixture(std::move(backend), options);
+    auto remote = MustConnect(fixture.port());
+    // Epoch 2 (step 1): paged, epoch 1 equals the snapshot and spills
+    // nothing.
+    ASSERT_TRUE(remote->Step(1).ok());
+    ASSERT_TRUE(remote->PinEpoch(0).ok());
+    for (int s = 0; s < 4; ++s) ASSERT_TRUE(remote->Step(1).ok());
+
+    QueryGenerator gen(mesh);
+    Rng rng(77);
+    const std::vector<AABB> boxes = gen.MakeQueries(&rng, 4, 0.01, 0.05);
+    auto historical = remote->ExecuteBatch(boxes, /*epoch=*/2);
+    ASSERT_TRUE(historical.ok()) << historical.status().ToString();
+    EXPECT_EQ(historical.Value().results.epoch.epoch, 2u);
+
+    std::vector<obs::JournalEvent> events;
+    journal.Snapshot(&events);
+    uint64_t reloaded_pages = 0;
+    for (const obs::JournalEvent& event : events) {
+      if (event.kind != obs::EventKind::kEpochReloaded) continue;
+      EXPECT_EQ(event.epoch, 2u);
+      reloaded_pages += event.a;
+    }
+    EXPECT_GT(reloaded_pages, 0u);
+    auto stats = remote->FetchStats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(Sample(stats, "octopus_epoch_reload_pages_total"),
+              static_cast<double>(reloaded_pages));
+    const std::string scrape =
+        HttpGet(fixture.server().metrics_port(), "/metrics");
+    EXPECT_EQ(MetricValue(scrape.substr(scrape.find("\r\n\r\n") + 4),
+                          "octopus_epoch_reload_pages_total"),
+              static_cast<double>(reloaded_pages));
+
+    // Move the in-memory executor's flat copy off epoch 2, so the next
+    // batch at epoch 2 must read the sidecar again; then cut the file.
+    ASSERT_TRUE(remote->ExecuteBatch(boxes).ok());
+    ASSERT_EQ(::truncate(retention.spill_path.c_str(), 1024), 0);
+    auto gone = remote->ExecuteBatch(boxes, /*epoch=*/2);
+    ASSERT_FALSE(gone.ok());
+    EXPECT_EQ(gone.status().code(), Status::Code::kNotFound);
+    EXPECT_NE(gone.status().message().find("EPOCH_GONE"), std::string::npos)
+        << gone.status().ToString();
+    EXPECT_NE(gone.status().message().find("epoch 2 "), std::string::npos)
+        << gone.status().ToString();
+    auto current = remote->ExecuteBatch(boxes);
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    EXPECT_EQ(current.Value().results.epoch.epoch, 6u);
+    fixture.StopAndJoin();
+    std::remove((stem + ".oct2").c_str());
+  }
+}
+
 // /epochs must be counter-equal with the EpochStore's own view at a
 // quiescent point — same retention ring, two read paths.
 TEST(ServerIntegrationTest, EpochsEndpointMatchesTheStoreView) {

@@ -391,15 +391,6 @@ class ArgminLruModel {
     --frames_[page_to_frame_.at(page)].pins;
   }
 
-  void Discard(storage::PageId page) {
-    auto it = page_to_frame_.find(page);
-    if (it == page_to_frame_.end()) return;
-    Frame& frame = frames_[it->second];
-    frame.page = storage::kInvalidPageId;
-    frame.lru_tick = 0;  // an empty frame is the first victim
-    page_to_frame_.erase(it);
-  }
-
   /// Pins held on `page`, or nullopt when it is not resident.
   std::optional<uint32_t> PinCount(storage::PageId page) const {
     auto it = page_to_frame_.find(page);
@@ -455,7 +446,7 @@ class ArgminLruModel {
 };
 
 /// Drives a pool and the argmin model through one random trace of
-/// `ops` Pin / TryPin / Unpin / CopyOut / Discard / ExtendTo operations
+/// `ops` Pin / TryPin / Unpin / CopyOut operations
 /// with several pins held at once, checking every eviction's page, the
 /// bytes served, and the hit/miss/eviction totals.
 void RunLruParityTrace(size_t frames, int ops, uint64_t seed) {
@@ -475,9 +466,7 @@ void RunLruParityTrace(size_t frames, int ops, uint64_t seed) {
               image.size());
     std::fclose(f);
   }
-  // Start with a file smaller than the pool; ExtendTo grows it past the
-  // pool's initial bookkeeping.
-  storage::PageId num_pages = static_cast<storage::PageId>(frames / 2 + 2);
+  const storage::PageId num_pages = file_pages;
   auto opened = BufferManager::Open(
       path, kPageBytes, num_pages,
       BufferManager::Options{.pool_bytes = frames * kPageBytes});
@@ -535,7 +524,7 @@ void RunLruParityTrace(size_t frames, int ops, uint64_t seed) {
       model.Unpin(held[i]);
       held[i] = held.back();
       held.pop_back();
-    } else if (kind < 92) {
+    } else {
       const storage::PageId page = pick_page();
       if (!model.CanServe(page)) continue;  // CopyOut would block
       const auto want = model.Touch(page, /*pin=*/false);
@@ -546,17 +535,6 @@ void RunLruParityTrace(size_t frames, int ops, uint64_t seed) {
       if (want.evicted != storage::kInvalidPageId) {
         ASSERT_FALSE(pool.PinCount(want.evicted).has_value());
       }
-    } else if (kind < 98) {
-      const storage::PageId page = pick_page();
-      if (model.PinCount(page).value_or(0) != 0) continue;
-      pool.Discard(page);
-      model.Discard(page);
-      ASSERT_FALSE(pool.PinCount(page).has_value());
-    } else if (num_pages < file_pages) {
-      num_pages = std::min<storage::PageId>(
-          file_pages, num_pages + static_cast<storage::PageId>(
-                                      1 + rng.NextBelow(frames / 4 + 2)));
-      pool.ExtendTo(num_pages);
     }
     ASSERT_EQ(stats.page_hits, model.hits) << "op " << op;
     ASSERT_EQ(stats.page_misses, model.misses) << "op " << op;
@@ -580,8 +558,7 @@ void RunLruParityTrace(size_t frames, int ops, uint64_t seed) {
 
 TEST(BufferManagerTest, LruListPicksTheArgminScansVictim) {
   // 4 pools x 30k operations: the tiniest pools run with every frame
-  // pinned at times (TryPin fails, Pin is skipped), the large ones
-  // exercise the page table's growth past its initial size.
+  // pinned at times (TryPin fails, Pin is skipped).
   uint64_t seed = 0x1A0;
   for (const size_t frames : {2, 3, 64, 512}) {
     RunLruParityTrace(frames, 30000, seed++);

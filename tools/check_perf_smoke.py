@@ -29,13 +29,13 @@ Reads BENCH_dynamic.json and enforces the lease-economy guarantees:
 
 When also given BENCH_server.json, additionally enforces:
 
-  * `tracing_overhead` — warm paged loopback wall clock with the
-    flight-recorder ring on over the same run with it off (best-of-3
-    interleaved single-client runs, from bench_server's server_summary
-    record). Tracing is
-    one 136-byte record append per request behind a predictable branch;
-    it must stay within 5% of free or it is not a flight recorder any
-    more.
+  * `tracing_overhead` — the server threads' CPU time over a warm paged
+    single-client loopback run with the flight-recorder ring and the
+    journal on, divided by the same run with them off: the median over
+    11 pairs run in alternating order (bench_server's server_summary
+    record). Tracing is one 136-byte record append per request behind a
+    predictable branch; it must stay within 5% of free or it is not a
+    flight recorder any more.
 
 When also given BENCH_epoch.json, additionally enforces:
 
