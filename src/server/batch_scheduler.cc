@@ -37,40 +37,49 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
                                   int64_t dispatch_nanos) {
   if (pending_.empty()) return;
 
-  // Pack whole requests FIFO until the size cap. Always take at least
-  // one, so an oversized request executes alone rather than starving.
-  size_t take = 0;
+  // Pack the head's epoch group: whole requests FIFO until the size
+  // cap, skipping (not reordering) requests for other epochs. Always
+  // take the head, so an oversized request executes alone rather than
+  // starving.
+  const engine::EpochId epoch = pending_.front().epoch;
+  packed_.clear();
   size_t batch_queries = 0;
-  while (take < pending_.size()) {
-    const size_t next = pending_[take].boxes.size();
-    if (take > 0 && batch_queries + next > options_.max_batch_queries) {
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].epoch != epoch) continue;
+    const size_t next = pending_[i].boxes.size();
+    if (!packed_.empty() &&
+        batch_queries + next > options_.max_batch_queries) {
       break;
     }
     batch_queries += next;
-    ++take;
+    packed_.push_back(i);
   }
 
   batch_.boxes.clear();
   batch_.boxes.reserve(batch_queries);
-  for (size_t i = 0; i < take; ++i) {
+  for (const size_t i : packed_) {
     batch_.boxes.insert(batch_.boxes.end(), pending_[i].boxes.begin(),
                         pending_[i].boxes.end());
   }
 
   PhaseStats batch_stats;
-  backend->Execute(batch_.View(), &batch_results_, &batch_stats);
-
-  metrics->batches_executed += 1;
-  metrics->queries_executed += batch_queries;
-  metrics->MergeEngine(batch_stats);
-
-  const BatchStatsWire wire = BatchStatsWire::FromPhaseStats(
-      batch_stats, static_cast<uint32_t>(batch_queries),
-      static_cast<uint32_t>(take), batch_results_.epoch);
+  const Status status = backend->ExecuteAt(epoch, batch_.View(),
+                                           &batch_results_, &batch_stats);
+  BatchStatsWire wire;
+  if (status.ok()) {
+    metrics->batches_executed += 1;
+    metrics->queries_executed += batch_queries;
+    metrics->MergeEngine(batch_stats);
+    wire = BatchStatsWire::FromPhaseStats(
+        batch_stats, static_cast<uint32_t>(batch_queries),
+        static_cast<uint32_t>(packed_.size()), batch_results_.epoch);
+  } else {
+    metrics->queries_rejected += batch_queries;
+  }
 
   // Demultiplex: each request gets its contiguous slice of the batch.
   size_t offset = 0;
-  for (size_t i = 0; i < take; ++i) {
+  for (const size_t i : packed_) {
     PendingRequest& request = pending_[i];
     CompletedRequest done;
     done.session_id = request.session_id;
@@ -78,26 +87,31 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
     done.arrival_nanos = request.arrival_nanos;
     done.dispatch_nanos = dispatch_nanos;
     done.client_span_id = request.client_span_id;
-    done.stats = wire;
-    done.per_query.reserve(request.boxes.size());
-    for (size_t q = 0; q < request.boxes.size(); ++q) {
-      done.per_query.push_back(
-          std::move(batch_results_.per_query[offset + q]));
+    done.status = status;
+    if (status.ok()) {
+      done.stats = wire;
+      done.per_query.reserve(request.boxes.size());
+      for (size_t q = 0; q < request.boxes.size(); ++q) {
+        done.per_query.push_back(
+            std::move(batch_results_.per_query[offset + q]));
+      }
     }
     offset += request.boxes.size();
     completed->push_back(std::move(done));
   }
 
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<ptrdiff_t>(take));
-  pending_query_count_ -= batch_queries;
-}
-
-bool BatchScheduler::HasPendingFor(uint64_t session_id) const {
-  for (const PendingRequest& request : pending_) {
-    if (request.session_id == session_id) return true;
+  // Remove the packed requests; the rest keep their arrival order.
+  size_t kept = 0;
+  for (size_t i = 0, p = 0; i < pending_.size(); ++i) {
+    if (p < packed_.size() && packed_[p] == i) {
+      ++p;
+      continue;
+    }
+    if (kept != i) pending_[kept] = std::move(pending_[i]);
+    ++kept;
   }
-  return false;
+  pending_.resize(kept);
+  pending_query_count_ -= batch_queries;
 }
 
 void BatchScheduler::DropSession(uint64_t session_id) {

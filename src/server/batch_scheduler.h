@@ -1,13 +1,16 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // Cross-client batch coalescing: the scheduler collects range-query
-// requests arriving from many connections and folds them into one
+// requests arriving from many connections, for the current epoch or any
+// historical one, and folds the requests of one epoch into one
 // `engine::QueryBatch` when either (a) the oldest pending request's
 // coalescing window expires or (b) enough queries have accumulated —
-// then executes once on the backend and demultiplexes per-request
-// results. This is where the paper's "tens to hundreds of queries per
-// time step" batching meets a multi-tenant server: concurrent monitoring
-// clients share one probe->walk->crawl sweep per window instead of one
-// per request.
+// then executes once on the backend at that epoch and demultiplexes
+// per-request results. This is where the paper's "tens to hundreds of
+// queries per time step" batching meets a multi-tenant server:
+// concurrent monitoring clients share one probe->walk->crawl sweep per
+// window instead of one per request. A batch is epoch-consistent, so
+// only requests for the same epoch share one; the others keep their
+// place in the one queue, and one admission bound counts them all.
 //
 // No threads of its own: the server's scheduler thread drives it under
 // one mutex, asking `NanosUntilDue` to size its condition-variable wait
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "common/aabb.h"
+#include "common/status.h"
 #include "engine/query_batch.h"
 #include "server/metrics.h"
 #include "server/protocol.h"
@@ -52,13 +56,17 @@ struct PendingRequest {
   uint64_t session_id = 0;
   uint64_t request_id = 0;
   std::vector<AABB> boxes;
+  /// The wire epoch the request reads: 0 = whatever is current at
+  /// execution, any other value that published epoch.
+  engine::EpochId epoch = 0;
   int64_t arrival_nanos = 0;  ///< event-loop monotonic clock
   /// Client-propagated span id (v6); 0 = the client sent none. Carried
   /// through execution into the slow-query log, never interpreted.
   uint64_t client_span_id = 0;
 };
 
-/// One executed request, ready to encode as a RESULT frame.
+/// One executed request, ready to encode as a RESULT frame — or, when
+/// `status` is not OK, as a request-scoped EPOCH_GONE error.
 struct CompletedRequest {
   uint64_t session_id = 0;
   uint64_t request_id = 0;
@@ -71,6 +79,10 @@ struct CompletedRequest {
   /// The request's slice of the batch results, in request query order.
   std::vector<std::vector<VertexId>> per_query;
   uint64_t client_span_id = 0;  ///< propagated from the request (v6)
+  /// Not OK when the batch could not run at its epoch (evicted, never
+  /// published, or its spilled pages could not be read back); the
+  /// message travels in the EPOCH_GONE frame and nothing else is set.
+  Status status;
 };
 
 /// Not internally synchronized BY DESIGN: the server declares its
@@ -102,15 +114,19 @@ class BatchScheduler {
   /// (window expired or the size trigger reached).
   bool ShouldExecute(int64_t now_nanos) const;
 
-  /// Packs pending requests (FIFO, whole requests, up to the size cap)
-  /// into one batch, executes it on `backend` (against the epoch the
-  /// backend pins for the batch — every stamped RESULT of the batch
-  /// carries that one epoch), and appends one `CompletedRequest` per
-  /// packed request to `completed`. Updates `metrics` (batch/query
-  /// counters + engine totals). Call in a loop while `ShouldExecute` —
-  /// one call executes exactly one batch. `dispatch_nanos` (the loop's
-  /// clock at the call) is stamped onto every completed request so the
-  /// flight recorder can attribute queue wait.
+  /// Packs the head request's epoch group — the pending requests for
+  /// the same epoch as the oldest one, FIFO, whole requests, up to the
+  /// size cap — into one batch and executes it on `backend` at that
+  /// epoch (every stamped RESULT of the batch carries that one epoch);
+  /// requests for other epochs keep their place. Appends one
+  /// `CompletedRequest` per packed request to `completed` and updates
+  /// `metrics` (batch/query counters + engine totals). If the batch's
+  /// epoch is gone, every packed request completes with that status
+  /// and only `queries_rejected` moves. Call in a loop while
+  /// `ShouldExecute` — one call executes exactly one batch.
+  /// `dispatch_nanos` (the loop's clock at the call) is stamped onto
+  /// every completed request so the flight recorder can attribute
+  /// queue wait.
   void ExecuteReady(VersionedBackend* backend,
                     std::vector<CompletedRequest>* completed,
                     ServerMetrics* metrics, int64_t dispatch_nanos = 0);
@@ -119,15 +135,12 @@ class BatchScheduler {
   /// queries are not executed for nobody.
   void DropSession(uint64_t session_id);
 
-  /// True while any pending request belongs to `session_id` (used to
-  /// keep a half-closed session alive until it has been answered).
-  bool HasPendingFor(uint64_t session_id) const;
-
  private:
   SchedulerOptions options_;
   std::deque<PendingRequest> pending_;
   size_t pending_query_count_ = 0;
   // Scratch reused across batches.
+  std::vector<size_t> packed_;  ///< `pending_` indices of the batch
   engine::QueryBatch batch_;
   engine::QueryBatchResult batch_results_;
 };

@@ -67,9 +67,8 @@ struct QueryServer::Session {
   /// once nothing is pending for it.
   bool read_closed = false;
   /// Requests of this session in flight through the scheduler /
-  /// serializer pipeline (the threaded replacement for the old loop's
-  /// `HasPendingFor`): exempts the session from the idle deadline and
-  /// keeps a half-closed session alive until it has been answered.
+  /// serializer pipeline: exempts the session from the idle deadline
+  /// and keeps a half-closed session alive until it has been answered.
   uint32_t inflight = 0;
   Buffer in;                ///< received, not yet parsed
   std::deque<OutFrame> out; ///< encoded frames, not yet fully sent
@@ -593,10 +592,9 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
     case FrameType::kQueryBatch: {
       PendingRequest request;
       request.session_id = session->id;
-      uint64_t epoch = 0;
       const Status st =
           ParseQueryBatch(payload, &request.request_id, &request.boxes,
-                          &epoch, &request.client_span_id);
+                          &request.epoch, &request.client_span_id);
       if (!st.ok()) {
         metrics_.malformed_frames += 1;
         SendError(session, ErrorCode::kMalformedFrame, 0, st.message(),
@@ -626,26 +624,10 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
           // The scheduler already drained and exited; nothing would
           // ever execute this request.
           verdict = Verdict::kShuttingDown;
-        } else if (epoch != 0) {
-          // Historical epoch: kept out of the coalescing queue — a
-          // batch is epoch-consistent, so queries against different
-          // epochs can never share a sweep. Pinned repeatable reads
-          // are a control-plane workload; the latency-sensitive hot
-          // path (epoch 0 = current) still coalesces. Not unbounded,
-          // though: the scheduler's exact admission rule applies —
-          // counting the live backlog, with the empty-queue exemption
-          // — so stamping an epoch on a request is not a way around
-          // OVERLOADED backpressure.
-          if (scheduler_.HasPending() &&
-              scheduler_.pending_queries() + num_queries >
-                  scheduler_.options().max_pending_queries) {
-            verdict = Verdict::kOverloaded;
-          } else {
-            immediate_.push_back({std::move(request), epoch});
-            session->inflight += 1;
-            verdict = Verdict::kAdmitted;
-          }
-        } else if (request.boxes.empty()) {
+        } else if (request.epoch == 0 && request.boxes.empty()) {
+          // Every other request queues, whatever its epoch, under the
+          // one backlog bound; an empty historical one still has its
+          // epoch checked at execution.
           verdict = Verdict::kEmptyInline;
         } else if (scheduler_.Enqueue(std::move(request))) {
           session->inflight += 1;
@@ -932,11 +914,6 @@ void QueryServer::CloseSession(IoThread& io, uint64_t session_id) {
   {
     common::MutexLock lock(sched_mu_);
     scheduler_.DropSession(session_id);
-    // Historical requests still waiting their turn die with the
-    // session too — they would execute for nobody.
-    std::erase_if(immediate_, [session_id](const ImmediateRequest& r) {
-      return r.request.session_id == session_id;
-    });
   }
   // A dead session's pins die with it: release every count so the
   // epochs it was holding become evictable again.
@@ -1018,15 +995,6 @@ void QueryServer::SchedulerLoop() {
   common::MutexLock lock(sched_mu_);
   std::vector<CompletedRequest> completed;
   for (;;) {
-    // Historical requests first: they were admitted against the same
-    // backlog bound and bypass the window, exactly like the old loop's
-    // inline execution.
-    if (!immediate_.empty()) {
-      ImmediateRequest req = std::move(immediate_.front());
-      immediate_.pop_front();
-      ExecuteImmediate(std::move(req));
-      continue;
-    }
     const int64_t now = NowNanos();
     if (scheduler_.HasPending() &&
         (drain_requested_ || scheduler_.ShouldExecute(now))) {
@@ -1065,44 +1033,6 @@ void QueryServer::SchedulerLoop() {
   }
 }
 
-void QueryServer::ExecuteImmediate(ImmediateRequest req) {
-  engine::QueryBatchResult results;
-  PhaseStats stats;
-  const Status st = backend_->ExecuteAt(req.epoch, req.request.boxes,
-                                        &results, &stats);
-  if (!st.ok()) {
-    metrics_.queries_rejected += req.request.boxes.size();
-    SerTask task;
-    task.kind = SerTask::Kind::kError;
-    task.session_id = req.request.session_id;
-    task.request_id = req.request.request_id;
-    task.code = ErrorCode::kEpochGone;
-    task.message = st.message();
-    EnqueueSerTask(std::move(task));
-    return;
-  }
-  metrics_.batches_executed += 1;
-  metrics_.queries_executed += req.request.boxes.size();
-  metrics_.MergeEngine(stats);
-  // Package as a completed request and reuse the one delivery tail
-  // (frame-cap handling, counters, latency, activity refresh).
-  CompletedRequest done;
-  done.session_id = req.request.session_id;
-  done.request_id = req.request.request_id;
-  done.arrival_nanos = req.request.arrival_nanos;
-  done.client_span_id = req.request.client_span_id;
-  // Never sat in the coalescing queue, so queue wait is by definition 0.
-  done.dispatch_nanos = req.request.arrival_nanos;
-  done.stats = BatchStatsWire::FromPhaseStats(
-      stats, static_cast<uint32_t>(req.request.boxes.size()), 1,
-      results.epoch);
-  done.per_query = std::move(results.per_query);
-  SerTask task;
-  task.kind = SerTask::Kind::kResult;
-  task.done = std::move(done);
-  EnqueueSerTask(std::move(task));
-}
-
 void QueryServer::EnqueueSerTask(SerTask task) {
   {
     common::MutexLock lock(ser_mu_);
@@ -1126,9 +1056,6 @@ void QueryServer::SerializerLoop() {
       case SerTask::Kind::kResult:
         DeliverCompleted(std::move(task.done));
         break;
-      case SerTask::Kind::kError:
-        DeliverError(task);
-        break;
       case SerTask::Kind::kDrain: {
         // FIFO all the way down: every frame enqueued before this
         // token has already been posted to its I/O thread's inbox, so
@@ -1151,6 +1078,18 @@ void QueryServer::DeliverCompleted(CompletedRequest done) {
     // exactly like the old loop's sessions_ lookup.
     common::MutexLock lock(owner_mu_);
     if (owner_.find(done.session_id) == owner_.end()) return;
+  }
+  if (!done.status.ok()) {
+    // The batch's epoch is gone: a request-scoped error, not a RESULT.
+    ErrorFrame error;
+    error.code = ErrorCode::kEpochGone;
+    error.request_id = done.request_id;
+    error.message = done.status.message();
+    OutFrame frame;
+    AppendError(&frame.bytes, error);
+    metrics_.errors_sent += 1;
+    DispatchOutbound(done.session_id, std::move(frame), true);
+    return;
   }
   const int64_t done_at = NowNanos();
   // The trace id this delivery WILL record under (0 = tracing off),
@@ -1257,21 +1196,6 @@ void QueryServer::DeliverCompleted(CompletedRequest done) {
     }
   }
   DispatchOutbound(done.session_id, std::move(frame), true);
-}
-
-void QueryServer::DeliverError(const SerTask& task) {
-  {
-    common::MutexLock lock(owner_mu_);
-    if (owner_.find(task.session_id) == owner_.end()) return;
-  }
-  ErrorFrame error;
-  error.code = task.code;
-  error.request_id = task.request_id;
-  error.message = task.message;
-  OutFrame frame;
-  AppendError(&frame.bytes, error);
-  metrics_.errors_sent += 1;
-  DispatchOutbound(task.session_id, std::move(frame), true);
 }
 
 void QueryServer::DispatchOutbound(uint64_t session_id, OutFrame frame,

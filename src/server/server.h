@@ -11,10 +11,11 @@
 //                    deadlines, and gathering `sendmsg` flushes of
 //                    pre-framed output. Connections never migrate, so
 //                    all per-session state stays thread-local.
-//   scheduler thread coalesces queries across connections (the
-//                    existing `BatchScheduler`, unchanged) and runs
-//                    engine batches; query-execution parallelism lives
-//                    inside the backend's `QueryEngine` thread pool.
+//   scheduler thread coalesces queries across connections in one
+//                    `BatchScheduler` queue — per epoch, current and
+//                    historical alike — and runs engine batches;
+//                    query-execution parallelism lives inside the
+//                    backend's `QueryEngine` thread pool.
 //   serializer thread encodes RESULT/ERROR frames off the I/O threads
 //                    (zero-copy: result vectors ride the frame as
 //                    iovec segments, see server/io_pipeline.h) and
@@ -165,23 +166,11 @@ class QueryServer {
  private:
   struct Session;
   struct IoThread;
-  /// A historical-epoch request awaiting the scheduler thread. Kept
-  /// out of the coalescing queue (a batch is epoch-consistent; only
-  /// same-epoch queries could share a sweep) but executed on the same
-  /// thread, since the backend's execute path is single-threaded.
-  struct ImmediateRequest {
-    PendingRequest request;
-    uint64_t epoch = 0;
-  };
   /// One unit of serialization work.
   struct SerTask {
-    enum class Kind : uint8_t { kResult, kError, kDrain };
+    enum class Kind : uint8_t { kResult, kDrain };
     Kind kind = Kind::kResult;
-    CompletedRequest done;                  // kResult
-    uint64_t session_id = 0;                // kError
-    uint64_t request_id = 0;                // kError
-    ErrorCode code = ErrorCode::kInternal;  // kError
-    std::string message;                    // kError
+    CompletedRequest done;  // kResult
   };
 
   int64_t NowNanos() const;
@@ -217,15 +206,11 @@ class QueryServer {
 
   // --- scheduler / serializer threads ---
   void SchedulerLoop();
-  /// Scheduler: runs one historical request (the backend execute path
-  /// is single-threaded, so `sched_mu_` stays held across execution).
-  void ExecuteImmediate(ImmediateRequest req) REQUIRES(sched_mu_);
   void SerializerLoop();
   /// Serializer: encodes one completed request (RESULT, or a
-  /// request-scoped error past the frame cap), updates latency/trace
-  /// accounting, dispatches to the owning I/O thread.
+  /// request-scoped error: EPOCH_GONE, or past the frame cap), updates
+  /// latency/trace accounting, dispatches to the owning I/O thread.
   void DeliverCompleted(CompletedRequest done);
-  void DeliverError(const SerTask& task);
   void DispatchOutbound(uint64_t session_id, OutFrame frame,
                         bool completes_request);
   void EnqueueSerTask(SerTask task) EXCLUDES(ser_mu_);
@@ -278,7 +263,6 @@ class QueryServer {
 
   common::Mutex sched_mu_;
   common::CondVar sched_cv_;
-  std::deque<ImmediateRequest> immediate_ GUARDED_BY(sched_mu_);
   bool drain_requested_ GUARDED_BY(sched_mu_) = false;
   /// Set by the scheduler thread once it has drained and exited; from
   /// then on admission answers SHUTTING_DOWN instead of enqueueing

@@ -232,14 +232,7 @@ Status VersionedBackend::ExecutePinned(const PinnedEpochState* pin,
 void VersionedBackend::Execute(std::span<const AABB> boxes,
                                engine::QueryBatchResult* out,
                                PhaseStats* batch_stats) {
-  // Pin the epoch for the whole batch: the position state (and the
-  // buffers behind it) stays alive and immutable even if a step
-  // publishes a successor mid-batch. The newest epoch is never spilled,
-  // so there is nothing to read back and nothing can fail.
-  std::optional<PinnedEpochState> pin;
-  if (store_ != nullptr) pin = store_->PinNewest();
-  [[maybe_unused]] const Status status = ExecutePinned(
-      pin.has_value() ? &*pin : nullptr, boxes, out, batch_stats);
+  [[maybe_unused]] const Status status = ExecuteAt(0, boxes, out, batch_stats);
   assert(status.ok() && "the newest epoch is always resident");
 }
 
@@ -247,21 +240,29 @@ Status VersionedBackend::ExecuteAt(engine::EpochId wire_epoch,
                                    std::span<const AABB> boxes,
                                    engine::QueryBatchResult* out,
                                    PhaseStats* batch_stats) {
-  if (wire_epoch == 0) {
+  // Pin the epoch for the whole batch: the position state (and the
+  // buffers behind it) stays alive and immutable even if a step
+  // publishes a successor mid-batch.
+  std::optional<PinnedEpochState> pin;
+  if (store_ == nullptr) {
+    if (wire_epoch != 0) {
+      return Status::NotFound(
+          "epoch " + std::to_string(wire_epoch) +
+          " is gone: a static server has only its load-time state");
+    }
+  } else if (wire_epoch == 0) {
     // The wire's "epoch 0" means "whatever is current". The initial
     // state stays addressable as epoch 1 (published ids start at 1, so
-    // the sentinel never shadows a real epoch).
-    Execute(boxes, out, batch_stats);
-    return Status::OK();
+    // the sentinel never shadows a real epoch). The newest epoch is
+    // never spilled, so there is nothing to read back.
+    pin = store_->PinNewest();
+  } else {
+    auto pinned = store_->PinEpoch(wire_epoch);
+    if (!pinned.ok()) return pinned.status();
+    pin = pinned.MoveValue();
   }
-  if (store_ == nullptr) {
-    return Status::NotFound(
-        "epoch " + std::to_string(wire_epoch) +
-        " is gone: a static server has only its load-time state");
-  }
-  auto pinned = store_->PinEpoch(wire_epoch);
-  if (!pinned.ok()) return pinned.status();
-  return ExecutePinned(&pinned.Value(), boxes, out, batch_stats);
+  return ExecutePinned(pin.has_value() ? &*pin : nullptr, boxes, out,
+                       batch_stats);
 }
 
 Result<engine::EpochInfo> VersionedBackend::PinEpoch(

@@ -6,8 +6,9 @@
 // place) and one epoch representation: every step publishes a
 // `PositionOverlay` of the pages that differ from the previous epoch
 // into an `EpochStore`, where recent epochs stay resident, older ones
-// spill to a `.oct2d` sidecar and remain queryable (`ExecuteAt`), and
-// epochs past the history cap are evicted unless pinned. Every batch
+// spill to a `.oct2d` sidecar and remain queryable, and epochs past
+// the history cap are evicted unless pinned. Every batch — one
+// `ExecuteAt` at the epoch its requests name, 0 for current —
 // runs against a resident epoch: a spilled one is read back from the
 // sidecar once, before the batch, into memory the backend owns. Paged
 // queries read through a per-batch page table over the epoch's pages;
@@ -16,9 +17,10 @@
 // — the paper's stale-index claim, serving a mesh that moves *and*
 // remembers where it has been.
 //
-// Thread model: `Execute`/`ExecuteAt`/`PinEpoch`/`UnpinEpoch` belong to
-// the event-loop thread; `AdvanceStep` may run on a dedicated stepper
-// thread concurrently with them. Queries pin an epoch in O(1) and never
+// Thread model: `ExecuteAt` (and its in-process wrapper `Execute`)
+// belongs to the server's scheduler thread; `AdvanceStep` may run on a
+// dedicated stepper thread, and the pin verbs on the I/O threads,
+// concurrently with it. Queries pin an epoch in O(1) and never
 // block on (or get torn by) an in-flight step; `AdvanceStep` itself is
 // serialized.
 #ifndef OCTOPUS_SERVER_VERSIONED_BACKEND_H_
@@ -49,7 +51,7 @@ namespace octopus::server {
 /// store, against an epoch-versioned position state with a bounded,
 /// spillable history.
 ///
-/// `Execute`/`ExecuteAt` are single-threaded (the server's scheduler
+/// `ExecuteAt`/`Execute` are single-threaded (the server's scheduler
 /// thread is the only caller; internal query parallelism comes from the
 /// engine's thread pool). `AdvanceStep`, `CurrentEpoch`, `PinEpoch` and
 /// `UnpinEpoch` are safe from any thread concurrently with them — the
@@ -112,24 +114,25 @@ class VersionedBackend {
                    : 0;
   }
 
-  /// Executes one coalesced batch against the pinned current epoch.
+  /// Executes one coalesced batch at `wire_epoch` — the server's one
+  /// entry point. 0 selects the current epoch, any other value the
+  /// published epoch with that id, pinned for the whole batch.
   /// `batch_stats` receives exactly this batch's stats (the counters
   /// are reset per batch, so the delta is deterministic and, for a
   /// single-request batch, identical to an in-process run of the same
   /// queries at the same step), with `stale_steps` set to the epoch's
-  /// step; `out->epoch` is the epoch it ran on.
-  void Execute(std::span<const AABB> boxes, engine::QueryBatchResult* out,
-               PhaseStats* batch_stats);
-
-  /// Executes against a historical epoch: `wire_epoch` 0 selects the
-  /// current epoch (== `Execute`), any other value the epoch with that
-  /// id. A spilled epoch is read back from the sidecar first (one page
-  /// miss per page in `batch_stats->page_io`). NotFound = the epoch was
-  /// evicted or never existed; IOError = its sidecar pages could not be
-  /// read back (the message names the epoch). The server answers
-  /// EPOCH_GONE to both.
+  /// step; `out->epoch` is the epoch it ran on. A spilled epoch is read
+  /// back from the sidecar first (one page miss per page in
+  /// `batch_stats->page_io`). NotFound = the epoch was evicted or never
+  /// existed; IOError = its sidecar pages could not be read back (the
+  /// message names the epoch). The server answers EPOCH_GONE to both.
   Status ExecuteAt(engine::EpochId wire_epoch, std::span<const AABB> boxes,
                    engine::QueryBatchResult* out, PhaseStats* batch_stats);
+
+  /// `ExecuteAt(0, ...)` for in-process callers (tests, benches): the
+  /// current epoch is never spilled, so it cannot fail.
+  void Execute(std::span<const AABB> boxes, engine::QueryBatchResult* out,
+               PhaseStats* batch_stats);
 
   /// Pins an epoch against eviction (`wire_epoch` 0 = current) and
   /// returns its identity; NotFound when it is already gone. The server

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -875,34 +876,167 @@ TEST(BatchSchedulerTest, OversizedRequestExecutesAlone) {
   EXPECT_EQ(completed[0].stats.batch_queries, 7u);
 }
 
+/// A dynamic in-memory backend over a small box with `steps` steps
+/// published: epochs 1 .. steps + 1 are resident.
+std::unique_ptr<VersionedBackend> SteppedBackend(int steps) {
+  auto backend = VersionedBackend::FromMesh(MakeBox(4), 1);
+  DeformerSpec spec;
+  spec.kind = DeformerKind::kRandom;
+  spec.amplitude = 0.02f;
+  spec.seed = 7;
+  EXPECT_TRUE(backend->BindDeformer(spec).ok());
+  for (int s = 0; s < steps; ++s) backend->AdvanceStep();
+  return backend;
+}
+
+server::PendingRequest EpochRequest(uint64_t session, uint64_t id,
+                                    size_t queries, engine::EpochId epoch) {
+  server::PendingRequest r;
+  r.session_id = session;
+  r.request_id = id;
+  r.boxes.assign(queries, AABB(Vec3(0, 0, 0), Vec3(0.6f, 0.6f, 0.6f)));
+  r.epoch = epoch;
+  return r;
+}
+
+// One queue for every epoch: each batch is the head request's epoch
+// group, FIFO and capped; requests for other epochs keep their place.
+TEST(BatchSchedulerTest, CoalescesPerEpochInArrivalOrder) {
+  auto backend = SteppedBackend(3);  // epochs 1..4, 4 current
+  server::SchedulerOptions options;
+  options.max_batch_queries = 4;
+  server::BatchScheduler scheduler(options);
+  server::ServerMetrics metrics;
+
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(1, 'A', 2, 0)));
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(2, 'B', 2, 2)));
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(3, 'C', 2, 0)));
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(4, 'D', 2, 2)));
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(5, 'E', 1, 3)));
+  // F is current too, but A + C already fill the cap of 4.
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(6, 'F', 1, 0)));
+  EXPECT_EQ(scheduler.pending_queries(), 10u);
+
+  struct Expected {
+    std::vector<uint64_t> ids;
+    uint64_t epoch;
+  };
+  const std::vector<Expected> expected = {
+      {{'A', 'C'}, 4}, {{'B', 'D'}, 2}, {{'E'}, 3}, {{'F'}, 4}};
+  for (size_t b = 0; b < expected.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    std::vector<server::CompletedRequest> completed;
+    scheduler.ExecuteReady(backend.get(), &completed, &metrics);
+    ASSERT_EQ(completed.size(), expected[b].ids.size());
+    uint32_t batch_queries = 0;
+    for (size_t r = 0; r < completed.size(); ++r) {
+      const server::CompletedRequest& done = completed[r];
+      EXPECT_TRUE(done.status.ok()) << done.status.ToString();
+      EXPECT_EQ(done.request_id, expected[b].ids[r]);
+      EXPECT_EQ(done.stats.batch_requests, completed.size());
+      EXPECT_EQ(done.stats.epoch.epoch, expected[b].epoch);
+      EXPECT_EQ(done.stats.epoch.step, expected[b].epoch - 1);
+      batch_queries += static_cast<uint32_t>(done.per_query.size());
+    }
+    EXPECT_LE(batch_queries, options.max_batch_queries);
+    EXPECT_EQ(completed[0].stats.batch_queries, batch_queries);
+    EXPECT_EQ(metrics.batches_executed, b + 1);
+  }
+  EXPECT_FALSE(scheduler.HasPending());
+  EXPECT_EQ(scheduler.pending_queries(), 0u);
+  EXPECT_EQ(metrics.queries_executed, 10u);
+  EXPECT_EQ(metrics.queries_rejected, 0u);
+
+  // A coalesced historical slice is exactly what a solo run at that
+  // epoch returns.
+  const AABB box(Vec3(0, 0, 0), Vec3(0.6f, 0.6f, 0.6f));
+  engine::QueryBatchResult solo;
+  PhaseStats solo_stats;
+  ASSERT_TRUE(backend->ExecuteAt(2, std::span<const AABB>(&box, 1), &solo,
+                                 &solo_stats)
+                  .ok());
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(2, 'G', 1, 2)));
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(3, 'H', 1, 2)));
+  std::vector<server::CompletedRequest> completed;
+  scheduler.ExecuteReady(backend.get(), &completed, &metrics);
+  ASSERT_EQ(completed.size(), 2u);
+  EXPECT_EQ(completed[1].per_query[0], solo.per_query[0]);
+}
+
+// A group whose epoch is gone completes every request with the status
+// (answered EPOCH_GONE); no batch counter moves, the group's queries
+// count as rejected, and the next group still runs.
+TEST(BatchSchedulerTest, GoneEpochGroupCompletesWithItsStatus) {
+  auto backend = SteppedBackend(2);
+  server::BatchScheduler scheduler(server::SchedulerOptions{});
+  server::ServerMetrics metrics;
+
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(1, 1, 2, 9999)));
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(2, 2, 1, 0)));
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(3, 3, 3, 9999)));
+
+  std::vector<server::CompletedRequest> completed;
+  scheduler.ExecuteReady(backend.get(), &completed, &metrics);
+  ASSERT_EQ(completed.size(), 2u);
+  EXPECT_EQ(completed[0].request_id, 1u);
+  EXPECT_EQ(completed[1].request_id, 3u);
+  for (const server::CompletedRequest& done : completed) {
+    EXPECT_EQ(done.status.code(), Status::Code::kNotFound);
+    EXPECT_NE(done.status.message().find("epoch 9999"), std::string::npos)
+        << done.status.ToString();
+    EXPECT_TRUE(done.per_query.empty());
+  }
+  EXPECT_EQ(metrics.batches_executed, 0u);
+  EXPECT_EQ(metrics.queries_executed, 0u);
+  EXPECT_EQ(metrics.queries_rejected, 5u);
+  EXPECT_EQ(scheduler.pending_queries(), 1u);
+
+  completed.clear();
+  scheduler.ExecuteReady(backend.get(), &completed, &metrics);
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_TRUE(completed[0].status.ok());
+  EXPECT_EQ(completed[0].stats.epoch.epoch, 3u);
+  EXPECT_EQ(metrics.batches_executed, 1u);
+  EXPECT_EQ(metrics.queries_rejected, 5u);
+}
+
 TEST(BatchSchedulerTest, AdmissionControlAndSessionDrop) {
   server::SchedulerOptions options;
   options.max_pending_queries = 10;
   server::BatchScheduler scheduler(options);
 
-  auto request = [&](uint64_t session, size_t queries) {
-    server::PendingRequest r;
-    r.session_id = session;
-    r.request_id = session;
-    r.boxes.assign(queries, AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)));
-    return r;
+  // One bound counts every admitted query, whatever its epoch.
+  auto request = [&](uint64_t session, size_t queries,
+                     engine::EpochId epoch = 0) {
+    return EpochRequest(session, session, queries, epoch);
   };
   EXPECT_TRUE(scheduler.Enqueue(request(1, 6)));
-  EXPECT_FALSE(scheduler.Enqueue(request(2, 6)));  // 12 > 10
-  EXPECT_TRUE(scheduler.Enqueue(request(3, 4)));   // fits exactly
+  EXPECT_FALSE(scheduler.Enqueue(request(2, 6)));     // 12 > 10
+  EXPECT_FALSE(scheduler.Enqueue(request(2, 6, 3)));  // historical too
+  EXPECT_TRUE(scheduler.Enqueue(request(3, 4, 2)));   // fits exactly
   EXPECT_EQ(scheduler.pending_queries(), 10u);
+  EXPECT_FALSE(scheduler.Enqueue(request(5, 1)));
+  EXPECT_FALSE(scheduler.Enqueue(request(5, 1, 2)));
 
   scheduler.DropSession(1);
   EXPECT_EQ(scheduler.pending_queries(), 4u);
   EXPECT_TRUE(scheduler.Enqueue(request(2, 6)));  // freed capacity
   EXPECT_EQ(scheduler.pending_queries(), 10u);
 
+  // DropSession covers historical requests as well.
+  scheduler.DropSession(3);
+  EXPECT_EQ(scheduler.pending_queries(), 6u);
+  EXPECT_TRUE(scheduler.Enqueue(request(6, 2, 7)));
+  EXPECT_TRUE(scheduler.Enqueue(request(6, 2, 8)));
+  EXPECT_EQ(scheduler.pending_queries(), 10u);
+  scheduler.DropSession(6);
+  EXPECT_EQ(scheduler.pending_queries(), 6u);
+
   // An empty queue admits even a request above the bound by itself, so
   // an oversized batch is served alone, never rejected forever.
   scheduler.DropSession(2);
-  scheduler.DropSession(3);
   ASSERT_FALSE(scheduler.HasPending());
-  EXPECT_TRUE(scheduler.Enqueue(request(4, 25)));
+  EXPECT_TRUE(scheduler.Enqueue(request(4, 25, 2)));
   EXPECT_EQ(scheduler.pending_queries(), 25u);
   EXPECT_FALSE(scheduler.Enqueue(request(5, 1)));  // bound applies again
 }
@@ -1303,6 +1437,156 @@ TEST(ServerIntegrationTest, SpilledEpochReloadIsObservableAndFailsTyped) {
     fixture.StopAndJoin();
     std::remove((stem + ".oct2").c_str());
   }
+}
+
+// Historical requests wait in the one coalescing queue and count
+// against the one backlog bound: once they fill it, the next request
+// is OVERLOADED whatever its epoch, and the parked ones are still
+// answered, each at its own epoch, by the graceful drain.
+TEST(ServerIntegrationTest, HistoricalRequestsCountAgainstTheBacklogBound) {
+  const TetraMesh mesh = MakeBox(6);
+  auto backend = VersionedBackend::FromMesh(mesh, 1);
+  DeformerSpec spec;
+  spec.kind = DeformerKind::kRandom;
+  spec.amplitude = 0.02f;
+  spec.seed = 31;
+  ASSERT_TRUE(backend->BindDeformer(spec).ok());
+  backend->AdvanceStep();  // epochs 1 and 2 (current)
+  ServerOptions options;
+  options.scheduler.window_nanos = 60'000'000'000;  // park requests
+  options.scheduler.max_batch_queries = 1000;
+  options.scheduler.max_pending_queries = 8;
+  ServerFixture fixture(std::move(backend), options);
+
+  QueryGenerator gen(mesh);
+  Rng rng(21);
+  const std::vector<AABB> queries_1 = gen.MakeQueries(&rng, 4, 0.01, 0.02);
+  const std::vector<AABB> queries_2 = gen.MakeQueries(&rng, 4, 0.01, 0.02);
+  const std::vector<AABB> one = gen.MakeQueries(&rng, 1, 0.01, 0.02);
+  auto client_1 = MustConnect(fixture.port());
+  auto client_2 = MustConnect(fixture.port());
+  auto probe = MustConnect(fixture.port());
+
+  auto parked_1 = std::async(std::launch::async, [&] {
+    return client_1->ExecuteBatch(queries_1, /*epoch=*/1);
+  });
+  auto parked_2 = std::async(std::launch::async, [&] {
+    return client_2->ExecuteBatch(queries_2, /*epoch=*/2);
+  });
+  while (true) {
+    auto stats = probe->FetchStats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (Sample(stats, "octopus_queries_received_total") >= 8.0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  auto historical = probe->ExecuteBatch(one, /*epoch=*/1);
+  ASSERT_FALSE(historical.ok());
+  EXPECT_EQ(historical.status().code(), Status::Code::kResourceExhausted)
+      << historical.status().ToString();
+  auto current = probe->ExecuteBatch(one);
+  ASSERT_FALSE(current.ok());
+  EXPECT_EQ(current.status().code(), Status::Code::kResourceExhausted)
+      << current.status().ToString();
+  auto stats = probe->FetchStats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(Sample(stats, "octopus_queries_rejected_total"), 2.0);
+  EXPECT_EQ(Sample(stats, "octopus_batches_executed_total"), 0.0);
+
+  fixture.StopAndJoin();
+  auto result_1 = parked_1.get();
+  auto result_2 = parked_2.get();
+  ASSERT_TRUE(result_1.ok()) << result_1.status().ToString();
+  ASSERT_TRUE(result_2.ok()) << result_2.status().ToString();
+  EXPECT_EQ(result_1.Value().results.epoch.epoch, 1u);
+  EXPECT_EQ(result_2.Value().results.epoch.epoch, 2u);
+  EXPECT_EQ(result_1.Value().stats.batch_requests, 1u);
+  EXPECT_EQ(result_2.Value().stats.batch_requests, 1u);
+}
+
+// Two connections reading the same spilled epoch share one batch, so
+// the epoch is read back from the sidecar once: exactly the pages (and
+// the one `epoch_reloaded` event) of a request that reads it alone.
+TEST(ServerIntegrationTest, SameEpochHistoricalRequestsShareOneReload) {
+  const TetraMesh mesh = MakeBox(6);
+  const std::string stem = ::testing::TempDir() + "/shared_reload";
+  ASSERT_TRUE(SaveSnapshot(mesh, stem + ".oct2",
+                           storage::SnapshotOptions{.page_bytes = 1024})
+                  .ok());
+  auto opened = VersionedBackend::OpenSnapshot(
+      stem + ".oct2", /*pool_bytes=*/64 * 1024, /*threads=*/1);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<VersionedBackend> backend = opened.MoveValue();
+  server::EpochRetentionOptions retention;
+  retention.retention_epochs = 2;
+  retention.history_epochs = 4;
+  retention.spill_path = stem + ".oct2d";
+  ASSERT_TRUE(backend->ConfigureRetention(retention).ok());
+  DeformerSpec spec;
+  spec.kind = DeformerKind::kRandom;
+  spec.amplitude = 0.02f;
+  spec.seed = 2026;
+  ASSERT_TRUE(backend->BindDeformer(spec).ok());
+
+  obs::EventJournal journal(256);
+  ServerOptions options;
+  options.journal = &journal;
+  // Only the size trigger fires: a batch is exactly 8 queries.
+  options.scheduler.window_nanos = 60'000'000'000;
+  options.scheduler.max_batch_queries = 8;
+  ServerFixture fixture(std::move(backend), options);
+  auto remote_a = MustConnect(fixture.port());
+  auto remote_b = MustConnect(fixture.port());
+  ASSERT_TRUE(remote_a->Step(1).ok());
+  ASSERT_TRUE(remote_a->PinEpoch(0).ok());  // epoch 2, spilled below
+  for (int s = 0; s < 4; ++s) ASSERT_TRUE(remote_a->Step(1).ok());
+
+  QueryGenerator gen(mesh);
+  Rng rng(5);
+  const std::vector<AABB> boxes_a = gen.MakeQueries(&rng, 4, 0.01, 0.05);
+  const std::vector<AABB> boxes_b = gen.MakeQueries(&rng, 4, 0.01, 0.05);
+  std::vector<AABB> both = boxes_a;
+  both.insert(both.end(), boxes_b.begin(), boxes_b.end());
+
+  auto reload_pages = [&] {
+    auto stats = remote_a->FetchStats();
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return Sample(stats, "octopus_epoch_reload_pages_total");
+  };
+  auto reload_events = [&] {
+    std::vector<obs::JournalEvent> events;
+    journal.Snapshot(&events);
+    size_t n = 0;
+    for (const obs::JournalEvent& event : events) {
+      n += event.kind == obs::EventKind::kEpochReloaded && event.epoch == 2;
+    }
+    return n;
+  };
+
+  // Reference: one request reads epoch 2 alone.
+  auto alone = remote_a->ExecuteBatch(both, /*epoch=*/2);
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  const double epoch_pages = reload_pages();
+  ASSERT_GT(epoch_pages, 0.0);
+  ASSERT_EQ(reload_events(), 1u);
+
+  auto result_a = std::async(std::launch::async, [&] {
+    return remote_a->ExecuteBatch(boxes_a, /*epoch=*/2);
+  });
+  auto result_b = std::async(std::launch::async, [&] {
+    return remote_b->ExecuteBatch(boxes_b, /*epoch=*/2);
+  });
+  for (auto* result : {&result_a, &result_b}) {
+    auto got = result->get();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.Value().results.epoch.epoch, 2u);
+    EXPECT_EQ(got.Value().stats.batch_requests, 2u);
+    EXPECT_EQ(got.Value().stats.batch_queries, 8u);
+  }
+  EXPECT_EQ(reload_pages(), 2 * epoch_pages);
+  EXPECT_EQ(reload_events(), 2u);
+  fixture.StopAndJoin();
+  std::remove((stem + ".oct2").c_str());
 }
 
 // /epochs must be counter-equal with the EpochStore's own view at a
