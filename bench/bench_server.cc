@@ -359,9 +359,11 @@ int main() {
   // not wall clock: on a 1-core runner wall clock is a scheduling
   // lottery, while the server's own CPU is what tracing costs.
   // check_perf_smoke.py holds the ratio to <= 1.05 (tracing must stay
-  // effectively free).
+  // effectively free). One pair's ratio spreads ±0.07 on a shared host
+  // and drifts slowly from run to run, so a median of 11 pairs still
+  // reached 1.09 on unchanged code; 31 pairs keep it within ±0.03.
   {
-    constexpr int kOverheadPairs = 11;
+    constexpr int kOverheadPairs = 31;
     BenchConfig off_config{"overhead_paged_untraced", 1, 192, 16, true, 0};
     BenchConfig on_config = off_config;
     on_config.name = "overhead_paged_traced";

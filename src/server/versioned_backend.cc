@@ -177,23 +177,15 @@ Status VersionedBackend::ExecutePinned(const PinnedEpochState* pin,
                                        std::span<const AABB> boxes,
                                        engine::QueryBatchResult* out,
                                        PhaseStats* batch_stats) {
-  common::MutexLock lock(scratch_mu_);
+  common::MutexLock lock(epoch_mu_);
   // Every batch runs against a resident epoch: a spilled epoch's pages
   // are read back from the sidecar first, once, on this thread, and
-  // each page read is priced as one page miss of this batch.
+  // each page read is priced as one page miss of this batch. A static
+  // backend never loads an epoch: its table stays empty, and both
+  // executors read their own positions (the mesh array, the snapshot).
   storage::PageIOStats reload_io;
   if (pin != nullptr) {
-    Status reload;
-    if (paged_ != nullptr) {
-      reload = paged_epoch_.Load(*pin->overlay, &reload_io);
-    } else if (scratch_source_ != pin->overlay) {
-      // The flat executor reads one array: refill it from the overlay
-      // only when the pinned overlay changes (once per step on the
-      // current-epoch path; resident pages are free memory copies).
-      scratch_.resize(num_vertices_);
-      reload = pin->overlay->CopyPositions(scratch_, &reload_io);
-      scratch_source_ = reload.ok() ? pin->overlay : nullptr;
-    }
+    const Status reload = epoch_.Load(*pin->overlay, &reload_io);
     if (!reload.ok()) {
       return Status::IOError("epoch " + std::to_string(pin->info.epoch) +
                              " could not be read back: " + reload.message());
@@ -207,18 +199,24 @@ Status VersionedBackend::ExecutePinned(const PinnedEpochState* pin,
       }
     }
   }
+  const std::span<const std::byte* const> pages = epoch_.pages();
   if (paged_ != nullptr) {
-    // A static backend never loads an epoch: its table stays empty, the
-    // snapshot's own positions.
     paged_->ResetStats();
-    paged_->RangeQueryBatch(boxes, out, engine_.pool(), paged_epoch_.pages());
+    paged_->RangeQueryBatch(boxes, out, engine_.pool(), pages);
     *batch_stats = paged_->stats();
   } else {
-    MeshGraphView graph = mesh_->Graph();
-    if (pin != nullptr) graph.positions = scratch_;
+    // The stepper rewrites `mesh_`'s positions in place, so a dynamic
+    // batch reads only the pinned epoch's table.
+    const MeshGraphView graph = mesh_->Graph();
+    const auto per_page = static_cast<uint32_t>(
+        pin != nullptr ? pin->overlay->positions_per_page() : 0);
     contexts_.ResetStats();
-    ExecuteOctopusBatch(graph, surface_index_, octopus_options_, boxes,
-                        out, engine_.pool(), &contexts_);
+    ExecuteOctopusBatch(
+        [&](engine::ExecutionContext*) {
+          return storage::InMemoryMeshAccessor(graph, pages, per_page);
+        },
+        surface_index_, octopus_options_, boxes, out, engine_.pool(),
+        &contexts_);
     *batch_stats = contexts_.stats();
   }
   batch_stats->page_io.Merge(reload_io);

@@ -10,10 +10,9 @@
 // the history cap are evicted unless pinned. Every batch — one
 // `ExecuteAt` at the epoch its requests name, 0 for current —
 // runs against a resident epoch: a spilled one is read back from the
-// sidecar once, before the batch, into memory the backend owns. Paged
-// queries read through a per-batch page table over the epoch's pages;
-// in-memory queries read a flat copy, refilled only when the pinned
-// epoch changes. The surface index built at load time is never touched
+// sidecar once per batch, before it runs, into memory the backend owns.
+// Both executors read positions through that batch's page table over
+// the epoch's pages. The surface index built at load time is never touched
 // — the paper's stale-index claim, serving a mesh that moves *and*
 // remembers where it has been.
 //
@@ -198,18 +197,13 @@ class VersionedBackend {
   std::vector<Vec3> base_positions_;
   common::Mutex step_mu_;  // serializes AdvanceStep
 
-  // The read side's resident epoch. In memory: one flat copy of the
-  // overlay `scratch_source_` (null = none yet). The tag is the overlay
-  // itself, held so its identity cannot be recycled: a spilled epoch's
-  // sidecar twin is a new overlay, so reading it again is a priced
-  // reload. Paged: the batch's position page table, a spilled epoch's
-  // pages reloaded into its buffer. Only the scheduler thread executes,
-  // so the lock is uncontended; it makes that ownership checkable.
-  common::Mutex scratch_mu_;
-  std::vector<Vec3> scratch_ GUARDED_BY(scratch_mu_);
-  std::shared_ptr<const storage::PositionOverlay> scratch_source_
-      GUARDED_BY(scratch_mu_);
-  storage::ResidentEpoch paged_epoch_ GUARDED_BY(scratch_mu_);
+  // The read side's resident epoch: the batch's position page table
+  // over the pinned overlay, a spilled epoch's pages reloaded into its
+  // buffer. Both executors read through it. Only the scheduler thread
+  // executes, so the lock is uncontended; it makes that ownership
+  // checkable.
+  common::Mutex epoch_mu_;
+  storage::ResidentEpoch epoch_ GUARDED_BY(epoch_mu_);
   std::atomic<uint64_t> reload_pages_{0};
 
   /// Epoch history: publication, retention, spill, pins. The store's

@@ -18,27 +18,6 @@ size_t PositionOverlay::resident_bytes() const {
   return bytes;
 }
 
-Status PositionOverlay::CopyPositions(std::span<Vec3> out,
-                                      PageIOStats* stats) const {
-  const size_t per_page = positions_per_page_;
-  std::vector<std::span<std::byte>> spilled;
-  for (size_t page = 0, begin = 0; begin < out.size();
-       ++page, begin += per_page) {
-    const size_t bytes =
-        std::min(per_page, out.size() - begin) * sizeof(Vec3);
-    std::byte* dst = reinterpret_cast<std::byte*>(out.data() + begin);
-    if (const std::byte* resident = Lookup(page)) {
-      assert(resident_page_bytes(page) == bytes && "page geometry mismatch");
-      std::memcpy(dst, resident, bytes);
-      continue;
-    }
-    assert(spilled_id(page) != kInvalidPageId &&
-           "a full overlay covers every page");
-    spilled.emplace_back(dst, bytes);
-  }
-  return ReadSpilled(spilled, stats);
-}
-
 Status PositionOverlay::ReadSpilled(std::span<const std::span<std::byte>> dst,
                                     PageIOStats* stats) const {
   if (dst.empty()) return Status::OK();

@@ -9,22 +9,21 @@
 //
 // On the paged backend the base is the OCT2 snapshot, the step-0
 // source of truth, and a step rewrites only the position pages whose
-// bytes changed; paged readers go through a per-batch page table
-// (`ResidentEpoch`) that points at the overlay's pages and leaves the
-// rest to the buffer pool. In memory there is no base file (the mesh
-// array is the live simulation state), so every overlay covers every
-// page, and the executor reads a flat copy (`CopyPositions`).
+// bytes changed. In memory there is no base file (the mesh array is the
+// live simulation state), so every overlay covers every page. Readers
+// on both backends go through a per-batch page table (`ResidentEpoch`)
+// that points at the overlay's pages; paged, the pages it leaves null
+// are read from the snapshot through the buffer pool.
 //
 // An overlay's pages live in one of two places: in memory (the hot,
 // recent epochs) or in an on-disk spill sidecar (epochs past the
 // retention window — see storage/epoch_spill.h). Every batch runs
 // against a resident epoch: a batch that pins a spilled overlay first
 // reads its sidecar pages back in one pass (`ReadSpilled`: one `preadv`
-// per run of consecutive sidecar ids, one page miss per page) into
-// memory the reader owns — the flat copy in memory, the
-// `ResidentEpoch` buffer on the paged backend. A spilled overlay holds
-// the `SpillExtent` owning its sidecar pages, so they are recycled only
-// once the last reader of the epoch lets go.
+// per run of consecutive sidecar ids, one page miss per page) into the
+// `ResidentEpoch` buffer. A spilled overlay holds the `SpillExtent`
+// owning its sidecar pages, so they are recycled only once the last
+// reader of the epoch lets go.
 #ifndef OCTOPUS_STORAGE_DELTA_OVERLAY_H_
 #define OCTOPUS_STORAGE_DELTA_OVERLAY_H_
 
@@ -104,14 +103,6 @@ class PositionOverlay {
   /// Positions per page (the tail page holds fewer).
   size_t positions_per_page() const { return positions_per_page_; }
 
-  /// Copies the whole epoch into `out` (one entry per vertex). Resident
-  /// pages are plain memory copies and count nothing; spilled pages are
-  /// read from the sidecar straight into `out` (`ReadSpilled`). The
-  /// overlay must cover every page — true of in-memory epochs, whose
-  /// diff base is empty. IOError when the reload fails; `out` is then
-  /// partly written.
-  Status CopyPositions(std::span<Vec3> out, PageIOStats* stats) const;
-
   /// Reads every spilled page back from the sidecar: the `i`-th spilled
   /// page in page order into `dst[i]` (its entry bytes; a span may stop
   /// short of the page), one `preadv` per run of consecutive sidecar
@@ -159,8 +150,8 @@ class PositionOverlay {
 };
 
 /// \brief One epoch's position pages as memory for the length of a
-/// batch: the page table paged readers go through. Entry `i` points at
-/// position page `i`'s entry bytes — the overlay's resident page, or
+/// batch: the page table every executor reads through. Entry `i` points
+/// at position page `i`'s entry bytes — the overlay's resident page, or
 /// the spilled page reloaded into this object's buffer — or is null
 /// where the overlay leaves the page to the base snapshot. Reused
 /// across batches: once warm, binding a resident epoch allocates

@@ -3,16 +3,17 @@
 // query phases (surface probe, directed walk, crawl) read vertex
 // positions and adjacency. Two implementations exist —
 //
-//  * `InMemoryMeshAccessor`: a zero-overhead wrapper over the resident
-//    `MeshGraphView` (every call inlines to the same loads as before the
-//    storage layer existed), and
+//  * `InMemoryMeshAccessor`: adjacency from the resident
+//    `MeshGraphView`, positions from the mesh's own array or from an
+//    epoch's position pages, and
 //  * `storage::PagedMeshAccessor` (paged_mesh.h): the out-of-core view
 //    reading through a byte-capped buffer pool —
 //
 // so every query path runs unmodified over either. The executor cores
-// are templates constrained by the `MeshAccessor` concept; the in-memory
-// path keeps its original machine code, the paged path pays page
-// accesses.
+// are templates constrained by the `MeshAccessor` concept. Both read a
+// batch's epoch through one position page table (`ResidentEpoch`,
+// storage/delta_overlay.h; empty = their own positions) with the page
+// arithmetic of common/fast_div.h; only the paged one prices pages.
 //
 // Accessor contract:
 //  * `position(v)` returns the vertex position (by value or reference).
@@ -23,8 +24,8 @@
 //    fused probe calls it once per sampled surface vertex per shard per
 //    batch (its gather), not once per query.
 //  * `PrefetchProbePosition(rank, v)`, optional, hints that gather's
-//    read ahead of demand (in memory a cache-line prefetch: the gather
-//    reads surface positions by id, scattered over the array).
+//    read ahead of demand (a cache-line prefetch over a flat array, which
+//    the gather reads by id, scattered; none through a page table).
 //  * `neighbors(v)` returns a span that remains valid until the NEXT
 //    `neighbors` call on the same accessor; `position` calls never
 //    invalidate it. Callers must not hold a span across `neighbors`
@@ -40,8 +41,11 @@
 
 #include <concepts>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <span>
 
+#include "common/fast_div.h"
 #include "common/vec3.h"
 #include "mesh/graph_view.h"
 #include "mesh/types.h"
@@ -58,25 +62,34 @@ concept MeshAccessor = requires(A& a, VertexId v, size_t rank) {
   a.PrefetchPosition(v);
 };
 
-/// \brief The resident implementation: forwards to `MeshGraphView`.
-///
-/// Copyable and free to construct; per-shard instances are made on the
-/// fly. `position` returns a reference into the mesh's position array
-/// and `neighbors` a span into its CSR arrays — zero copies, zero
-/// overhead.
+/// \brief The resident implementation: adjacency from `MeshGraphView`,
+/// positions from its array or, when bound, from a position page table
+/// with every page present (an in-memory epoch covers them all).
+/// Copyable and cheap; per-shard instances are made on the fly.
 class InMemoryMeshAccessor {
  public:
-  explicit InMemoryMeshAccessor(const MeshGraphView& graph)
-      : graph_(graph) {}
+  /// `position_pages` (empty = the mesh's array) outlives the accessor.
+  explicit InMemoryMeshAccessor(
+      const MeshGraphView& graph,
+      std::span<const std::byte* const> position_pages = {},
+      uint32_t positions_per_page = 0)
+      : graph_(graph), pages_(position_pages) {
+    if (!pages_.empty()) pos_div_.Init(positions_per_page);
+  }
 
   size_t num_vertices() const { return graph_.num_vertices(); }
 
-  const Vec3& position(VertexId v) const { return graph_.position(v); }
-
-  /// In memory the probe reads the position array like everything else.
-  const Vec3& ProbePosition(size_t, VertexId v) const {
-    return position(v);
+  Vec3 position(VertexId v) const {
+    if (pages_.empty()) return graph_.position(v);
+    const uint32_t page = pos_div_.Div(v);
+    Vec3 p;
+    std::memcpy(&p, pages_[page] + pos_div_.Rem(v, page) * sizeof(Vec3),
+                sizeof(Vec3));
+    return p;
   }
+
+  /// In memory the probe reads positions like everything else.
+  Vec3 ProbePosition(size_t, VertexId v) const { return position(v); }
 
   std::span<const VertexId> neighbors(VertexId v) const {
     return graph_.neighbors(v);
@@ -85,11 +98,13 @@ class InMemoryMeshAccessor {
   void PrefetchPosition(VertexId) const {}
 
   void PrefetchProbePosition(size_t, VertexId v) const {
-    __builtin_prefetch(graph_.positions.data() + v);
+    if (pages_.empty()) __builtin_prefetch(graph_.positions.data() + v);
   }
 
  private:
   MeshGraphView graph_;
+  std::span<const std::byte* const> pages_;
+  FastDiv pos_div_;
 };
 
 static_assert(MeshAccessor<InMemoryMeshAccessor>);

@@ -329,7 +329,7 @@ uint32_t PagedMeshAccessor::ReadU32(uint64_t section_start_page,
   const uint32_t page_index = u32_div_.Div(n);
   uint32_t value = 0;
   ReadPooled(static_cast<PageId>(section_start_page + page_index),
-             (n - page_index * u32_div_.divisor()) * sizeof(uint32_t),
+             u32_div_.Rem(n, page_index) * sizeof(uint32_t),
              sizeof(uint32_t), &value);
   return value;
 }
@@ -347,7 +347,7 @@ std::span<const VertexId> PagedMeshAccessor::neighbors(VertexId v) {
   const uint32_t offsets_page = u32_div_.Div(v);
   if (offsets_page == u32_div_.Div(v + 1)) {
     ReadPooled(static_cast<PageId>(h.adj_offsets_start_page + offsets_page),
-               (v - offsets_page * u32_div_.divisor()) * sizeof(uint32_t),
+               u32_div_.Rem(v, offsets_page) * sizeof(uint32_t),
                2 * sizeof(uint32_t), range);
   } else {
     range[0] = ReadU32(h.adj_offsets_start_page, v);
@@ -358,7 +358,7 @@ std::span<const VertexId> PagedMeshAccessor::neighbors(VertexId v) {
   if (zero_copy_ && !degraded_ && degree != 0) {
     const uint32_t entry = range[0];
     const uint32_t entry_page = u32_div_.Div(entry);
-    const size_t within = entry - entry_page * u32_div_.divisor();
+    const size_t within = u32_div_.Rem(entry, entry_page);
     if (within + degree <= per_page) {
       // The whole run lives on one adjacency page: hand out a span
       // aliasing the leased frame bytes directly — no memcpy. The

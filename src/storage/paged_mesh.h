@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fast_div.h"
 #include "common/status.h"
 #include "common/vec3.h"
 #include "mesh/types.h"
@@ -194,7 +195,7 @@ class PagedMeshAccessor {
 
   Vec3 position(VertexId v) {
     const uint32_t page_index = pos_div_.Div(v);
-    const size_t offset = PositionOffset(v, page_index);
+    const size_t offset = pos_div_.Rem(v, page_index) * sizeof(Vec3);
     Vec3 p;
     // MRU fast path: consecutive reads overwhelmingly land on the last
     // position page (crawl locality); serve them with one compare and a
@@ -222,7 +223,8 @@ class PagedMeshAccessor {
       if (const std::byte* page = pages_[page_index]) {
         if (touched_[page_index] == 0) TouchEpochPage(page_index, page);
         Vec3 p;
-        std::memcpy(&p, page + PositionOffset(v, page_index), sizeof(Vec3));
+        std::memcpy(&p, page + pos_div_.Rem(v, page_index) * sizeof(Vec3),
+                    sizeof(Vec3));
         return p;
       }
     }
@@ -257,27 +259,6 @@ class PagedMeshAccessor {
     PageId page = 0;
   };
 
-  /// Division by a fixed runtime divisor via reciprocal multiplication
-  /// (exact for any 32-bit numerator). Page-index math runs on every
-  /// read; a hardware divide per read is measurable against the
-  /// in-memory path.
-  class FastDiv {
-   public:
-    void Init(uint32_t divisor) {
-      d_ = divisor;
-      magic_ = ~0ull / divisor + 1;
-    }
-    uint32_t Div(uint32_t n) const {
-      return static_cast<uint32_t>(
-          (static_cast<unsigned __int128>(magic_) * n) >> 64);
-    }
-    uint32_t divisor() const { return d_; }
-
-   private:
-    uint64_t magic_ = 0;
-    uint32_t d_ = 1;
-  };
-
   void ConfigureLeases(size_t shards);
 
   bool IsSpanLease(const Lease& l) const { return l.page == span_page_; }
@@ -307,10 +288,6 @@ class PagedMeshAccessor {
   /// to a transient pin.
   void ReadPooled(PageId page, size_t offset, size_t len, void* dst);
   void TransientRead(PageId page, size_t offset, size_t len, void* dst);
-
-  size_t PositionOffset(VertexId v, uint32_t page_index) const {
-    return (v - page_index * pos_div_.divisor()) * sizeof(Vec3);
-  }
 
   /// Prices the batch's first touch of epoch page `index` (see the class
   /// comment).

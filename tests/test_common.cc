@@ -1,10 +1,14 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
-// Unit tests for Rng, HilbertCurve3D, Histogram3D, Table, Status/Result.
+// Unit tests for Rng, HilbertCurve3D, Histogram3D, Table, Status/Result
+// and FastDiv.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 #include <unordered_set>
 
+#include "common/fast_div.h"
 #include "common/hilbert.h"
 #include "common/histogram3d.h"
 #include "common/rng.h"
@@ -310,6 +314,57 @@ TEST(StatusTest, ReturnNotOkMacroPropagates) {
   const Status s = Propagates();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), Status::Code::kIOError);
+}
+
+// ---------- FastDiv ----------
+
+// The divisors the page arithmetic admits: 10 positions on the smallest
+// page (128 B / 12), 341 positions and 1024 u32s on a 4 KiB page, and
+// 2^24 / 4 u32s on a 16 MiB page.
+constexpr uint32_t kPageDivisors[] = {10, 341, 1024, 4194304};
+
+TEST(FastDivTest, ExactAtTheEdgesOfThe32BitRange) {
+  for (const uint32_t d : kPageDivisors) {
+    SCOPED_TRACE("divisor " + std::to_string(d));
+    FastDiv div;
+    div.Init(d);
+    EXPECT_EQ(div.divisor(), d);
+    const uint64_t top = UINT32_MAX;
+    const uint64_t last_multiple = top / d * d;
+    std::vector<uint64_t> numerators = {0, d - 1, d, d + 1, top, top - 1};
+    // The multiples of d nearest 2^32, and their neighbours.
+    for (const uint64_t m : {last_multiple, last_multiple - d}) {
+      numerators.push_back(m);
+      numerators.push_back(m - 1);
+      if (m + 1 <= top) numerators.push_back(m + 1);
+    }
+    for (const uint64_t n : numerators) {
+      const uint32_t n32 = static_cast<uint32_t>(n);
+      EXPECT_EQ(div.Div(n32), n32 / d) << "n = " << n;
+    }
+  }
+}
+
+TEST(FastDivTest, ExactOverASeededRandomSweep) {
+  Rng rng(0xD1F);
+  for (const uint32_t d : kPageDivisors) {
+    FastDiv div;
+    div.Init(d);
+    for (int i = 0; i < 200000; ++i) {
+      const uint32_t n = static_cast<uint32_t>(rng.NextU64());
+      ASSERT_EQ(div.Div(n), n / d) << "n = " << n << ", d = " << d;
+    }
+  }
+}
+
+TEST(FastDivTest, RemainderLocatesTheEntryWithinItsPage) {
+  FastDiv positions;  // 4 KiB pages of 12-byte positions
+  positions.Init(341);
+  for (const uint32_t v : {0u, 340u, 341u, 1000u, UINT32_MAX}) {
+    const uint32_t page = positions.Div(v);
+    EXPECT_EQ(page, v / 341) << "v = " << v;
+    EXPECT_EQ(positions.Rem(v, page), v % 341) << "v = " << v;
+  }
 }
 
 }  // namespace

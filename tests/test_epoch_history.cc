@@ -14,9 +14,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -37,6 +39,7 @@
 #include "storage/delta_overlay.h"
 #include "storage/epoch_spill.h"
 #include "storage/file_util.h"
+#include "storage/mesh_accessor.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
 
@@ -103,6 +106,25 @@ std::shared_ptr<const storage::SpillExtent> MustWrite(
   auto extent = spill->Write(pages);
   EXPECT_TRUE(extent.ok()) << extent.status().ToString();
   return extent.ok() ? extent.MoveValue() : nullptr;
+}
+
+/// Every position of `overlay`'s epoch read through `epoch`'s table by
+/// the in-memory accessor. The mesh array behind it is NaN, so a read
+/// that bypassed the table would show.
+std::vector<Vec3> ReadThroughTable(const storage::ResidentEpoch& epoch,
+                                   const storage::PositionOverlay& overlay,
+                                   size_t vertices) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<Vec3> flat(vertices, Vec3(nan, nan, nan));
+  const storage::InMemoryMeshAccessor accessor(
+      MeshGraphView{flat, {}, {}}, epoch.pages(),
+      static_cast<uint32_t>(overlay.positions_per_page()));
+  std::vector<Vec3> positions(vertices);
+  for (VertexId v = 0; v < vertices; ++v) {
+    positions[v] = accessor.position(v);
+    EXPECT_EQ(accessor.ProbePosition(v, v), positions[v]) << "vertex " << v;
+  }
+  return positions;
 }
 
 TEST(EpochSpillFileTest, WrittenPagesReloadByteIdentically) {
@@ -330,10 +352,11 @@ TEST(DeltaOverlayTest, SpilledPagesReadBackIdentically) {
   std::remove(snap_path.c_str());
 }
 
-// The in-memory executor's flat copy of an epoch: exact positions from
-// an overlay mixing fresh, shared and spilled pages, with only the
+// The in-memory executor's view of an epoch: a `ResidentEpoch` over an
+// overlay mixing fresh, shared and spilled pages reads back exact
+// positions through its table, tail page included, with only the
 // spilled pages priced as page I/O (resident pages are plain memory).
-TEST(DeltaOverlayTest, CopyPositionsPricesOnlySpilledPages) {
+TEST(DeltaOverlayTest, ResidentEpochPricesOnlySpilledPages) {
   constexpr size_t kPageBytes = 128;  // 10 positions per page
   constexpr size_t kVertices = 47;    // 5 pages, a 7-entry tail
   std::vector<Vec3> epoch1(kVertices);
@@ -355,7 +378,7 @@ TEST(DeltaOverlayTest, CopyPositionsPricesOnlySpilledPages) {
   // Spill one fresh page (1) and one shared page (3); the rest stay
   // resident in the twin.
   auto spill = storage::EpochSpillFile::Create(
-      TempPath("copy_positions.oct2d"), kPageBytes);
+      TempPath("resident_epoch_mixed.oct2d"), kPageBytes);
   ASSERT_TRUE(spill.ok()) << spill.status().ToString();
   auto extent = MustWrite(
       spill.Value().get(),
@@ -371,14 +394,26 @@ TEST(DeltaOverlayTest, CopyPositionsPricesOnlySpilledPages) {
   ASSERT_EQ(mixed->spilled_pages(), 2u);
   ASSERT_EQ(mixed->resident_pages(), 3u);
 
-  std::vector<Vec3> copy(kVertices);
+  storage::ResidentEpoch epoch;
   storage::PageIOStats io;
-  ASSERT_TRUE(mixed->CopyPositions(copy, &io).ok());
-  EXPECT_EQ(std::memcmp(copy.data(), epoch2.data(),
-                        kVertices * sizeof(Vec3)),
-            0);
+  ASSERT_TRUE(epoch.Load(*mixed, &io).ok());
   EXPECT_EQ(io.PageAccesses(), 2u);  // the two spilled pages, nothing else
   EXPECT_EQ(io.page_misses, 2u);
+  // Resident pages are bound in place, the spilled ones read back.
+  ASSERT_EQ(epoch.pages().size(), 5u);
+  for (uint64_t page : {0, 2, 4}) {
+    EXPECT_EQ(epoch.pages()[page], mixed->Lookup(page)) << "page " << page;
+  }
+  for (uint64_t page = 0; page < 5; ++page) {
+    const size_t begin = page * 10;
+    const size_t bytes =
+        std::min<size_t>(10, kVertices - begin) * sizeof(Vec3);
+    ASSERT_NE(epoch.pages()[page], nullptr) << "page " << page;
+    EXPECT_EQ(std::memcmp(epoch.pages()[page], epoch2.data() + begin, bytes),
+              0)
+        << "page " << page;
+  }
+  EXPECT_EQ(ReadThroughTable(epoch, *mixed, kVertices), epoch2);
 }
 
 // --- EpochStore retention policy ---
@@ -395,13 +430,14 @@ PinnedEpochState InMemoryEpoch(uint64_t epoch, size_t vertices) {
                                           nullptr, {}, positions, nullptr)};
 }
 
-/// The pinned epoch's positions as the in-memory executor copies them
-/// (spilled pages price their reload into `io`).
+/// The pinned epoch's positions as the in-memory executor reads them,
+/// through a `ResidentEpoch`'s table (spilled pages price their reload
+/// into `io`).
 std::vector<Vec3> Positions(const PinnedEpochState& pin, size_t vertices,
                             storage::PageIOStats* io) {
-  std::vector<Vec3> positions(vertices);
-  EXPECT_TRUE(pin.overlay->CopyPositions(positions, io).ok());
-  return positions;
+  storage::ResidentEpoch epoch;
+  EXPECT_TRUE(epoch.Load(*pin.overlay, io).ok());
+  return ReadThroughTable(epoch, *pin.overlay, vertices);
 }
 
 TEST(EpochStoreTest, SpillsPastWindowEvictsPastHistoryPinsExempt) {
@@ -1055,6 +1091,7 @@ std::unique_ptr<VersionedBackend> SpillingBackend(
 // with the same traversal counters, as the same batch while that epoch
 // was current; its reload reads each spilled page once, counted as one
 // page miss, in `epoch_reload_pages` and in one `epoch_reloaded` event.
+// Every batch at the epoch pays that reload, the next one included.
 void RunReloadParity(bool paged) {
   const TetraMesh mesh = MakeBox(10);
   obs::EventJournal journal(256);
@@ -1094,33 +1131,41 @@ void RunReloadParity(bool paged) {
       const size_t spilled_pages = pin.Value().overlay->spilled_pages();
       ASSERT_TRUE(spilled_pages > 0 || (paged && epoch == 1));
 
-      const uint64_t pages_before = backend->epoch_reload_pages();
-      const uint64_t events_before = journal.total_emitted();
-      engine::QueryBatchResult out;
-      PhaseStats stats;
-      ASSERT_TRUE(backend->ExecuteAt(epoch, queries, &out, &stats).ok());
-      const Captured& want = captured.at(epoch);
-      EXPECT_EQ(out.epoch.epoch, epoch);
-      EXPECT_EQ(out.per_query, want.answers);
-      ExpectSameTraversal(stats, want.stats);
+      // Twice back to back: the second batch reloads the epoch again,
+      // priced again — no batch keeps an epoch past its own end.
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        SCOPED_TRACE("repeat " + std::to_string(repeat));
+        const uint64_t pages_before = backend->epoch_reload_pages();
+        const uint64_t events_before = journal.total_emitted();
+        engine::QueryBatchResult out;
+        PhaseStats stats;
+        ASSERT_TRUE(backend->ExecuteAt(epoch, queries, &out, &stats).ok());
+        const Captured& want = captured.at(epoch);
+        EXPECT_EQ(out.epoch.epoch, epoch);
+        EXPECT_EQ(out.per_query, want.answers);
+        ExpectSameTraversal(stats, want.stats);
 
-      // Exact pricing: one page miss per spilled page (in memory there
-      // is no other I/O), the same count on the counter and the event.
-      EXPECT_EQ(backend->epoch_reload_pages() - pages_before, spilled_pages);
-      if (!paged) EXPECT_EQ(stats.page_io.page_misses, spilled_pages);
-      EXPECT_GE(stats.page_io.page_misses, spilled_pages);
-      std::vector<obs::JournalEvent> events;
-      journal.Snapshot(&events);
-      ASSERT_EQ(journal.total_emitted(),
-                events_before + (spilled_pages > 0 ? 1 : 0));
-      if (spilled_pages > 0) {
-        EXPECT_EQ(events.back().kind, obs::EventKind::kEpochReloaded);
-        EXPECT_EQ(events.back().epoch, epoch);
-        EXPECT_EQ(events.back().a, spilled_pages);
+        // Exact pricing: one page miss per spilled page (in memory there
+        // is no other I/O), the same count on the counter and the event.
+        EXPECT_EQ(backend->epoch_reload_pages() - pages_before,
+                  spilled_pages);
+        if (!paged) EXPECT_EQ(stats.page_io.page_misses, spilled_pages);
+        EXPECT_GE(stats.page_io.page_misses, spilled_pages);
+        std::vector<obs::JournalEvent> events;
+        journal.Snapshot(&events);
+        ASSERT_EQ(journal.total_emitted(),
+                  events_before + (spilled_pages > 0 ? 1 : 0));
+        if (spilled_pages > 0) {
+          EXPECT_EQ(events.back().kind, obs::EventKind::kEpochReloaded);
+          EXPECT_EQ(events.back().epoch, epoch);
+          EXPECT_EQ(events.back().a, spilled_pages);
+        }
       }
 
       // Back to the current epoch: resident, nothing read back.
       const uint64_t pages_after = backend->epoch_reload_pages();
+      engine::QueryBatchResult out;
+      PhaseStats stats;
       backend->Execute(queries, &out, &stats);
       EXPECT_EQ(backend->epoch_reload_pages(), pages_after);
     }

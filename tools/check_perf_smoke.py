@@ -32,7 +32,7 @@ When also given BENCH_server.json, additionally enforces:
   * `tracing_overhead` — the server threads' CPU time over a warm paged
     single-client loopback run with the flight-recorder ring and the
     journal on, divided by the same run with them off: the median over
-    11 pairs run in alternating order (bench_server's server_summary
+    31 pairs run in alternating order (bench_server's server_summary
     record). Tracing is one 136-byte record append per request behind a
     predictable branch; it must stay within 5% of free or it is not a
     flight recorder any more.
