@@ -12,9 +12,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -76,10 +78,37 @@ struct BenchOutcome {
   double fairness = 1.0;
 };
 
+/// Client 0's workload and its in-process results. The query sequence
+/// is seed-deterministic, so one reference serves every run of a
+/// workload shape; it is computed once, outside every timed region.
+struct ClientReference {
+  std::vector<std::vector<AABB>> queries;
+  std::vector<engine::QueryBatchResult> expected;
+};
+
+ClientReference MakeClientReference(const TetraMesh& mesh,
+                                    const Octopus& reference,
+                                    int requests, int queries_per_request) {
+  engine::QueryEngine reference_engine;
+  ClientReference client0;
+  client0.expected.resize(static_cast<size_t>(requests));
+  QueryGenerator gen(mesh);
+  Rng rng(0xBE7C);
+  for (int r = 0; r < requests; ++r) {
+    client0.queries.push_back(
+        gen.MakeQueries(&rng, queries_per_request, 0.0011, 0.0018));
+    reference_engine.Execute(reference, mesh, client0.queries.back(),
+                             &client0.expected[r]);
+  }
+  return client0;
+}
+
 /// Drives one config against a fresh server; returns the server's
-/// post-run metrics plus a client-side parity verdict.
+/// post-run metrics plus a client-side parity verdict against `client0`
+/// (the config's workload shape).
 BenchOutcome RunConfig(const BenchConfig& config, const TetraMesh& mesh,
-                       const std::string& snapshot_path) {
+                       const std::string& snapshot_path,
+                       const ClientReference& client0) {
   std::unique_ptr<server::VersionedBackend> backend;
   if (config.paged) {
     auto opened = server::VersionedBackend::OpenSnapshot(
@@ -110,26 +139,6 @@ BenchOutcome RunConfig(const BenchConfig& config, const TetraMesh& mesh,
   }
   std::thread server_thread([&srv] { (void)srv.Run(); });
 
-  // In-process reference for client 0's workload, precomputed OUTSIDE
-  // the timed region (the query sequence is seed-deterministic), so
-  // parity verification does not skew the throughput comparison.
-  Octopus reference;
-  reference.Build(mesh);
-  engine::QueryEngine reference_engine;
-  std::vector<std::vector<AABB>> client0_queries;
-  std::vector<engine::QueryBatchResult> client0_expected(
-      static_cast<size_t>(config.requests_per_client));
-  {
-    QueryGenerator gen(mesh);
-    Rng rng(0xBE7C);
-    for (int r = 0; r < config.requests_per_client; ++r) {
-      client0_queries.push_back(gen.MakeQueries(
-          &rng, config.queries_per_request, 0.0011, 0.0018));
-      reference_engine.Execute(reference, mesh, client0_queries.back(),
-                               &client0_expected[r]);
-    }
-  }
-
   BenchOutcome outcome;
   std::vector<std::thread> clients;
   // char, not bool: vector<bool> is bit-packed and concurrent writes
@@ -149,7 +158,7 @@ BenchOutcome RunConfig(const BenchConfig& config, const TetraMesh& mesh,
     Rng rng(0xBE7C + static_cast<uint64_t>(c));
     for (int r = 0; r < config.requests_per_client; ++r) {
       const std::vector<AABB> queries =
-          c == 0 ? client0_queries[r]
+          c == 0 ? client0.queries[r]
                  : gen.MakeQueries(&rng, config.queries_per_request,
                                    0.0011, 0.0018);
       auto result = connected.Value()->ExecuteBatch(queries);
@@ -161,7 +170,7 @@ BenchOutcome RunConfig(const BenchConfig& config, const TetraMesh& mesh,
         // Loopback parity against the precomputed in-process results.
         for (size_t q = 0; q < queries.size(); ++q) {
           if (result.Value().results.per_query[q] !=
-              client0_expected[r].per_query[q]) {
+              client0.expected[r].per_query[q]) {
             client_ok[c] = 0;
             return;
           }
@@ -240,6 +249,26 @@ int main() {
       {"loopback_8clients_paged_traced", 8, 8, 16, true, 1024, 1024},
   };
 
+  // One in-process reference per workload shape (requests per client,
+  // queries per request), shared by every run of that shape.
+  Octopus reference;
+  reference.Build(mesh);
+  std::map<std::pair<int, int>, ClientReference> references;
+  const auto reference_for =
+      [&](const BenchConfig& config) -> const ClientReference& {
+    const std::pair<int, int> shape{config.requests_per_client,
+                                    config.queries_per_request};
+    auto it = references.find(shape);
+    if (it == references.end()) {
+      it = references
+               .emplace(shape, MakeClientReference(mesh, reference,
+                                                   shape.first,
+                                                   shape.second))
+               .first;
+    }
+    return it->second;
+  };
+
   Table table("bench_server — loopback service throughput");
   table.SetHeader({"config", "io", "queries", "queries/s", "p50 [us]",
                    "p95 [us]", "p99 [us]", "coalesce", "fair",
@@ -248,7 +277,8 @@ int main() {
   bool all_parity_ok = true;
   bool p99_bounded = true;
   for (const BenchConfig& config : configs) {
-    const BenchOutcome outcome = RunConfig(config, mesh, snapshot_path);
+    const BenchOutcome outcome =
+        RunConfig(config, mesh, snapshot_path, reference_for(config));
     const server::ServerMetrics& m = outcome.metrics;
     const double qps =
         outcome.wall_seconds > 0
@@ -376,11 +406,15 @@ int main() {
       BenchOutcome off;
       BenchOutcome on;
       if (pair % 2 == 0) {
-        off = RunConfig(off_config, mesh, snapshot_path);
-        on = RunConfig(on_config, mesh, snapshot_path);
+        off = RunConfig(off_config, mesh, snapshot_path,
+                        reference_for(off_config));
+        on = RunConfig(on_config, mesh, snapshot_path,
+                        reference_for(on_config));
       } else {
-        on = RunConfig(on_config, mesh, snapshot_path);
-        off = RunConfig(off_config, mesh, snapshot_path);
+        on = RunConfig(on_config, mesh, snapshot_path,
+                        reference_for(on_config));
+        off = RunConfig(off_config, mesh, snapshot_path,
+                        reference_for(off_config));
       }
       all_parity_ok &= off.parity_ok && on.parity_ok;
       off_cpu.push_back(off.server_cpu_seconds);
@@ -423,11 +457,15 @@ int main() {
       BenchOutcome out1;
       BenchOutcome out4;
       if (pair % 2 == 0) {
-        out1 = RunConfig(io1, mesh, snapshot_path);
-        out4 = RunConfig(io4, mesh, snapshot_path);
+        out1 = RunConfig(io1, mesh, snapshot_path,
+                        reference_for(io1));
+        out4 = RunConfig(io4, mesh, snapshot_path,
+                        reference_for(io4));
       } else {
-        out4 = RunConfig(io4, mesh, snapshot_path);
-        out1 = RunConfig(io1, mesh, snapshot_path);
+        out4 = RunConfig(io4, mesh, snapshot_path,
+                        reference_for(io4));
+        out1 = RunConfig(io1, mesh, snapshot_path,
+                        reference_for(io1));
       }
       all_parity_ok &= out1.parity_ok && out4.parity_ok;
       io1_qps.push_back(qps(out1));

@@ -4,13 +4,18 @@
 // lies outside the query region. Visits O(result-neighborhood) vertices —
 // the reason OCTOPUS scales sublinearly with dataset size.
 //
-// The BFS core is a template over any `storage::MeshAccessor`, so the
-// same code crawls the resident mesh and a paged out-of-core snapshot
-// (every access routed through the buffer pool). Its per-edge work — the
-// visited test (octopus/visited_marks.h) and the accessor's position and
-// prefetch calls — is all defined in headers, so it inlines without
-// link-time optimization: with the default epoch-array marks, the
-// in-memory crawl makes no function call per edge.
+// The BFS core is one loop, a template over any `storage::MeshAccessor`,
+// so the same code crawls the resident mesh and a paged out-of-core
+// snapshot (every access routed through the buffer pool). The caller's
+// output vector is the FIFO: the result is exactly the BFS order, so
+// `out[first..]` is expanded in turn from the size `out` had on entry,
+// and nothing is pushed twice. The loop is also a template over the
+// visited test (`VisitedMarks::Traverse`): the mode is read once per
+// crawl and, with the default epoch-array marks, the stamp pointer and
+// the 8-bit epoch stay in registers. Its per-edge work — that test and
+// the accessor's position and prefetch calls — is all defined in
+// headers, so it inlines without link-time optimization: the in-memory
+// crawl makes no function call per edge.
 #ifndef OCTOPUS_OCTOPUS_CRAWLER_H_
 #define OCTOPUS_OCTOPUS_CRAWLER_H_
 
@@ -35,7 +40,7 @@ struct CrawlStats {
   size_t edges_traversed = 0;    ///< adjacency entries inspected
 };
 
-/// \brief Reusable BFS engine: the visited marks plus the FIFO.
+/// \brief Reusable BFS engine: the visited marks.
 ///
 /// The marks are the execution context's one visited-mark set; the
 /// directed walk borrows them through `marks()` (a query walks, then
@@ -52,53 +57,19 @@ class Crawler {
   VisitedMarks& marks() { return marks_; }
 
   /// BFS from `starts`; appends every vertex inside `box` reachable from
-  /// a start through vertices inside `box`. Starts outside the box are
-  /// ignored. Duplicate starts are fine. Primitive- and residency-
-  /// agnostic: any `MeshAccessor` can be crawled (paper Sec. IV-B).
+  /// a start through vertices inside `box`, in BFS order. Starts outside
+  /// the box are ignored. Duplicate starts are fine. Entries already in
+  /// `out` are kept and not expanded. Primitive- and residency-agnostic:
+  /// any `MeshAccessor` can be crawled (paper Sec. IV-B).
   template <storage::MeshAccessor Accessor>
   CrawlStats Crawl(Accessor& mesh, const AABB& box,
                    std::span<const VertexId> starts,
                    std::vector<VertexId>* out) {
-    CrawlStats stats;
     assert(marks_.Covers(mesh.num_vertices()) &&
            "EnsureSize not called for this mesh");
-    marks_.Begin();
-
-    queue_.clear();
-    for (VertexId s : starts) {
-      if (!marks_.Mark(s)) continue;
-      ++stats.vertices_touched;
-      if (!box.Contains(mesh.position(s))) continue;
-      queue_.push_back(s);
-      out->push_back(s);
-      ++stats.vertices_inside;
-    }
-
-    // BFS; queue_ doubles as the FIFO with a moving head index.
-    constexpr size_t kPrefetchAhead = 8;
-    for (size_t head = 0; head < queue_.size(); ++head) {
-      const VertexId v = queue_[head];
-      const std::span<const VertexId> ns = mesh.neighbors(v);
-      for (size_t i = 0; i < ns.size(); ++i) {
-        // Look ahead within the neighbor run: out of core, lease the next
-        // position page before the frontier demands it (Hilbert layout
-        // keeps runs page-local, so this is the paper's sequential-crawl
-        // advantage made real). In memory the hint is a no-op.
-        if (i + kPrefetchAhead < ns.size()) {
-          mesh.PrefetchPosition(ns[i + kPrefetchAhead]);
-        }
-        const VertexId n = ns[i];
-        ++stats.edges_traversed;
-        if (!marks_.Mark(n)) continue;
-        ++stats.vertices_touched;
-        // Stop criteria: do not expand past vertices outside the query.
-        if (!box.Contains(mesh.position(n))) continue;
-        queue_.push_back(n);
-        out->push_back(n);
-        ++stats.vertices_inside;
-      }
-    }
-    return stats;
+    return marks_.Traverse([&](auto mark) {
+      return CrawlLoop(mesh, box, starts, out, mark);
+    });
   }
 
   /// Resident-mesh convenience overloads.
@@ -115,14 +86,55 @@ class Crawler {
     return Crawl(mesh.Graph(), box, starts, out);
   }
 
-  /// Bytes of visited marks + queue.
-  size_t ScratchBytes() const {
-    return marks_.ScratchBytes() + queue_.capacity() * sizeof(VertexId);
-  }
+  /// Bytes of visited marks (the FIFO is the caller's result vector).
+  size_t ScratchBytes() const { return marks_.ScratchBytes(); }
 
  private:
+  template <typename Accessor, typename Mark>
+  static CrawlStats CrawlLoop(Accessor& mesh, const AABB& query,
+                              std::span<const VertexId> starts,
+                              std::vector<VertexId>* out, Mark mark) {
+    // A local copy: growing `out` calls the allocator, which the compiler
+    // must assume could change `query`; `box` stays in registers.
+    const AABB box = query;
+    const size_t first = out->size();
+    CrawlStats stats;
+    for (VertexId s : starts) {
+      if (!mark(s)) continue;
+      ++stats.vertices_touched;
+      if (box.Contains(mesh.position(s))) out->push_back(s);
+    }
+
+    // Look-ahead distances: adjacency runs of the vertex expanded four
+    // heads from now, positions eight entries along the current run.
+    constexpr size_t kNeighborsAhead = 4;
+    constexpr size_t kPositionsAhead = 8;
+    for (size_t head = first; head < out->size(); ++head) {
+      if (head + kNeighborsAhead < out->size()) {
+        mesh.PrefetchNeighbors((*out)[head + kNeighborsAhead]);
+      }
+      const std::span<const VertexId> ns = mesh.neighbors((*out)[head]);
+      stats.edges_traversed += ns.size();
+      for (size_t i = 0; i < ns.size(); ++i) {
+        // Look ahead within the neighbor run: out of core, lease the next
+        // position page before the frontier demands it (Hilbert layout
+        // keeps runs page-local, so this is the paper's sequential-crawl
+        // advantage made real). In memory the hint is a no-op.
+        if (i + kPositionsAhead < ns.size()) {
+          mesh.PrefetchPosition(ns[i + kPositionsAhead]);
+        }
+        const VertexId n = ns[i];
+        if (!mark(n)) continue;
+        ++stats.vertices_touched;
+        // Stop criteria: do not expand past vertices outside the query.
+        if (box.Contains(mesh.position(n))) out->push_back(n);
+      }
+    }
+    stats.vertices_inside = out->size() - first;
+    return stats;
+  }
+
   VisitedMarks marks_;
-  std::vector<VertexId> queue_;
 };
 
 }  // namespace octopus

@@ -1,9 +1,12 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // The visited marks of a graph traversal. One set per execution context
 // serves both traversals of a query, the directed walk (paper Sec. IV-D)
-// and the crawl (Sec. IV-B): each starts a fresh traversal with `Begin`
-// and tests-and-sets with `Mark`. Both calls are defined here, in the
-// header, because the crawl makes one per adjacency entry it inspects.
+// and the crawl (Sec. IV-B). The walk starts a fresh traversal with
+// `Begin` and tests-and-sets with `Mark`. The crawl, which makes one
+// test per adjacency entry it inspects, calls `Traverse` instead: it
+// dispatches on the mode once and hands the loop a test-and-set whose
+// stamp pointer and epoch are locals, so the compiler keeps them in
+// registers rather than re-reading them after every store.
 #ifndef OCTOPUS_OCTOPUS_VISITED_MARKS_H_
 #define OCTOPUS_OCTOPUS_VISITED_MARKS_H_
 
@@ -20,7 +23,7 @@ namespace octopus {
 
 /// How a traversal tracks visited vertices.
 enum class VisitedMode {
-  /// O(V) epoch-stamped array: fastest, memory proportional to the mesh.
+  /// O(V) epoch-stamped array: fastest, one byte per mesh vertex.
   kEpochArray,
   /// Hash set of visited ids: memory proportional to the *result
   /// neighborhood* — the behaviour behind the paper's Fig. 10(b)
@@ -31,11 +34,19 @@ enum class VisitedMode {
 /// \brief Reusable visited-vertex set, reset in O(1) per traversal.
 ///
 /// In kEpochArray mode the stamp array is *not* cleared between
-/// traversals: `Begin` advances an epoch, and a vertex counts as marked
-/// only if its stamp equals the current epoch. This scratch space is
-/// counted in OCTOPUS's memory footprint (paper Fig. 10(b)).
+/// traversals: `Begin` advances an 8-bit epoch, and a vertex counts as
+/// marked only if its stamp equals the current epoch. When the epoch
+/// wraps, every 255 traversals, the array is refilled with zeros once.
+/// This scratch space is counted in OCTOPUS's memory footprint (paper
+/// Fig. 10(b)).
 class VisitedMarks {
  public:
+  /// One vertex's stamp. An enum rather than `uint8_t`: a store through
+  /// a character type may alias any object, which would force the crawl
+  /// to reload its accessor's and output vector's fields after every
+  /// mark; an enum has its own alias set.
+  enum class Stamp : uint8_t {};
+
   VisitedMarks() = default;
   explicit VisitedMarks(VisitedMode mode) : mode_(mode) {}
 
@@ -43,7 +54,7 @@ class VisitedMarks {
   /// mode).
   void EnsureSize(size_t num_vertices) {
     if (mode_ == VisitedMode::kEpochArray && stamps_.size() < num_vertices) {
-      stamps_.resize(num_vertices, 0);
+      stamps_.resize(num_vertices, Stamp{0});
     }
   }
 
@@ -57,7 +68,7 @@ class VisitedMarks {
     if (mode_ == VisitedMode::kEpochArray) {
       if (++epoch_ == 0) {
         // Epoch counter wrapped: reset all stamps once, then continue.
-        std::fill(stamps_.begin(), stamps_.end(), 0u);
+        std::fill(stamps_.begin(), stamps_.end(), Stamp{0});
         epoch_ = 1;
       }
     } else {
@@ -69,29 +80,48 @@ class VisitedMarks {
   bool Mark(VertexId v) {
     if (mode_ == VisitedMode::kEpochArray) {
       assert(v < stamps_.size());
-      if (stamps_[v] == epoch_) return false;
-      stamps_[v] = epoch_;
+      if (stamps_[v] == Stamp{epoch_}) return false;
+      stamps_[v] = Stamp{epoch_};
       return true;
     }
     return set_.insert(v).second;
   }
 
+  /// Starts a new traversal and returns `body(mark)`, where `mark(v)`
+  /// behaves like `Mark(v)` for this traversal. The mode is read once
+  /// here, so `body` is instantiated once per mode; `mark` holds the
+  /// stamp pointer and epoch by value (or the hash set by reference) and
+  /// must not outlive the call. `body` must not call `Begin` or `Mark`.
+  template <typename Body>
+  decltype(auto) Traverse(Body&& body) {
+    Begin();
+    if (mode_ == VisitedMode::kEpochArray) {
+      Stamp* const stamps = stamps_.data();
+      const Stamp epoch{epoch_};
+      return body([stamps, epoch](VertexId v) {
+        if (stamps[v] == epoch) return false;
+        stamps[v] = epoch;
+        return true;
+      });
+    }
+    return body([&set = set_](VertexId v) { return set.insert(v).second; });
+  }
+
   /// Current epoch (kEpochArray mode). Exposed with the setter below so
-  /// tests can drive the counter to its wraparound (2^32 traversals
-  /// would otherwise be needed to reach the reset path).
-  uint32_t epoch() const { return epoch_; }
-  void set_epoch_for_testing(uint32_t epoch) { epoch_ = epoch; }
+  /// tests can drive the counter to its wraparound.
+  uint8_t epoch() const { return epoch_; }
+  void set_epoch_for_testing(uint8_t epoch) { epoch_ = epoch; }
 
   /// Bytes of stamps, or of hash-set entries (estimated per node).
   size_t ScratchBytes() const {
-    return stamps_.capacity() * sizeof(uint32_t) +
+    return stamps_.capacity() * sizeof(Stamp) +
            set_.size() * (sizeof(VertexId) + 16);
   }
 
  private:
   VisitedMode mode_ = VisitedMode::kEpochArray;
-  std::vector<uint32_t> stamps_;
-  uint32_t epoch_ = 0;
+  std::vector<Stamp> stamps_;
+  uint8_t epoch_ = 0;
   std::unordered_set<VertexId> set_;
 };
 

@@ -34,6 +34,14 @@
 //    no-op. The paged accessor leases the page ahead of demand; the
 //    in-memory accessor does nothing, since most neighbours the crawl
 //    looks ahead to are already visited and never read.
+//  * `PrefetchNeighbors(v)` is the crawl's other look-ahead hint: the
+//    crawl will call `neighbors(v)` a few expansions from now. It must
+//    not change any observable state. In memory it reads `v`'s CSR
+//    offset and prefetches the start of its adjacency run, since the
+//    FIFO's vertices are scattered over the mesh and each run is
+//    otherwise a cache miss. In `PagedMeshAccessor` it is a deliberate
+//    no-op: leasing an adjacency page ahead of demand would move the
+//    pool and lease counters the crawl is priced by.
 //  * Accessors are single-threaded handles; concurrent shards each use
 //    their own (the backing store may be shared).
 #ifndef OCTOPUS_STORAGE_MESH_ACCESSOR_H_
@@ -60,6 +68,7 @@ concept MeshAccessor = requires(A& a, VertexId v, size_t rank) {
   { a.ProbePosition(rank, v) } -> std::convertible_to<Vec3>;
   { a.neighbors(v) } -> std::convertible_to<std::span<const VertexId>>;
   a.PrefetchPosition(v);
+  a.PrefetchNeighbors(v);
 };
 
 /// \brief The resident implementation: adjacency from `MeshGraphView`,
@@ -96,6 +105,10 @@ class InMemoryMeshAccessor {
   }
 
   void PrefetchPosition(VertexId) const {}
+
+  void PrefetchNeighbors(VertexId v) const {
+    __builtin_prefetch(graph_.adj.data() + graph_.adj_offsets[v]);
+  }
 
   void PrefetchProbePosition(size_t, VertexId v) const {
     if (pages_.empty()) __builtin_prefetch(graph_.positions.data() + v);

@@ -239,6 +239,11 @@ class PagedMeshAccessor {
   /// dropped.
   void PrefetchPosition(VertexId v);
 
+  /// Deliberately a no-op (see storage/mesh_accessor.h): an adjacency
+  /// page leased ahead of demand would change the pool and lease
+  /// counters the crawl is priced by.
+  void PrefetchNeighbors(VertexId) const {}
+
   /// Bytes of accessor-local scratch (footprint accounting).
   size_t ScratchBytes() const {
     return scratch_.capacity() * sizeof(VertexId) + sizeof(leases_) +

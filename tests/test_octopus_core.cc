@@ -199,30 +199,41 @@ TEST(CrawlerTest, ReusableAcrossQueriesViaEpochs) {
 
 TEST(CrawlerTest, EpochCounterWraparoundResetsVisitedMarks) {
   // The visited array is never cleared between queries; a per-query
-  // epoch stamp makes clearing O(1) — until the uint32 counter wraps,
-  // where stale marks from 2^32 crawls ago could alias the fresh epoch.
-  // Force the counter to the wrap boundary and verify the reset path
-  // produces correct results on, across, and after the wrap.
+  // epoch stamp makes clearing O(1) — until the 8-bit counter wraps,
+  // where stale marks from 255 crawls ago could alias the fresh epoch.
+  // Leave epoch-1 stamps behind, force the counter to the wrap boundary
+  // and verify the reset path produces correct results on, across, and
+  // after the wrap.
   const TetraMesh mesh = MakeBox(6);
   const AABB q(Vec3(0.25f, 0.25f, 0.25f), Vec3(0.75f, 0.75f, 0.75f));
   const auto expected = BruteForceRangeQuery(mesh, q);
   ASSERT_FALSE(expected.empty());
   const std::vector<VertexId> starts = {expected.front()};
+  const AABB q2(Vec3(0.0f, 0.0f, 0.0f), Vec3(0.4f, 0.4f, 0.4f));
+  const auto expected2 = BruteForceRangeQuery(mesh, q2);
+  ASSERT_FALSE(expected2.empty());
+  const std::vector<VertexId> starts2 = {expected2.front()};
 
   Crawler crawler;
   crawler.EnsureSize(mesh.num_vertices());
-  // Stamp every reachable vertex with the maximum epoch value — the
-  // exact value stale marks would hold right before the wrap.
-  crawler.marks().set_epoch_for_testing(0xFFFFFFFEu);
+  // Stamps `q`'s region with epoch 1, the epoch the wrap restarts at.
   std::vector<VertexId> got;
   crawler.Crawl(mesh, q, starts, &got);
-  EXPECT_EQ(crawler.marks().epoch(), 0xFFFFFFFFu);
+  EXPECT_EQ(crawler.marks().epoch(), 1u);
   EXPECT_EQ(Sorted(got), expected);
 
-  // This crawl increments 0xFFFFFFFF -> 0: the wrap path must reset all
-  // marks (which currently hold the pre-wrap epoch) and restart at 1;
-  // without the reset, no vertex stamped 0xFFFFFFFF could alias, but a
-  // mark equal to the *new* epoch from eons ago would be skipped.
+  // Stamp `q2`'s region with the maximum epoch value — the exact value
+  // stale marks would hold right before the wrap. Most of `q`'s region
+  // keeps its epoch-1 stamps.
+  crawler.marks().set_epoch_for_testing(0xFEu);
+  got.clear();
+  crawler.Crawl(mesh, q2, starts2, &got);
+  EXPECT_EQ(crawler.marks().epoch(), 0xFFu);
+  EXPECT_EQ(Sorted(got), expected2);
+
+  // This crawl increments 0xFF -> 0: the wrap path must reset all marks
+  // and restart at 1; without the reset, the first crawl's epoch-1
+  // marks would alias the new epoch and cut this crawl short.
   got.clear();
   crawler.Crawl(mesh, q, starts, &got);
   EXPECT_EQ(crawler.marks().epoch(), 1u);
@@ -230,10 +241,6 @@ TEST(CrawlerTest, EpochCounterWraparoundResetsVisitedMarks) {
 
   // And the post-wrap epoch sequence keeps deduplicating correctly: a
   // different query must not see leftover marks from the wrap reset.
-  const AABB q2(Vec3(0.0f, 0.0f, 0.0f), Vec3(0.5f, 0.5f, 0.5f));
-  const auto expected2 = BruteForceRangeQuery(mesh, q2);
-  ASSERT_FALSE(expected2.empty());
-  const std::vector<VertexId> starts2 = {expected2.front()};
   got.clear();
   crawler.Crawl(mesh, q2, starts2, &got);
   EXPECT_EQ(crawler.marks().epoch(), 2u);
@@ -315,7 +322,8 @@ TEST(CrawlerModeTest, HashSetScratchScalesWithResultNotMesh) {
   const size_t big_scratch = scratch_after(big_q);
   EXPECT_LT(small_scratch, big_scratch / 4);
   // And both stay below the O(V) epoch array for small queries.
-  EXPECT_LT(small_scratch, mesh.num_vertices() * sizeof(uint32_t) / 4);
+  EXPECT_LT(small_scratch,
+            mesh.num_vertices() * sizeof(VisitedMarks::Stamp));
 }
 
 TEST(CrawlerModeTest, OctopusExactWithHashSetCrawl) {

@@ -4,7 +4,8 @@
 // mesh types, deformation steps and query shapes. Also covers the
 // surface-approximation accuracy trade-off, OCTOPUS-CON, the fused
 // surface probe's parity with the sequential per-query scan it replaced,
-// and the directed walk's parity with the allocating walk it replaced.
+// the directed walk's parity with the allocating walk it replaced, and
+// the crawl's parity with the two-vector crawl it replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -412,9 +413,10 @@ WalkResult ReferenceDirectedWalk(Accessor& mesh, const AABB& box,
 
 /// Algorithm 1 for one query around the reference probe, accumulating
 /// the logical counters the executor keeps.
+template <typename CrawlerT>
 void ReferenceQuery(const TetraMesh& mesh, const SurfaceIndex& surface_index,
                     const OctopusOptions& options, const AABB& box,
-                    Crawler* crawler, PhaseStats* stats,
+                    CrawlerT* crawler, PhaseStats* stats,
                     std::vector<VertexId>* out) {
   storage::InMemoryMeshAccessor accessor(mesh.Graph());
   ++stats->queries;
@@ -520,14 +522,15 @@ void ExpectProbeMatchesReference(Accessor& accessor, const TetraMesh& mesh,
 }
 
 /// Per-query results and every logical counter of an executed batch
-/// equal the reference's over `mesh`.
+/// equal the reference's over `mesh`, crawled by a `CrawlerT`.
+template <typename CrawlerT = Crawler>
 void ExpectBatchMatchesReference(const engine::QueryBatchResult& results,
                                  const PhaseStats& stats,
                                  const TetraMesh& mesh,
                                  const SurfaceIndex& surface_index,
                                  const OctopusOptions& options,
                                  std::span<const AABB> boxes) {
-  Crawler crawler;
+  CrawlerT crawler;
   crawler.EnsureSize(mesh.num_vertices());
   PhaseStats expected;
   ASSERT_EQ(results.size(), boxes.size());
@@ -946,14 +949,14 @@ TEST(WalkParityTest, SharedMarksSurviveEpochWrap) {
     boxes.push_back(gen.MakeQuery(&rng, 0.002 + 0.01 * rng.NextDouble()));
   }
   storage::InMemoryMeshAccessor accessor(mesh.Graph());
-  for (uint32_t before_wrap = 0; before_wrap < 6; ++before_wrap) {
-    SCOPED_TRACE("epoch UINT32_MAX - " + std::to_string(before_wrap));
+  for (uint8_t before_wrap = 0; before_wrap < 6; ++before_wrap) {
+    SCOPED_TRACE("epoch UINT8_MAX - " + std::to_string(before_wrap));
     engine::ExecutionContext context;
     context.EnsureSize(mesh.num_vertices());
     for (const bool wrap : {false, true}) {
       if (wrap) {
         context.crawler.marks().set_epoch_for_testing(
-            std::numeric_limits<uint32_t>::max() - before_wrap);
+            std::numeric_limits<uint8_t>::max() - before_wrap);
       }
       context.stats.Reset();
       engine::QueryBatchResult results;
@@ -969,6 +972,300 @@ TEST(WalkParityTest, SharedMarksSurviveEpochWrap) {
       EXPECT_GT(context.stats.walk_invocations, 0u);
       ExpectBatchMatchesReference(results, context.stats, mesh,
                                   surface_index, OctopusOptions{}, boxes);
+    }
+  }
+}
+
+// ---------- Crawl parity (the result vector is the FIFO) ----------
+
+/// The crawl before its result vector became the BFS queue, kept
+/// verbatim as the oracle: a second vector is the FIFO, every result is
+/// pushed to both, and each visited test goes through
+/// `VisitedMarks::Mark`.
+class TwoVectorCrawler {
+ public:
+  TwoVectorCrawler() = default;
+  explicit TwoVectorCrawler(VisitedMode mode) : marks_(mode) {}
+
+  void EnsureSize(size_t num_vertices) { marks_.EnsureSize(num_vertices); }
+
+  template <storage::MeshAccessor Accessor>
+  CrawlStats Crawl(Accessor& mesh, const AABB& box,
+                   std::span<const VertexId> starts,
+                   std::vector<VertexId>* out) {
+    CrawlStats stats;
+    assert(marks_.Covers(mesh.num_vertices()) &&
+           "EnsureSize not called for this mesh");
+    marks_.Begin();
+
+    queue_.clear();
+    for (VertexId s : starts) {
+      if (!marks_.Mark(s)) continue;
+      ++stats.vertices_touched;
+      if (!box.Contains(mesh.position(s))) continue;
+      queue_.push_back(s);
+      out->push_back(s);
+      ++stats.vertices_inside;
+    }
+
+    // BFS; queue_ doubles as the FIFO with a moving head index.
+    constexpr size_t kPrefetchAhead = 8;
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      const VertexId v = queue_[head];
+      const std::span<const VertexId> ns = mesh.neighbors(v);
+      for (size_t i = 0; i < ns.size(); ++i) {
+        // Look ahead within the neighbor run: out of core, lease the next
+        // position page before the frontier demands it (Hilbert layout
+        // keeps runs page-local, so this is the paper's sequential-crawl
+        // advantage made real). In memory the hint is a no-op.
+        if (i + kPrefetchAhead < ns.size()) {
+          mesh.PrefetchPosition(ns[i + kPrefetchAhead]);
+        }
+        const VertexId n = ns[i];
+        ++stats.edges_traversed;
+        if (!marks_.Mark(n)) continue;
+        ++stats.vertices_touched;
+        // Stop criteria: do not expand past vertices outside the query.
+        if (!box.Contains(mesh.position(n))) continue;
+        queue_.push_back(n);
+        out->push_back(n);
+        ++stats.vertices_inside;
+      }
+    }
+    return stats;
+  }
+
+ private:
+  VisitedMarks marks_;
+  std::vector<VertexId> queue_;
+};
+
+/// One crawl: a box, its starts and what `out` holds on entry.
+struct CrawlCase {
+  AABB box;
+  std::vector<VertexId> starts;
+  std::vector<VertexId> prefix;
+};
+
+/// Crawls of 0.2-4% boxes whose starts mix in-box vertices, a duplicate
+/// and out-of-box vertices; every third also enters with a non-empty
+/// `out` (in-box vertices of the same box), and every seventh has only
+/// out-of-box starts. Enough cases to wrap the 8-bit visited epoch.
+std::vector<CrawlCase> CrawlCases(const TetraMesh& mesh, uint64_t seed) {
+  QueryGenerator gen(mesh);
+  Rng rng(seed);
+  std::vector<CrawlCase> cases;
+  while (cases.size() < 300) {
+    CrawlCase c;
+    c.box = gen.MakeQuery(&rng, 0.002 + 0.038 * rng.NextDouble());
+    std::vector<VertexId> inside;
+    std::vector<VertexId> outside;
+    for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
+      (c.box.Contains(mesh.position(v)) ? inside : outside).push_back(v);
+    }
+    if (inside.size() < 8 || outside.empty()) continue;
+    auto pick = [&rng](const std::vector<VertexId>& from) {
+      return from[rng.NextBelow(from.size())];
+    };
+    const size_t i = cases.size();
+    c.starts.push_back(pick(outside));
+    if (i % 7 != 0) {
+      const VertexId start = pick(inside);
+      c.starts.push_back(start);
+      c.starts.push_back(pick(outside));
+      c.starts.push_back(start);
+      c.starts.push_back(pick(inside));
+    }
+    if (i % 3 == 0) c.prefix = {pick(inside), pick(inside), pick(inside)};
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+/// Every case crawled by `Crawler` and by the two-vector oracle, each on
+/// its own accessor: the same `out` (prefix kept, results in order) and
+/// the same counters.
+template <storage::MeshAccessor Accessor>
+void ExpectCrawlsMatchTwoVectorCrawl(Accessor& accessor,
+                                     Accessor& reference_accessor,
+                                     size_t num_vertices, VisitedMode mode,
+                                     std::span<const CrawlCase> cases) {
+  Crawler crawler(mode);
+  TwoVectorCrawler reference(mode);
+  crawler.EnsureSize(num_vertices);
+  reference.EnsureSize(num_vertices);
+  size_t results = 0;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const CrawlCase& c = cases[i];
+    std::vector<VertexId> got = c.prefix;
+    std::vector<VertexId> expected = c.prefix;
+    const CrawlStats stats = crawler.Crawl(accessor, c.box, c.starts, &got);
+    const CrawlStats expected_stats =
+        reference.Crawl(reference_accessor, c.box, c.starts, &expected);
+    ASSERT_EQ(got, expected) << "case " << i;
+    ASSERT_EQ(stats.vertices_inside, expected_stats.vertices_inside)
+        << "case " << i;
+    ASSERT_EQ(stats.vertices_touched, expected_stats.vertices_touched)
+        << "case " << i;
+    ASSERT_EQ(stats.edges_traversed, expected_stats.edges_traversed)
+        << "case " << i;
+    results += expected_stats.vertices_inside;
+  }
+  EXPECT_GT(results, 0u);
+}
+
+TEST(CrawlParityTest, InMemoryFlatAndPageTableMatchTwoVectorCrawl) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  const std::vector<CrawlCase> cases = CrawlCases(mesh, 51);
+  const auto overlay = storage::PositionOverlay::BuildNext(
+      mesh.num_vertices(), storage::kDefaultPageBytes, nullptr, {},
+      mesh.positions(), nullptr);
+  storage::ResidentEpoch epoch;
+  storage::PageIOStats reload_io;
+  ASSERT_TRUE(epoch.Load(*overlay, &reload_io).ok());
+  const auto per_page = static_cast<uint32_t>(overlay->positions_per_page());
+  for (const VisitedMode mode : kVisitedModes) {
+    SCOPED_TRACE(mode == VisitedMode::kEpochArray ? "epoch array"
+                                                  : "hash set");
+    {
+      SCOPED_TRACE("flat");
+      storage::InMemoryMeshAccessor accessor(mesh.Graph());
+      storage::InMemoryMeshAccessor reference_accessor(mesh.Graph());
+      ExpectCrawlsMatchTwoVectorCrawl(accessor, reference_accessor,
+                                      mesh.num_vertices(), mode, cases);
+    }
+    {
+      SCOPED_TRACE("page table");
+      storage::InMemoryMeshAccessor accessor(mesh.Graph(), epoch.pages(),
+                                             per_page);
+      storage::InMemoryMeshAccessor reference_accessor(
+          mesh.Graph(), epoch.pages(), per_page);
+      ExpectCrawlsMatchTwoVectorCrawl(accessor, reference_accessor,
+                                      mesh.num_vertices(), mode, cases);
+    }
+  }
+}
+
+TEST(CrawlParityTest, PagedDeformedOverlayMatchesTwoVectorCrawl) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  TetraMesh base_mesh = mesh;
+  base_mesh.mutable_positions() = neuro.base;
+  const std::string path = ::testing::TempDir() + "/crawl_parity.oct2";
+  constexpr size_t kPageBytes = 1024;
+  ASSERT_TRUE(SaveSnapshot(base_mesh, path,
+                           storage::SnapshotOptions{.page_bytes = kPageBytes})
+                  .ok());
+  size_t rewritten = 0;
+  const auto overlay = storage::PositionOverlay::BuildNext(
+      mesh.num_vertices(), kPageBytes, nullptr, neuro.base, mesh.positions(),
+      &rewritten);
+  ASSERT_GT(rewritten, 0u);
+  storage::ResidentEpoch epoch;
+  storage::PageIOStats reload_io;
+  ASSERT_TRUE(epoch.Load(*overlay, &reload_io).ok());
+  const std::vector<CrawlCase> cases = CrawlCases(mesh, 53);
+
+  // A roomy pool, and one of 12 pages whose accessors degrade to
+  // transient pins and evict.
+  for (const size_t pool_bytes : {size_t{4} << 20, 12 * kPageBytes}) {
+    for (const VisitedMode mode : kVisitedModes) {
+      SCOPED_TRACE("pool " + std::to_string(pool_bytes) + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      // Two private pools: both crawls read the same pages in the same
+      // order, so every page counter agrees.
+      const storage::BufferManager::Options pool{.pool_bytes = pool_bytes};
+      auto store = storage::PagedMeshStore::Open(path, pool);
+      auto reference_store = storage::PagedMeshStore::Open(path, pool);
+      ASSERT_TRUE(store.ok() && reference_store.ok());
+      storage::PageIOStats io;
+      storage::PageIOStats reference_io;
+      storage::PagedMeshAccessor accessor(store.Value().get(), &io);
+      storage::PagedMeshAccessor reference_accessor(
+          reference_store.Value().get(), &reference_io);
+      accessor.BeginBatch(epoch.pages(), 1);
+      reference_accessor.BeginBatch(epoch.pages(), 1);
+      ExpectCrawlsMatchTwoVectorCrawl(accessor, reference_accessor,
+                                      mesh.num_vertices(), mode, cases);
+      accessor.EndBatch();
+      reference_accessor.EndBatch();
+      EXPECT_GT(io.PageAccesses(), 0u);
+      EXPECT_EQ(io.page_hits, reference_io.page_hits);
+      EXPECT_EQ(io.page_misses, reference_io.page_misses);
+      EXPECT_EQ(io.page_evictions, reference_io.page_evictions);
+      EXPECT_EQ(io.lease_hits, reference_io.lease_hits);
+      EXPECT_EQ(io.pages_leased, reference_io.pages_leased);
+      EXPECT_EQ(io.pages_distinct, reference_io.pages_distinct);
+      EXPECT_EQ(io.lease_revocations, reference_io.lease_revocations);
+    }
+  }
+
+  // The paged executor's batches, at 1 and 4 threads.
+  std::vector<AABB> boxes;
+  for (const CrawlCase& c : cases) boxes.push_back(c.box);
+  boxes.resize(96);
+  engine::ThreadPool thread_pool(4);
+  for (const VisitedMode mode : kVisitedModes) {
+    PagedOctopus::Options options;
+    options.executor.visited_mode = mode;
+    auto paged = PagedOctopus::Open(path, options);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    for (engine::ThreadPool* p :
+         {static_cast<engine::ThreadPool*>(nullptr), &thread_pool}) {
+      SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+      paged.Value()->ResetStats();
+      engine::QueryBatchResult results;
+      paged.Value()->RangeQueryBatch(boxes, &results, p, epoch.pages());
+      ExpectBatchMatchesReference<TwoVectorCrawler>(
+          results, paged.Value()->stats(), mesh,
+          paged.Value()->surface_index(), options.executor, boxes);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CrawlParityTest, BatchesMatchTwoVectorCrawlAtOneAndFourThreads) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  QueryGenerator gen(mesh);
+  Rng rng(55);
+  const std::vector<AABB> boxes = gen.MakeQueries(&rng, 96, 0.002, 0.04);
+  const auto overlay = storage::PositionOverlay::BuildNext(
+      mesh.num_vertices(), storage::kDefaultPageBytes, nullptr, {},
+      mesh.positions(), nullptr);
+  storage::ResidentEpoch epoch;
+  storage::PageIOStats reload_io;
+  ASSERT_TRUE(epoch.Load(*overlay, &reload_io).ok());
+  const auto per_page = static_cast<uint32_t>(overlay->positions_per_page());
+  const MeshGraphView graph = mesh.Graph();
+  engine::ThreadPool pool(4);
+  for (const VisitedMode mode : kVisitedModes) {
+    const OctopusOptions options{.visited_mode = mode};
+    Octopus octopus(options);
+    octopus.Build(mesh);
+    engine::ContextPool contexts(mode);
+    contexts.set_num_vertices(mesh.num_vertices());
+    for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                  &pool}) {
+      SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+      octopus.ResetStats();
+      engine::QueryBatchResult flat;
+      octopus.RangeQueryBatch(mesh, boxes, &flat, p);
+      ExpectBatchMatchesReference<TwoVectorCrawler>(
+          flat, octopus.stats(), mesh, octopus.surface_index(), options,
+          boxes);
+      contexts.ResetStats();
+      engine::QueryBatchResult paged;
+      ExecuteOctopusBatch(
+          [&](engine::ExecutionContext*) {
+            return storage::InMemoryMeshAccessor(graph, epoch.pages(),
+                                                 per_page);
+          },
+          octopus.surface_index(), options, boxes, &paged, p, &contexts);
+      ExpectBatchMatchesReference<TwoVectorCrawler>(
+          paged, contexts.stats(), mesh, octopus.surface_index(), options,
+          boxes);
     }
   }
 }
