@@ -47,10 +47,18 @@ int main() {
   std::printf("calibrated constants: CS = %.3g s/vertex, CP = %.3g "
               "s/surface-vertex, CR = %.3g s/edge\n(CR/CS = %.2f; paper: CS "
               "6.6e-9, CR 2.7e-8, ratio ~4; CP is our gather-cost "
-              "refinement, see DESIGN.md)\n\n",
+              "refinement, see DESIGN.md)\n",
               constants.cs_seconds, constants.cp_seconds,
               constants.cr_seconds,
               constants.cr_seconds / constants.cs_seconds);
+  // The planner's committed kCounterUnitConstants (octopus/cost_model.h)
+  // are these ratios from one run.
+  std::printf("counter-unit constants: CP/CS = %.3f, CR/CS = %.3f "
+              "(committed: %.3f, %.3f)\n\n",
+              constants.cp_seconds / constants.cs_seconds,
+              constants.cr_seconds / constants.cs_seconds,
+              octopus::kCounterUnitConstants.cp_seconds,
+              octopus::kCounterUnitConstants.cr_seconds);
 
   Table t("Fig. 11 — Measured vs predicted query response time [sec]");
   t.SetHeader({"Dataset [#verts]", "Selectivity [%]", "LinearScan measured",

@@ -94,12 +94,16 @@ void HilbertCurve3D::Decode(uint64_t d, uint32_t* px, uint32_t* py,
 uint64_t HilbertCurve3D::EncodePoint(const Vec3& p, const AABB& bounds) const {
   const uint32_t cells = 1u << bits_;
   const Vec3 ext = bounds.Extent();
+  // Written so that NaN (a non-finite point, or bounds whose extent
+  // overflows) lands in cell 0 instead of reaching the float-to-integer
+  // cast, which is undefined for NaN.
   auto quantize = [cells](float v, float lo, float extent) -> uint32_t {
-    if (extent <= 0.0f) return 0;
-    float t = (v - lo) / extent;
-    t = std::clamp(t, 0.0f, 1.0f);
-    uint32_t q = static_cast<uint32_t>(t * static_cast<float>(cells));
-    return std::min(q, cells - 1);
+    if (!(extent > 0.0f)) return 0;
+    const float t = (v - lo) / extent;
+    if (!(t > 0.0f)) return 0;
+    if (t >= 1.0f) return cells - 1;
+    return std::min(static_cast<uint32_t>(t * static_cast<float>(cells)),
+                    cells - 1);
   };
   return Encode(quantize(p.x, bounds.min.x, ext.x),
                 quantize(p.y, bounds.min.y, ext.y),

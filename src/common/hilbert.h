@@ -29,7 +29,8 @@ class HilbertCurve3D {
   void Decode(uint64_t d, uint32_t* x, uint32_t* y, uint32_t* z) const;
 
   /// Curve distance of a point, after normalizing it into `bounds`.
-  /// Points outside the bounds are clamped to the boundary cells.
+  /// Points outside the bounds are clamped to the boundary cells; a NaN
+  /// coordinate maps to cell 0 of its axis.
   uint64_t EncodePoint(const Vec3& p, const AABB& bounds) const;
 
  private:

@@ -8,9 +8,11 @@
 #define OCTOPUS_ENGINE_EXECUTION_CONTEXT_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/aabb.h"
 #include "common/timer.h"
 #include "mesh/types.h"
 #include "octopus/crawler.h"
@@ -57,9 +59,25 @@ struct ExecutionContext {
   }
 };
 
-/// \brief Lazily grown set of per-shard contexts plus the merged stats
-/// aggregate — the executor-side state shared by `Octopus` and
-/// `HexOctopus`.
+/// \brief A batch's execution order (`OrderBatch`,
+/// octopus/query_executor.h): each input box's curve key, the input slots
+/// in execution order, and the boxes permuted into that order. Written on
+/// the calling thread before shards fork, only read while they run.
+struct BatchOrder {
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> slots;
+  std::vector<AABB> boxes;
+
+  size_t ScratchBytes() const {
+    return keys.capacity() * sizeof(uint64_t) +
+           slots.capacity() * sizeof(uint32_t) +
+           boxes.capacity() * sizeof(AABB);
+  }
+};
+
+/// \brief Lazily grown set of per-shard contexts, the batch-order
+/// scratch and the merged stats aggregate — the executor-side state
+/// shared by `Octopus`, `HexOctopus` and `PagedOctopus`.
 ///
 /// `Ensure` must run on the calling thread before shards fork; after a
 /// batch, `MergeStats` folds per-context stats into the aggregate in
@@ -92,6 +110,9 @@ class ContextPool {
 
   ExecutionContext* context(size_t i) { return contexts_[i].get(); }
 
+  /// The order scratch, reused across batches. Calling thread only.
+  BatchOrder* order() { return &order_; }
+
   /// Folds contexts `[0, shards)` into the aggregate, in shard order,
   /// and resets their local stats. The fold itself is the batch's merge
   /// phase; its wall clock lands in the aggregate's `merge_nanos` (the
@@ -109,10 +130,11 @@ class ContextPool {
   const PhaseStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
-  /// Scratch across every allocated context (honest accounting: after a
-  /// T-thread batch this is T crawlers' worth of memory, really held).
+  /// Scratch across every allocated context plus the order scratch
+  /// (honest accounting: after a T-thread batch this is T crawlers' worth
+  /// of memory, really held).
   size_t ScratchBytes() const {
-    size_t bytes = 0;
+    size_t bytes = order_.ScratchBytes();
     for (const auto& context : contexts_) {
       if (context) bytes += context->ScratchBytes();
     }
@@ -123,6 +145,7 @@ class ContextPool {
   VisitedMode mode_ = VisitedMode::kEpochArray;
   size_t num_vertices_ = 0;
   std::vector<std::unique_ptr<ExecutionContext>> contexts_;
+  BatchOrder order_;
   PhaseStats stats_;
 };
 

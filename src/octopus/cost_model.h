@@ -32,6 +32,17 @@ struct CostConstants {
   double ScanToCrawlRatio() const { return cs_seconds / cr_seconds; }
 };
 
+/// The constants in counter units: a scanned vertex costs 1, a probed
+/// surface vertex CP/CS and an inspected edge CR/CS, the ratios of one
+/// `bench_fig11_model` run, which prints them. Eq. 6 depends only on
+/// these ratios; the planner routes with them, so its break-even does
+/// not depend on the host or its load. Measured with the bench's
+/// defaults (scale 1, calibrated on the largest neuro level) on a 4-vCPU
+/// Intel Xeon host. Re-commit them from a new run when the scan, probe
+/// or crawl loops change.
+inline constexpr CostConstants kCounterUnitConstants{
+    .cs_seconds = 1.0, .cp_seconds = 2.022, .cr_seconds = 1.575};
+
 /// Measures CS with linear scans, CP with surface probes and CR with
 /// query-sized crawls over `mesh` (the paper calibrates "by averaging a
 /// long run of a linear scan and graph traversal over the smallest

@@ -40,10 +40,8 @@ void AdaptiveExecutor::Build(const TetraMesh& mesh) {
   // small relative to the mesh, so estimates stay representative (and
   // routing only needs the right order of magnitude).
   histogram_.Build(mesh.positions());
-  const CostConstants constants =
-      CalibrateCostConstants(mesh, options_.calibration_repetitions);
-  const CostModel model = CostModel::FromMesh(mesh, constants);
-  break_even_ = model.BreakEvenSelectivity();
+  break_even_ =
+      CostModel::FromMesh(mesh, kCounterUnitConstants).BreakEvenSelectivity();
   to_octopus_ = 0;
   to_scan_ = 0;
 }

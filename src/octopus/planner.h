@@ -32,17 +32,17 @@ void CrawlHalo(const TetraMesh& mesh, const AABB& box, size_t first,
                std::vector<VertexId>* out, VisitedMarks* marks);
 
 /// \brief Per-query adaptive executor: OCTOPUS below the break-even
-/// selectivity, linear scan above it. The OCTOPUS route runs `CrawlHalo`
-/// after the crawl, so both routes return the same answer on a deformed
-/// mesh, whichever one the calibration picks.
+/// selectivity, linear scan above it. The break-even comes from the
+/// committed `kCounterUnitConstants`, never from a timing taken at
+/// `Build`, so a box is routed the same way on any host under any load.
+/// The OCTOPUS route runs `CrawlHalo` after the crawl, so both routes
+/// return the same answer on a deformed mesh.
 class AdaptiveExecutor : public SpatialIndex {
  public:
   struct Options {
     OctopusOptions octopus;
     /// Histogram resolution for selectivity estimation.
     int histogram_resolution = 24;
-    /// Calibration repetitions for the cost constants.
-    int calibration_repetitions = 2;
   };
 
   AdaptiveExecutor();  // default options
@@ -50,8 +50,8 @@ class AdaptiveExecutor : public SpatialIndex {
 
   std::string Name() const override { return "OCTOPUS-Adaptive"; }
 
-  /// Builds the OCTOPUS surface index, the selectivity histogram and
-  /// calibrates the cost model on this mesh.
+  /// Builds the OCTOPUS surface index and the selectivity histogram, and
+  /// sets the Eq. 6 break-even from this mesh's S and M.
   void Build(const TetraMesh& mesh) override;
 
   /// No-op (neither sub-approach needs per-step maintenance).

@@ -7,9 +7,12 @@
 // through one core, `ExecuteOctopusBatch`, templated over
 // `storage::MeshAccessor`, so the identical algorithm executes over the
 // resident mesh and over a paged out-of-core snapshot (see
-// octopus/paged_executor.h). Each shard reads the surface once and
-// probes all its queries against that copy (octopus/surface_probe.h);
-// walk and crawl then run per query.
+// octopus/paged_executor.h). The batch runs in Hilbert order of its
+// boxes' centres (`OrderBatch`), so consecutive crawls touch nearby
+// vertices and reuse the adjacency and pool pages the previous one
+// brought in; each answer still lands in its request slot. Each shard
+// reads the surface once and probes all its queries against that copy
+// (octopus/surface_probe.h); walk and crawl then run per query.
 //
 // Thread-safety invariant (engine layer): after `Build`, the index object
 // (`options_`, `surface_index_`) is read-only during query execution. All
@@ -62,14 +65,16 @@ struct OctopusOptions {
 
 /// One shard's share of a batch, Algorithm 1 over any mesh accessor:
 /// fused surface probe (with optional equidistant sampling) -> directed
-/// walk fallback -> crawl, per query. Query `q`'s result is appended to
-/// `out[q]`; stats accumulate into `context->stats`. Re-entrant:
-/// concurrent shards are safe as long as each uses its own context and
-/// accessor (the backing store and surface index are only read).
+/// walk fallback -> crawl, per query, in the order of `boxes`. Query
+/// `q`'s result is appended to `out[slots[q]]`; stats accumulate into
+/// `context->stats`. Re-entrant: concurrent shards are safe as long as
+/// each uses its own context, accessor and slots (the backing store and
+/// surface index are only read).
 template <storage::MeshAccessor Accessor>
 void ExecuteOctopusShard(Accessor& mesh, const SurfaceIndex& surface_index,
                          const OctopusOptions& options,
                          std::span<const AABB> boxes,
+                         std::span<const uint32_t> slots,
                          engine::ExecutionContext* context,
                          std::vector<VertexId>* out) {
   PhaseStats* stats = &context->stats;
@@ -118,7 +123,7 @@ void ExecuteOctopusShard(Accessor& mesh, const SurfaceIndex& surface_index,
       // --- Phase 3: crawling (Sec. IV-B) ---
       timer.Restart();
       const CrawlStats crawl =
-          context->crawler.Crawl(mesh, box, *starts, &out[tile + b]);
+          context->crawler.Crawl(mesh, box, *starts, &out[slots[tile + b]]);
       stats->crawl_edges += crawl.edges_traversed;
       stats->result_vertices += crawl.vertices_inside;
       stats->crawl_nanos += timer.ElapsedNanos();
@@ -126,16 +131,27 @@ void ExecuteOctopusShard(Accessor& mesh, const SurfaceIndex& surface_index,
   }
 }
 
+/// Fills `order` with the execution order of `boxes`: ascending 3-D
+/// Hilbert key (10 bits per axis) of each box's centre, normalised to
+/// the bounds of the batch's finite centres; ties break by the box
+/// coordinates (min, then max, in IEEE total order) and then by input
+/// index, so the order depends only on the set of boxes, not on their
+/// arrival order. A box whose centre is not finite is left out of the
+/// bounds and sorts after every other.
+void OrderBatch(std::span<const AABB> boxes, engine::BatchOrder* order);
+
 /// Batch core shared by every OCTOPUS executor (`Octopus`, `HexOctopus`,
-/// `PagedOctopus`): resets `out`, clamps the shard count to min(pool
-/// width, batch size), runs each shard's contiguous query range on its
-/// own context (grown via `contexts->Ensure` on the calling thread
-/// before forking), and merges per-shard stats into the pool's aggregate
-/// in deterministic shard order after the pool joins. `pool` may be null
+/// `PagedOctopus`, the server's `VersionedBackend`): resets `out`, puts
+/// the batch in `OrderBatch` order, clamps the shard count to min(pool
+/// width, batch size), runs each shard's contiguous range of that order
+/// on its own context (grown via `contexts->Ensure` on the calling
+/// thread before forking), and merges per-shard stats into the pool's
+/// aggregate in deterministic shard order after the pool joins. Query
+/// `i`'s ids land in `out->per_query[i]`. `pool` may be null
 /// (sequential). `make_accessor(context)` supplies the shard's mesh
 /// accessor — by value for the free in-memory view, by reference for a
 /// context-owned paged accessor. Per-query results are independent of
-/// the shard count.
+/// the shard count and of the order the boxes arrive in.
 template <typename MakeAccessor>
 void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
                          const SurfaceIndex& surface_index,
@@ -145,6 +161,10 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
                          engine::ThreadPool* pool,
                          engine::ContextPool* contexts) {
   out->Reset(boxes.size());
+  engine::BatchOrder* order = contexts->order();
+  OrderBatch(boxes, order);
+  const std::span<const AABB> sorted = order->boxes;
+  const std::span<const uint32_t> slots = order->slots;
   const int shards =
       pool == nullptr
           ? 1
@@ -158,15 +178,17 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
     // The pool always invokes one call per pool thread; threads beyond
     // the (batch-size-clamped) shard count have no work.
     if (shard >= shards) return;
-    // Contiguous sharding: shard s owns queries [s*n/T, (s+1)*n/T).
-    const size_t begin = boxes.size() * shard / shards;
-    const size_t end = boxes.size() * (shard + 1) / shards;
+    // Contiguous sharding of the sorted order: shard s owns positions
+    // [s*n/T, (s+1)*n/T).
+    const size_t begin = sorted.size() * shard / shards;
+    const size_t end = sorted.size() * (shard + 1) / shards;
     engine::ExecutionContext* context = contexts->context(shard);
     decltype(auto) accessor = make_accessor(context);
     if (begin < end) {
       ExecuteOctopusShard(accessor, surface_index, options,
-                          boxes.subspan(begin, end - begin), context,
-                          out->per_query.data() + begin);
+                          sorted.subspan(begin, end - begin),
+                          slots.subspan(begin, end - begin), context,
+                          out->per_query.data());
     }
     // Batch-scoped leases (paged accessors) are released before the
     // shard retires: deterministic counters, and an idle accessor holds

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -160,6 +161,24 @@ TEST(HilbertTest, EncodePointClampsOutOfBounds) {
   const uint64_t above = curve.EncodePoint(Vec3(9, 9, 9), bounds);
   const uint64_t at_max = curve.EncodePoint(Vec3(1, 1, 1), bounds);
   EXPECT_EQ(above, at_max);
+}
+
+TEST(HilbertTest, EncodePointMapsNaNToCellZero) {
+  const HilbertCurve3D curve(4);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float huge = std::numeric_limits<float>::max();
+  const AABB bounds(Vec3(0, 0, 0), Vec3(1, 1, 1));
+  EXPECT_EQ(curve.EncodePoint(Vec3(nan, nan, nan), bounds),
+            curve.Encode(0, 0, 0));
+  EXPECT_EQ(curve.EncodePoint(Vec3(nan, 1, -inf), bounds),
+            curve.Encode(0, 15, 0));
+  // Bounds whose extent overflows to inf: inf / inf is NaN.
+  const AABB wide(Vec3(-huge, -huge, -huge), Vec3(huge, huge, huge));
+  EXPECT_EQ(curve.EncodePoint(Vec3(huge, 0, 0), wide), curve.Encode(0, 0, 0));
+  EXPECT_EQ(curve.EncodePoint(Vec3(0, 0, 0), AABB(Vec3(0, 0, 0),
+                                                  Vec3(nan, 1, 1))),
+            curve.Encode(0, 0, 0));
 }
 
 // ---------- Histogram3D ----------

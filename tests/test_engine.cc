@@ -16,7 +16,6 @@
 
 #include "engine/query_engine.h"
 #include "engine/thread_pool.h"
-#include "index/adaptive_hash.h"
 #include "index/linear_scan.h"
 #include "index/lur_tree.h"
 #include "index/octree.h"
@@ -79,7 +78,6 @@ std::vector<std::unique_ptr<SpatialIndex>> AllIndexes() {
   v.push_back(std::make_unique<ThrowawayOctree>());
   v.push_back(std::make_unique<LURTree>());
   v.push_back(std::make_unique<QUTrade>());
-  v.push_back(std::make_unique<AdaptiveHashIndex>());
   v.push_back(std::make_unique<OctopusCon>());
   return v;
 }

@@ -4,15 +4,18 @@
 // mesh types, deformation steps and query shapes. Also covers the
 // surface-approximation accuracy trade-off, OCTOPUS-CON, the fused
 // surface probe's parity with the sequential per-query scan it replaced,
-// the directed walk's parity with the allocating walk it replaced, and
-// the crawl's parity with the two-vector crawl it replaced.
+// the directed walk's parity with the allocating walk it replaced, the
+// crawl's parity with the two-vector crawl it replaced, and the batch
+// order's independence of the order boxes arrive in.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <string>
 #include <unordered_set>
@@ -252,8 +255,10 @@ TEST(OctopusTest, FootprintIncludesSurfaceIndexAndScratch) {
   const AABB enclosed(Vec3(0.4f, 0.4f, 0.4f), Vec3(0.6f, 0.6f, 0.6f));
   std::vector<VertexId> out;
   storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  const uint32_t slot = 0;
   ExecuteOctopusShard(accessor, octopus.surface_index(), OctopusOptions{},
-                      std::span<const AABB>(&enclosed, 1), &context, &out);
+                      std::span<const AABB>(&enclosed, 1),
+                      std::span<const uint32_t>(&slot, 1), &context, &out);
   ASSERT_EQ(context.stats.walk_invocations, 1u);
   const size_t heap_bytes = context.walk_heap.capacity() * sizeof(WalkFrontier);
   EXPECT_GT(heap_bytes, 0u);
@@ -964,9 +969,11 @@ TEST(WalkParityTest, SharedMarksSurviveEpochWrap) {
       // One query per call: each starts its walk and crawl from the
       // previous query's marks.
       for (size_t q = 0; q < boxes.size(); ++q) {
+        const auto slot = static_cast<uint32_t>(q);
         ExecuteOctopusShard(accessor, surface_index, OctopusOptions{},
-                            std::span<const AABB>(&boxes[q], 1), &context,
-                            &results.per_query[q]);
+                            std::span<const AABB>(&boxes[q], 1),
+                            std::span<const uint32_t>(&slot, 1), &context,
+                            results.per_query.data());
       }
       EXPECT_LE(context.crawler.marks().epoch(), 2 * boxes.size());
       EXPECT_GT(context.stats.walk_invocations, 0u);
@@ -1267,6 +1274,274 @@ TEST(CrawlParityTest, BatchesMatchTwoVectorCrawlAtOneAndFourThreads) {
           paged, contexts.stats(), mesh, octopus.surface_index(), options,
           boxes);
     }
+  }
+}
+
+// ---------- Batch order (Hilbert order of the boxes) ----------
+
+/// The arrival order 0..n-1 and five random permutations of it.
+std::vector<std::vector<size_t>> ArrivalOrders(size_t n, uint64_t seed) {
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::vector<std::vector<size_t>> orders = {order};
+  Rng rng(seed);
+  for (int i = 0; i < 5; ++i) {
+    for (size_t j = n; j > 1; --j) {
+      std::swap(order[j - 1], order[rng.NextBelow(j)]);
+    }
+    orders.push_back(order);
+  }
+  return orders;
+}
+
+/// Monitoring- to crawl-sized boxes over `mesh`, with a few repeated so
+/// that equal keys tie-break.
+std::vector<AABB> OrderBoxes(const TetraMesh& mesh, uint64_t seed) {
+  QueryGenerator gen(mesh);
+  Rng rng(seed);
+  std::vector<AABB> boxes = gen.MakeQueries(&rng, 90, 0.002, 0.04);
+  for (size_t i = 0; i < 6; ++i) boxes.push_back(boxes[i * 7]);
+  return boxes;
+}
+
+void ExpectSameTraversal(const PhaseStats& got, const PhaseStats& want) {
+  EXPECT_EQ(got.queries, want.queries);
+  EXPECT_EQ(got.probed_vertices, want.probed_vertices);
+  EXPECT_EQ(got.probe_position_reads, want.probe_position_reads);
+  EXPECT_EQ(got.walk_invocations, want.walk_invocations);
+  EXPECT_EQ(got.walk_vertices, want.walk_vertices);
+  EXPECT_EQ(got.crawl_edges, want.crawl_edges);
+  EXPECT_EQ(got.result_vertices, want.result_vertices);
+}
+
+void ExpectSamePageIO(const storage::PageIOStats& got,
+                      const storage::PageIOStats& want) {
+  EXPECT_EQ(got.page_hits, want.page_hits);
+  EXPECT_EQ(got.page_misses, want.page_misses);
+  EXPECT_EQ(got.page_evictions, want.page_evictions);
+  EXPECT_EQ(got.lease_hits, want.lease_hits);
+  EXPECT_EQ(got.pages_leased, want.pages_leased);
+  EXPECT_EQ(got.pages_distinct, want.pages_distinct);
+  EXPECT_EQ(got.lease_revocations, want.lease_revocations);
+}
+
+/// Runs `boxes` in every arrival order through `run(arrived, &result,
+/// &stats)`. Each box must get the ids (in order) it got in the first
+/// run, in its own slot, and the traversal counters must not move; with
+/// `page_counters`, neither may any page counter.
+template <typename Run>
+void ExpectArrivalOrderInvariant(std::span<const AABB> boxes, uint64_t seed,
+                                 bool page_counters, const Run& run) {
+  std::vector<std::vector<VertexId>> expected(boxes.size());
+  PhaseStats expected_stats;
+  size_t results = 0;
+  const std::vector<std::vector<size_t>> orders =
+      ArrivalOrders(boxes.size(), seed);
+  for (size_t o = 0; o < orders.size(); ++o) {
+    SCOPED_TRACE("arrival order " + std::to_string(o));
+    std::vector<AABB> arrived;
+    for (const size_t i : orders[o]) arrived.push_back(boxes[i]);
+    engine::QueryBatchResult result;
+    PhaseStats stats;
+    run(std::span<const AABB>(arrived), &result, &stats);
+    ASSERT_EQ(result.size(), boxes.size());
+    for (size_t slot = 0; slot < arrived.size(); ++slot) {
+      const size_t box = orders[o][slot];
+      if (o == 0) {
+        expected[box] = result.per_query[slot];
+        results += expected[box].size();
+      } else {
+        ASSERT_EQ(result.per_query[slot], expected[box]) << "box " << box;
+      }
+    }
+    if (o == 0) {
+      expected_stats = stats;
+      continue;
+    }
+    ExpectSameTraversal(stats, expected_stats);
+    if (page_counters) ExpectSamePageIO(stats.page_io, expected_stats.page_io);
+  }
+  EXPECT_GT(results, 0u);
+}
+
+TEST(BatchOrderTest, OrderDependsOnlyOnTheSetOfBoxes) {
+  const TetraMesh mesh = MakeBox(12);
+  const std::vector<AABB> boxes = OrderBoxes(mesh, 61);
+  auto same = [](const AABB& a, const AABB& b) {
+    return std::memcmp(&a, &b, sizeof(AABB)) == 0;
+  };
+  engine::BatchOrder first;
+  for (const std::vector<size_t>& order : ArrivalOrders(boxes.size(), 62)) {
+    std::vector<AABB> arrived;
+    for (const size_t i : order) arrived.push_back(boxes[i]);
+    engine::BatchOrder sorted;
+    OrderBatch(arrived, &sorted);
+    ASSERT_EQ(sorted.boxes.size(), boxes.size());
+    for (size_t i = 0; i < sorted.boxes.size(); ++i) {
+      ASSERT_TRUE(same(sorted.boxes[i], arrived[sorted.slots[i]]));
+      if (i > 0) {
+        ASSERT_LE(sorted.keys[sorted.slots[i - 1]],
+                  sorted.keys[sorted.slots[i]]);
+      }
+    }
+    if (first.boxes.empty()) {
+      first = sorted;
+      continue;
+    }
+    for (size_t i = 0; i < boxes.size(); ++i) {
+      ASSERT_TRUE(same(sorted.boxes[i], first.boxes[i])) << "position " << i;
+    }
+  }
+  // Hilbert order keeps consecutive boxes near: the summed hop between
+  // consecutive centres is well under that of the arrival order.
+  auto hops = [](std::span<const AABB> order) {
+    double sum = 0;
+    for (size_t i = 1; i < order.size(); ++i) {
+      const Vec3 d = order[i].Center() - order[i - 1].Center();
+      sum += std::sqrt(static_cast<double>(d.x) * d.x +
+                       static_cast<double>(d.y) * d.y +
+                       static_cast<double>(d.z) * d.z);
+    }
+    return sum;
+  };
+  EXPECT_LT(hops(first.boxes), 0.5 * hops(boxes));
+}
+
+TEST(BatchOrderTest, ArrivalOrderMovesNoIdOrCounterInMemory) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  const std::vector<AABB> boxes = OrderBoxes(mesh, 63);
+  const auto overlay = storage::PositionOverlay::BuildNext(
+      mesh.num_vertices(), storage::kDefaultPageBytes, nullptr, {},
+      mesh.positions(), nullptr);
+  storage::ResidentEpoch epoch;
+  storage::PageIOStats reload_io;
+  ASSERT_TRUE(epoch.Load(*overlay, &reload_io).ok());
+  const auto per_page = static_cast<uint32_t>(overlay->positions_per_page());
+  const MeshGraphView graph = mesh.Graph();
+  Octopus octopus;
+  octopus.Build(mesh);
+  engine::ContextPool contexts;
+  contexts.set_num_vertices(mesh.num_vertices());
+  engine::ThreadPool pool(4);
+  for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                &pool}) {
+    SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+    {
+      SCOPED_TRACE("flat");
+      ExpectArrivalOrderInvariant(
+          boxes, 64, false,
+          [&](std::span<const AABB> arrived, engine::QueryBatchResult* out,
+              PhaseStats* stats) {
+            octopus.ResetStats();
+            octopus.RangeQueryBatch(mesh, arrived, out, p);
+            *stats = octopus.stats();
+          });
+    }
+    {
+      SCOPED_TRACE("page table");
+      ExpectArrivalOrderInvariant(
+          boxes, 65, false,
+          [&](std::span<const AABB> arrived, engine::QueryBatchResult* out,
+              PhaseStats* stats) {
+            contexts.ResetStats();
+            ExecuteOctopusBatch(
+                [&](engine::ExecutionContext*) {
+                  return storage::InMemoryMeshAccessor(graph, epoch.pages(),
+                                                       per_page);
+                },
+                octopus.surface_index(), OctopusOptions{}, arrived, out, p,
+                &contexts);
+            *stats = contexts.stats();
+          });
+    }
+  }
+}
+
+TEST(BatchOrderTest, ArrivalOrderMovesNoIdOrCounterPaged) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  TetraMesh base_mesh = mesh;
+  base_mesh.mutable_positions() = neuro.base;
+  const std::string path = ::testing::TempDir() + "/batch_order.oct2";
+  constexpr size_t kPageBytes = 1024;
+  ASSERT_TRUE(SaveSnapshot(base_mesh, path,
+                           storage::SnapshotOptions{.page_bytes = kPageBytes})
+                  .ok());
+  const auto overlay = storage::PositionOverlay::BuildNext(
+      mesh.num_vertices(), kPageBytes, nullptr, neuro.base, mesh.positions(),
+      nullptr);
+  storage::ResidentEpoch epoch;
+  storage::PageIOStats reload_io;
+  ASSERT_TRUE(epoch.Load(*overlay, &reload_io).ok());
+  const std::vector<AABB> boxes = OrderBoxes(mesh, 66);
+  // A pool far smaller than the batch's working set: every run starts
+  // cold on a fresh executor, and its hits, misses and evictions follow
+  // the order its crawls read pages in.
+  PagedOctopus::Options options;
+  options.pool.pool_bytes = 24 * kPageBytes;
+  engine::ThreadPool pool(4);
+  for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                &pool}) {
+    SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+    uint64_t evictions = 0;
+    ExpectArrivalOrderInvariant(
+        boxes, 67, p == nullptr,
+        [&](std::span<const AABB> arrived, engine::QueryBatchResult* out,
+            PhaseStats* stats) {
+          auto paged = PagedOctopus::Open(path, options);
+          ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+          paged.Value()->RangeQueryBatch(arrived, out, p, epoch.pages());
+          *stats = paged.Value()->stats();
+          evictions += stats->page_io.page_evictions;
+        });
+    EXPECT_GT(evictions, 0u);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BatchOrderTest, NonFiniteBoxesAnswerAsBatchesOfOne) {
+  const TetraMesh mesh = MakeBox(10);
+  Octopus octopus;
+  octopus.Build(mesh);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kHuge = std::numeric_limits<float>::max();
+  QueryGenerator gen(mesh);
+  Rng rng(68);
+  // Centres that are NaN (inf - inf, a NaN coordinate), infinite, and
+  // finite but so far apart that the bounds' extent overflows.
+  const std::vector<AABB> non_finite = {
+      AABB(Vec3(-kInf, -kInf, -kInf), Vec3(kInf, kInf, kInf)),
+      AABB(Vec3(0.2f, kNaN, 0.2f), Vec3(0.4f, 0.4f, 0.4f)),
+      AABB(Vec3(0.5f, 0.5f, 0.5f), Vec3(kInf, kInf, kInf)),
+      AABB(Vec3(kNaN, kNaN, kNaN), Vec3(kNaN, kNaN, kNaN)),
+      AABB(Vec3(-kHuge, -kHuge, -kHuge), Vec3(-kHuge, -kHuge, -kHuge)),
+      AABB(Vec3(kHuge, kHuge, kHuge), Vec3(kHuge, kHuge, kHuge)),
+      AABB(Vec3(0, 0, 0), Vec3(1, 1, kInf)),
+  };
+  // Each behind a finite box, and the first one twice.
+  std::vector<AABB> boxes;
+  for (const AABB& box : non_finite) {
+    boxes.push_back(gen.MakeQuery(&rng, 0.02));
+    boxes.push_back(box);
+  }
+  boxes.push_back(gen.MakeQuery(&rng, 0.02));
+  boxes.push_back(non_finite[0]);
+  engine::ThreadPool pool(4);
+  for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                &pool}) {
+    SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+    engine::QueryBatchResult batch;
+    octopus.RangeQueryBatch(mesh, boxes, &batch, p);
+    ASSERT_EQ(batch.size(), boxes.size());
+    for (size_t i = 0; i < boxes.size(); ++i) {
+      std::vector<VertexId> alone;
+      octopus.RangeQuery(mesh, boxes[i], &alone);
+      EXPECT_EQ(batch.per_query[i], alone) << "box " << i;
+    }
+    // The box spanning all of space holds every vertex.
+    EXPECT_EQ(batch.per_query[1].size(), mesh.num_vertices());
   }
 }
 
