@@ -43,6 +43,7 @@ struct StepRecord {
   uint64_t walk_vertices = 0;
   uint64_t crawl_edges = 0;
   uint64_t result_vertices = 0;
+  uint64_t scan_queries = 0;
   uint64_t page_accesses = 0;
   uint64_t lease_hits = 0;
   uint64_t pages_leased = 0;
@@ -108,6 +109,7 @@ RunSummary RunBackend(server::VersionedBackend* backend,
     record.walk_vertices = stats.walk_vertices;
     record.crawl_edges = stats.crawl_edges;
     record.result_vertices = stats.result_vertices;
+    record.scan_queries = stats.scan_queries;
     record.page_accesses = stats.page_io.PageAccesses();
     record.lease_hits = stats.page_io.lease_hits;
     record.pages_leased = stats.page_io.pages_leased;
@@ -194,6 +196,7 @@ int main() {
     uint64_t walk_vertices = 0;
     uint64_t crawl_edges = 0;
     uint64_t result_vertices = 0;
+    uint64_t scan_queries = 0;  ///< boxes the Eq. 6 route sent to the scan
   };
   TraversalTotals traversal[2];
   uint64_t total_page_accesses = 0;
@@ -233,6 +236,7 @@ int main() {
       totals.walk_vertices += r.walk_vertices;
       totals.crawl_edges += r.crawl_edges;
       totals.result_vertices += r.result_vertices;
+      totals.scan_queries += r.scan_queries;
     }
     if (paged) {
       for (const StepRecord& r : summary.steps) {
@@ -284,6 +288,7 @@ int main() {
       json.Field("crawl_edges", static_cast<int64_t>(r.crawl_edges));
       json.Field("result_vertices",
                  static_cast<int64_t>(r.result_vertices));
+      json.Field("scan_queries", static_cast<int64_t>(r.scan_queries));
       json.Field("page_accesses",
                  static_cast<int64_t>(r.page_accesses));
       json.Field("lease_hits", static_cast<int64_t>(r.lease_hits));
@@ -333,7 +338,8 @@ int main() {
                  OctopusOptions{}.surface_sample_fraction)));
   json.Field("probe_position_reads",
              static_cast<int64_t>(total_probe_position_reads));
-  // Traversal totals per backend. Deterministic for a given scale, step
+  // Traversal totals and scan-routed queries per backend. Deterministic
+  // for a given scale, step
   // count and query count (any thread count); the CI perf smoke requires
   // them to equal the committed baseline for these settings exactly.
   json.Field("scale", scale);
@@ -350,6 +356,8 @@ int main() {
                static_cast<int64_t>(totals.crawl_edges));
     json.Field(prefix + "result_vertices",
                static_cast<int64_t>(totals.result_vertices));
+    json.Field(prefix + "scan_queries",
+               static_cast<int64_t>(totals.scan_queries));
   }
   json.EndObject();
 

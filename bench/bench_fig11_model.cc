@@ -4,6 +4,10 @@
 // (paper protocol), then Eq. 3 / Eq. 4 predictions are compared with
 // measured runtimes for selectivities 0.01%, 0.1% and 0.2% on all five
 // datasets. Also prints the Eq. 6 break-even selectivity.
+// The OCTOPUS column is the paper's pure OCTOPUS (`route_to_scan` off:
+// no Eq. 6 routing); the LinearScan column times the batch-tiled scan
+// kernel (index/tiled_scan.h), which skips vertex blocks whose bounding
+// box misses a box, so it runs faster than the paper's plain scan.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -75,7 +79,7 @@ int main() {
           bench::MakeStepWorkload(mesh, steps, 15, 15, sel, sel, 0xB00);
       const size_t queries = workload.TotalQueries();
 
-      octopus::Octopus octo;
+      octopus::Octopus octo(octopus::OctopusOptions{.route_to_scan = false});
       octopus::LinearScan scan;
       const bench::DeformerFactory deformer =
           bench::NeuroDeformerFactory(mesh);

@@ -6,6 +6,10 @@
 // LUR-Tree and QU-Trade on
 //   (a) total query response time (incl. index rebuild/maintenance), and
 //   (b) memory footprint.
+// The OCTOPUS column is the paper's pure OCTOPUS (`route_to_scan` off:
+// no Eq. 6 routing); the LinearScan column times the batch-tiled scan
+// kernel (index/tiled_scan.h), which skips vertex blocks whose bounding
+// box misses a box, so it runs faster than the paper's plain scan.
 #include <cstdio>
 
 #include "bench_util.h"

@@ -5,6 +5,10 @@
 //  Fig. 9(b) phase breakdown (surface probe / directed walk / crawling)
 //  Fig. 9(c) directed-walk vertices visited vs grid resolution
 //  Fig. 9(d) grid memory overhead vs grid resolution
+// The OCTOPUS column is the paper's pure OCTOPUS (`route_to_scan` off:
+// no Eq. 6 routing); the LinearScan column times the batch-tiled scan
+// kernel (index/tiled_scan.h), which skips vertex blocks whose bounding
+// box misses a box, so it runs faster than the paper's plain scan.
 #include <cstdio>
 #include <memory>
 
@@ -88,7 +92,7 @@ int main() {
       const bench::DeformerFactory deformer = QuakeDeformer();
 
       octopus::OctopusCon con;
-      octopus::Octopus octo;
+      octopus::Octopus octo(octopus::OctopusOptions{.route_to_scan = false});
       octopus::LinearScan scan;
       const double con_s =
           bench::RunApproach(&con, mesh, deformer, workload).TotalSeconds();

@@ -7,29 +7,49 @@
 
 namespace octopus {
 
+namespace {
+
+// The bucket of a coordinate `t` bucket widths past the lower bound,
+// clamped to [0, resolution) in floating point before the cast: an
+// infinite or overflowing `t` must not reach the int conversion, and NaN
+// maps to bucket 0.
+int ClampBucket(float t, int resolution) {
+  if (!(t > 0.0f)) return 0;
+  if (t >= static_cast<float>(resolution - 1)) return resolution - 1;
+  return static_cast<int>(t);
+}
+
+}  // namespace
+
 Histogram3D::Histogram3D(int resolution) : resolution_(resolution) {
   assert(resolution >= 1);
 }
 
-void Histogram3D::Build(const std::vector<Vec3>& points, const AABB& bounds) {
-  if (!bounds.Empty()) {
-    bounds_ = bounds;
-  } else {
-    bounds_ = AABB();
-    for (const Vec3& p : points) bounds_.Extend(p);
+void Histogram3D::Build(std::span<const Vec3> points, const AABB& bounds) {
+  AABB tight = bounds;
+  if (tight.Empty()) {
+    for (const Vec3& p : points) tight.Extend(p);
   }
-  total_ = points.size();
+  Reset(tight);
+  Add(points);
+}
+
+void Histogram3D::Reset(const AABB& bounds) {
+  bounds_ = bounds;
+  total_ = 0;
   buckets_.assign(
       static_cast<size_t>(resolution_) * resolution_ * resolution_, 0);
-  if (points.empty() || bounds_.Empty()) return;
-
-  const Vec3 ext = bounds_.Extent();
+  const Vec3 ext = bounds_.Empty() ? Vec3() : bounds_.Extent();
   bucket_size_ = Vec3(ext.x / resolution_, ext.y / resolution_,
                       ext.z / resolution_);
+}
+
+void Histogram3D::Add(std::span<const Vec3> points) {
+  total_ += points.size();
+  if (points.empty() || bounds_.Empty()) return;
   auto clamp_bucket = [this](float v, float lo, float size) -> int {
     if (size <= 0.0f) return 0;
-    int b = static_cast<int>((v - lo) / size);
-    return std::clamp(b, 0, resolution_ - 1);
+    return ClampBucket((v - lo) / size, resolution_);
   };
   for (const Vec3& p : points) {
     const int bx = clamp_bucket(p.x, bounds_.min.x, bucket_size_.x);
@@ -46,10 +66,8 @@ double Histogram3D::EstimateCount(const AABB& query) const {
   auto bucket_range = [this](float qlo, float qhi, float lo,
                              float size) -> std::pair<int, int> {
     if (size <= 0.0f) return {0, 0};
-    int b0 = static_cast<int>(std::floor((qlo - lo) / size));
-    int b1 = static_cast<int>(std::floor((qhi - lo) / size));
-    return {std::clamp(b0, 0, resolution_ - 1),
-            std::clamp(b1, 0, resolution_ - 1)};
+    return {ClampBucket(std::floor((qlo - lo) / size), resolution_),
+            ClampBucket(std::floor((qhi - lo) / size), resolution_)};
   };
   const auto [x0, x1] =
       bucket_range(query.min.x, query.max.x, bounds_.min.x, bucket_size_.x);

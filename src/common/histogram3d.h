@@ -7,6 +7,7 @@
 #define OCTOPUS_COMMON_HISTOGRAM3D_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/aabb.h"
@@ -27,10 +28,18 @@ class Histogram3D {
 
   /// Rebuild over the given points. Bounds are the tight AABB of `points`
   /// unless `bounds` is supplied non-empty.
-  void Build(const std::vector<Vec3>& points, const AABB& bounds = AABB());
+  void Build(std::span<const Vec3> points, const AABB& bounds = AABB());
+
+  /// Incremental build, for points that arrive in chunks: `Reset` to
+  /// empty buckets over `bounds`, then `Add` every chunk. Over the tight
+  /// bounds of all chunks this equals `Build` of their concatenation.
+  void Reset(const AABB& bounds);
+  void Add(std::span<const Vec3> points);
 
   /// Estimated number of points inside `query`, assuming uniform density
-  /// inside each bucket (fractional-overlap weighting).
+  /// inside each bucket (fractional-overlap weighting). Any box is
+  /// accepted: infinite, overflowing or NaN coordinates clamp to the
+  /// border buckets.
   double EstimateCount(const AABB& query) const;
 
   /// Estimated selectivity in [0, 1]: EstimateCount / total points.

@@ -14,6 +14,7 @@
 
 #include "common/aabb.h"
 #include "common/timer.h"
+#include "index/tiled_scan.h"
 #include "mesh/types.h"
 #include "octopus/crawler.h"
 #include "octopus/directed_walk.h"
@@ -23,13 +24,34 @@
 
 namespace octopus::engine {
 
+/// One side of a shard's boxes under the Eq. 6 route, in execution
+/// order, with each box's result slot.
+struct RoutedBoxes {
+  std::vector<AABB> boxes;
+  std::vector<uint32_t> slots;
+
+  void Add(const AABB& box, uint32_t slot) {
+    boxes.push_back(box);
+    slots.push_back(slot);
+  }
+  void clear() {
+    boxes.clear();
+    slots.clear();
+  }
+  size_t ScratchBytes() const {
+    return boxes.capacity() * sizeof(AABB) +
+           slots.capacity() * sizeof(uint32_t);
+  }
+};
+
 /// \brief Everything one executing thread needs to run OCTOPUS queries:
 /// a crawler (whose visited marks are the context's one mark set, used
 /// by the directed walk too), the walk's frontier heap, the fused
-/// surface probe's SoA positions and per-tile starts, a local
-/// `PhaseStats` accumulator, and — for out-of-core execution — the
-/// thread's paged mesh accessor. Scratch is reused across queries, so a
-/// warmed-up context allocates nothing per query.
+/// surface probe's SoA positions and per-tile starts, the shard's boxes
+/// split by the Eq. 6 route and the tiled scan that answers the scan
+/// side, a local `PhaseStats` accumulator, and — for out-of-core
+/// execution — the thread's paged mesh accessor. Scratch is reused
+/// across queries, so a warmed-up context allocates nothing per query.
 ///
 /// Contexts are never shared between concurrently executing queries.
 /// After a parallel batch, per-context stats are merged into the
@@ -38,6 +60,9 @@ struct ExecutionContext {
   Crawler crawler;
   std::vector<WalkFrontier> walk_heap;
   SurfaceProbe probe;
+  RoutedBoxes crawl_side;
+  RoutedBoxes scan_side;
+  TiledScan scan;
   PhaseStats stats;
   /// The per-thread out-of-core read handle, created (and rebound) by
   /// `PagedOctopus` on first use of this context and reused across
@@ -54,7 +79,8 @@ struct ExecutionContext {
   size_t ScratchBytes() const {
     return crawler.ScratchBytes() +
            walk_heap.capacity() * sizeof(WalkFrontier) +
-           probe.ScratchBytes() +
+           probe.ScratchBytes() + crawl_side.ScratchBytes() +
+           scan_side.ScratchBytes() + scan.ScratchBytes() +
            (paged_accessor ? paged_accessor->ScratchBytes() : 0);
   }
 };

@@ -87,7 +87,9 @@ RunResult RunApproach(SpatialIndex* index, const TetraMesh& base_mesh,
 
 std::vector<std::unique_ptr<SpatialIndex>> MakeAllApproaches() {
   std::vector<std::unique_ptr<SpatialIndex>> v;
-  v.push_back(std::make_unique<Octopus>());
+  // The paper's OCTOPUS: every box probed, walked and crawled.
+  v.push_back(
+      std::make_unique<Octopus>(OctopusOptions{.route_to_scan = false}));
   v.push_back(std::make_unique<LinearScan>());
   v.push_back(std::make_unique<ThrowawayOctree>());
   v.push_back(std::make_unique<LURTree>());

@@ -27,6 +27,8 @@ CostConstants CalibrateCostConstants(const TetraMesh& mesh,
     // branch pattern is "almost never inside".
     const AABB probe_box =
         AABB::FromCenterHalfExtent(bounds.Center(), bounds.Extent() * 0.05f);
+    // One untimed scan first: it allocates the kernel's block scratch.
+    scan.RangeQuery(mesh, probe_box, &sink);
     Timer timer;
     for (int r = 0; r < repetitions; ++r) {
       sink.clear();
@@ -41,7 +43,7 @@ CostConstants CalibrateCostConstants(const TetraMesh& mesh,
   // counters, so the constants reflect the production loops (branches,
   // result pushes, cache state) rather than an idealized kernel. ---
   {
-    Octopus octo;
+    Octopus octo(OctopusOptions{.route_to_scan = false});
     octo.Build(mesh);
     // Query-sized boxes around random vertices, ~0.1% of the domain
     // volume each (a typical monitoring query).

@@ -35,8 +35,9 @@ struct CostConstants {
 /// The constants in counter units: a scanned vertex costs 1, a probed
 /// surface vertex CP/CS and an inspected edge CR/CS, the ratios of one
 /// `bench_fig11_model` run, which prints them. Eq. 6 depends only on
-/// these ratios; the planner routes with them, so its break-even does
-/// not depend on the host or its load. Measured with the bench's
+/// these ratios; every OCTOPUS executor's route (octopus/scan_route.h)
+/// uses them, so its break-even does not depend on the host or its
+/// load. Measured with the bench's
 /// defaults (scale 1, calibrated on the largest neuro level) on a 4-vCPU
 /// Intel Xeon host. Re-commit them from a new run when the scan, probe
 /// or crawl loops change.

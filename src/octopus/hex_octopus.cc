@@ -16,6 +16,9 @@ HexOctopus::HexOctopus(OctopusOptions options)
 void HexOctopus::Build(const HexaMesh& mesh) {
   HexSurfaceInfo info = ExtractHexSurface(mesh);
   surface_index_.BuildFromSurfaceVertices(std::move(info.surface_vertices));
+  const MeshGraphView graph = mesh.Graph();
+  route_.Build(options_, graph.positions,
+               surface_index_.num_surface_vertices(), graph.adj.size());
   contexts_.set_num_vertices(mesh.num_vertices());
   contexts_.Ensure(1);
 }
@@ -32,12 +35,13 @@ void HexOctopus::RangeQueryBatch(const HexaMesh& mesh,
                                  std::span<const AABB> boxes,
                                  engine::QueryBatchResult* out,
                                  engine::ThreadPool* pool) const {
-  ExecuteOctopusBatch(mesh.Graph(), surface_index_, options_, boxes, out,
-                      pool, &contexts_);
+  ExecuteOctopusBatch(mesh.Graph(), surface_index_, options_, route_, boxes,
+                      out, pool, &contexts_);
 }
 
 size_t HexOctopus::FootprintBytes() const {
-  return surface_index_.FootprintBytes() + contexts_.ScratchBytes();
+  return surface_index_.FootprintBytes() + route_.FootprintBytes() +
+         contexts_.ScratchBytes();
 }
 
 }  // namespace octopus

@@ -38,7 +38,8 @@ class HexOctopus {
  public:
   explicit HexOctopus(OctopusOptions options = {});
 
-  /// Builds the surface index from the hexahedral quad-face surface.
+  /// Builds the surface index from the hexahedral quad-face surface and,
+  /// under `route_to_scan`, the Eq. 6 route.
   void Build(const HexaMesh& mesh);
 
   /// Appends the ids of exactly the vertices inside `box`: a batch of
@@ -60,6 +61,7 @@ class HexOctopus {
  private:
   OctopusOptions options_;
   SurfaceIndex surface_index_;
+  ScanRoute route_;
   mutable engine::ContextPool contexts_;
 };
 

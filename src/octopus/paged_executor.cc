@@ -7,8 +7,11 @@ Result<std::unique_ptr<PagedOctopus>> PagedOctopus::Open(
     const std::string& snapshot_path, const Options& options) {
   auto store = storage::PagedMeshStore::Open(snapshot_path, options.pool);
   if (!store.ok()) return store.status();
-  return std::unique_ptr<PagedOctopus>(
+  std::unique_ptr<PagedOctopus> paged(
       new PagedOctopus(store.MoveValue(), options));
+  OCTOPUS_RETURN_NOT_OK(paged->route_.BuildFromSnapshot(
+      options.executor, snapshot_path, paged->store_->header()));
+  return paged;
 }
 
 PagedOctopus::PagedOctopus(std::unique_ptr<storage::PagedMeshStore> store,
@@ -55,11 +58,12 @@ void PagedOctopus::RangeQueryBatch(
           -> storage::PagedMeshAccessor& {
         return AccessorFor(context, position_pages, shards_hint);
       },
-      surface_index_, options_.executor, boxes, out, pool, &contexts_);
+      surface_index_, options_.executor, route_, boxes, out, pool,
+      &contexts_);
 }
 
 size_t PagedOctopus::FootprintBytes() const {
-  return surface_index_.FootprintBytes() +
+  return surface_index_.FootprintBytes() + route_.FootprintBytes() +
          store_->buffer_manager()->AllocatedBytes() +
          store_->ResidentBytes() + contexts_.ScratchBytes();
 }

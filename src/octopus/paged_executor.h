@@ -24,6 +24,7 @@
 #include "octopus/query_executor.h"
 #include "octopus/surface_index.h"
 #include "storage/paged_mesh.h"
+#include "storage/snapshot.h"
 
 namespace octopus {
 
@@ -43,7 +44,9 @@ class PagedOctopus {
 
   /// Opens `snapshot_path` and builds the surface index from the
   /// snapshot's stored surface vertex list (no tetrahedra needed — the
-  /// surface was extracted at snapshot time).
+  /// surface was extracted at snapshot time) and, under
+  /// `executor.route_to_scan`, the Eq. 6 route from the snapshot's
+  /// positions.
   static Result<std::unique_ptr<PagedOctopus>> Open(
       const std::string& snapshot_path, const Options& options = {});
 
@@ -75,6 +78,7 @@ class PagedOctopus {
 
   const storage::PagedMeshStore& store() const { return *store_; }
   const SurfaceIndex& surface_index() const { return surface_index_; }
+  const ScanRoute& route() const { return route_; }
   const PhaseStats& stats() const { return contexts_.stats(); }
   void ResetStats() const { contexts_.ResetStats(); }
 
@@ -95,6 +99,7 @@ class PagedOctopus {
   Options options_;
   std::unique_ptr<storage::PagedMeshStore> store_;
   SurfaceIndex surface_index_;
+  ScanRoute route_;
   mutable engine::ContextPool contexts_;
 };
 

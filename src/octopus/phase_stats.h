@@ -24,6 +24,9 @@ struct PhaseStats {
   int64_t probe_nanos = 0;
   int64_t walk_nanos = 0;
   int64_t crawl_nanos = 0;
+  /// The tiled scan of the boxes the Eq. 6 route sends past OCTOPUS
+  /// (index/tiled_scan.h).
+  int64_t scan_nanos = 0;
   /// Batch-end fold of per-context stats into the aggregate (the merge
   /// phase of a sharded batch). Timed on the calling thread by
   /// `engine::ContextPool::MergeStats`, so it lands in the aggregate —
@@ -41,6 +44,14 @@ struct PhaseStats {
   size_t walk_vertices = 0;     ///< vertices expanded during walks
   size_t crawl_edges = 0;       ///< adjacency entries inspected
   size_t result_vertices = 0;
+  /// Queries answered by the tiled scan instead of probe, walk and
+  /// crawl (counted in `queries` too; their answers in
+  /// `result_vertices`). In-process only, like the scan counters below.
+  size_t scan_queries = 0;
+  size_t scan_vertices_tested = 0;  ///< positions tested against a box
+  /// (box, vertex block) pairs skipped because the block's bounding box
+  /// misses the box.
+  size_t scan_blocks_skipped = 0;
   /// Staleness of the spatial structures when these queries ran:
   /// simulation steps advanced since the surface index was built (the
   /// index is never rebuilt on deformation — the paper's point — so
@@ -61,6 +72,7 @@ struct PhaseStats {
     probe_nanos += other.probe_nanos;
     walk_nanos += other.walk_nanos;
     crawl_nanos += other.crawl_nanos;
+    scan_nanos += other.scan_nanos;
     merge_nanos += other.merge_nanos;
     queries += other.queries;
     probed_vertices += other.probed_vertices;
@@ -69,12 +81,15 @@ struct PhaseStats {
     walk_vertices += other.walk_vertices;
     crawl_edges += other.crawl_edges;
     result_vertices += other.result_vertices;
+    scan_queries += other.scan_queries;
+    scan_vertices_tested += other.scan_vertices_tested;
+    scan_blocks_skipped += other.scan_blocks_skipped;
     stale_steps = std::max(stale_steps, other.stale_steps);
     page_io.Merge(other.page_io);
   }
 
   int64_t TotalNanos() const {
-    return probe_nanos + walk_nanos + crawl_nanos + merge_nanos;
+    return probe_nanos + walk_nanos + crawl_nanos + scan_nanos + merge_nanos;
   }
 };
 

@@ -27,45 +27,28 @@ void CrawlHalo(const TetraMesh& mesh, const AABB& box, size_t first,
   }
 }
 
-AdaptiveExecutor::AdaptiveExecutor() : AdaptiveExecutor(Options{}) {}
-
-AdaptiveExecutor::AdaptiveExecutor(Options options)
-    : options_(options),
-      octopus_(options.octopus),
-      histogram_(options.histogram_resolution) {}
+AdaptiveExecutor::AdaptiveExecutor(OctopusOptions options)
+    : octopus_(options) {}
 
 void AdaptiveExecutor::Build(const TetraMesh& mesh) {
   octopus_.Build(mesh);
-  // Histogram over the initial positions: deformation amplitudes are
-  // small relative to the mesh, so estimates stay representative (and
-  // routing only needs the right order of magnitude).
-  histogram_.Build(mesh.positions());
-  break_even_ =
-      CostModel::FromMesh(mesh, kCounterUnitConstants).BreakEvenSelectivity();
-  to_octopus_ = 0;
-  to_scan_ = 0;
+  octopus_.ResetStats();
 }
 
 void AdaptiveExecutor::RangeQuery(const TetraMesh& mesh, const AABB& box,
                                   std::vector<VertexId>* out) const {
-  const double selectivity = histogram_.EstimateSelectivity(box);
+  const size_t first = out->size();
+  octopus_.RangeQuery(mesh, box, out);
   // Eq. 6 prices the paper's crawl; CrawlHalo about doubles the crawl
   // term, so near the break-even OCTOPUS is picked where the scan is
   // slightly faster. Either route is exact, so that costs time only.
-  if (selectivity < break_even_) {
-    ++to_octopus_;
-    const size_t first = out->size();
-    octopus_.RangeQuery(mesh, box, out);
+  if (!octopus_.route().ToScan(box)) {
     CrawlHalo(mesh, box, first, out, &halo_marks_);
-  } else {
-    ++to_scan_;
-    scan_.RangeQuery(mesh, box, out);
   }
 }
 
 size_t AdaptiveExecutor::FootprintBytes() const {
-  return octopus_.FootprintBytes() + histogram_.FootprintBytes() +
-         halo_marks_.ScratchBytes();
+  return octopus_.FootprintBytes() + halo_marks_.ScratchBytes();
 }
 
 }  // namespace octopus

@@ -71,6 +71,7 @@ void OrderBatch(std::span<const AABB> boxes, engine::BatchOrder* order) {
 void ExecuteOctopusBatch(const MeshGraphView& graph,
                          const SurfaceIndex& surface_index,
                          const OctopusOptions& options,
+                         const ScanRoute& route,
                          std::span<const AABB> boxes,
                          engine::QueryBatchResult* out,
                          engine::ThreadPool* pool,
@@ -79,7 +80,7 @@ void ExecuteOctopusBatch(const MeshGraphView& graph,
       [&graph](engine::ExecutionContext*) {
         return storage::InMemoryMeshAccessor(graph);
       },
-      surface_index, options, boxes, out, pool, contexts);
+      surface_index, options, route, boxes, out, pool, contexts);
 }
 
 Octopus::Octopus(OctopusOptions options)
@@ -93,6 +94,9 @@ Octopus::Octopus(OctopusOptions options)
 
 void Octopus::Build(const TetraMesh& mesh) {
   surface_index_.Build(mesh);
+  route_.Build(options_, mesh.positions(),
+               surface_index_.num_surface_vertices(),
+               mesh.Graph().adj.size());
   contexts_.set_num_vertices(mesh.num_vertices());
   contexts_.Ensure(1);
 }
@@ -109,12 +113,13 @@ void Octopus::RangeQueryBatch(const TetraMesh& mesh,
                               std::span<const AABB> boxes,
                               engine::QueryBatchResult* out,
                               engine::ThreadPool* pool) const {
-  ExecuteOctopusBatch(mesh.Graph(), surface_index_, options_, boxes, out,
-                      pool, &contexts_);
+  ExecuteOctopusBatch(mesh.Graph(), surface_index_, options_, route_, boxes,
+                      out, pool, &contexts_);
 }
 
 size_t Octopus::FootprintBytes() const {
-  return surface_index_.FootprintBytes() + contexts_.ScratchBytes();
+  return surface_index_.FootprintBytes() + route_.FootprintBytes() +
+         contexts_.ScratchBytes();
 }
 
 void Octopus::OnRestructure(const TetraMesh& mesh,

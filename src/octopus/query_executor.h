@@ -11,17 +11,22 @@
 // boxes' centres (`OrderBatch`), so consecutive crawls touch nearby
 // vertices and reuse the adjacency and pool pages the previous one
 // brought in; each answer still lands in its request slot. Each shard
-// reads the surface once and probes all its queries against that copy
-// (octopus/surface_probe.h); walk and crawl then run per query.
+// first splits its boxes by the served Eq. 6 planner
+// (octopus/scan_route.h): boxes at or above the break-even are answered
+// by the tiled scan (index/tiled_scan.h), in id order. The rest run the
+// paper's Algorithm 1: the shard reads the surface once and probes all
+// of them against that copy (octopus/surface_probe.h); walk and crawl
+// then run per query.
 //
 // Thread-safety invariant (engine layer): after `Build`, the index object
-// (`options_`, `surface_index_`) is read-only during query execution. All
-// mutable query state — visited marks, walk heap, probe scratch, phase
-// stats — lives in per-thread `engine::ExecutionContext`s. During a
-// parallel `RangeQueryBatch`, each shard accumulates stats into its own
-// context-local `PhaseStats`; the locals are merged into the index-level
-// aggregate `stats_` on the calling thread after the pool joins, in
-// shard order — never shared mutation while queries are in flight. Calls
+// (`options_`, `surface_index_`, `route_`) is read-only during query
+// execution. All mutable query state — visited marks, walk heap, probe
+// and scan scratch, phase stats — lives in per-thread
+// `engine::ExecutionContext`s. During a parallel `RangeQueryBatch`, each
+// shard accumulates stats into its own context-local `PhaseStats`; the
+// locals are merged into the index-level aggregate `stats_` on the
+// calling thread after the pool joins, in shard order — never shared
+// mutation while queries are in flight. Calls
 // on one executor (`RangeQuery` included) reuse its contexts, so they
 // must not overlap; parallelism comes from sharding one batch.
 #ifndef OCTOPUS_OCTOPUS_QUERY_EXECUTOR_H_
@@ -40,6 +45,7 @@
 #include "octopus/crawler.h"
 #include "octopus/directed_walk.h"
 #include "octopus/phase_stats.h"
+#include "octopus/scan_route.h"
 #include "octopus/surface_index.h"
 #include "octopus/surface_probe.h"
 
@@ -61,22 +67,25 @@ struct OctopusOptions {
   /// proportional to the result size, which is the memory behaviour the
   /// paper reports in Fig. 10(b).
   VisitedMode visited_mode = VisitedMode::kEpochArray;
+  /// Serve the Eq. 6 planner (octopus/scan_route.h): boxes whose
+  /// estimated selectivity reaches the break-even are answered by the
+  /// tiled scan. false = the paper's pure OCTOPUS, every box probed,
+  /// walked and crawled (what the figure benches measure).
+  bool route_to_scan = true;
 };
 
-/// One shard's share of a batch, Algorithm 1 over any mesh accessor:
-/// fused surface probe (with optional equidistant sampling) -> directed
-/// walk fallback -> crawl, per query, in the order of `boxes`. Query
-/// `q`'s result is appended to `out[slots[q]]`; stats accumulate into
-/// `context->stats`. Re-entrant: concurrent shards are safe as long as
-/// each uses its own context, accessor and slots (the backing store and
-/// surface index are only read).
+/// Algorithm 1 over any mesh accessor for a shard's OCTOPUS-routed
+/// boxes: fused surface probe (with optional equidistant sampling) ->
+/// directed walk fallback -> crawl, per query, in the order of `boxes`.
+/// The surface is gathered even when `boxes` is empty, so every shard
+/// of a batch reads it exactly once.
 template <storage::MeshAccessor Accessor>
-void ExecuteOctopusShard(Accessor& mesh, const SurfaceIndex& surface_index,
-                         const OctopusOptions& options,
-                         std::span<const AABB> boxes,
-                         std::span<const uint32_t> slots,
-                         engine::ExecutionContext* context,
-                         std::vector<VertexId>* out) {
+void CrawlOctopusBoxes(Accessor& mesh, const SurfaceIndex& surface_index,
+                       const OctopusOptions& options,
+                       std::span<const AABB> boxes,
+                       std::span<const uint32_t> slots,
+                       engine::ExecutionContext* context,
+                       std::vector<VertexId>* out) {
   PhaseStats* stats = &context->stats;
   SurfaceProbe& probe = context->probe;
 
@@ -131,6 +140,44 @@ void ExecuteOctopusShard(Accessor& mesh, const SurfaceIndex& surface_index,
   }
 }
 
+/// One shard's share of a batch over any mesh accessor: `route` splits
+/// `boxes` (keeping their order on each side); the OCTOPUS side runs
+/// `CrawlOctopusBoxes`, the scan side the tiled scan. Query `q`'s result
+/// is appended to `out[slots[q]]`; stats accumulate into
+/// `context->stats`. Re-entrant: concurrent shards are safe as long as
+/// each uses its own context, accessor and slots (the backing store,
+/// surface index and route are only read).
+template <storage::MeshAccessor Accessor>
+void ExecuteOctopusShard(Accessor& mesh, const SurfaceIndex& surface_index,
+                         const OctopusOptions& options,
+                         const ScanRoute& route,
+                         std::span<const AABB> boxes,
+                         std::span<const uint32_t> slots,
+                         engine::ExecutionContext* context,
+                         std::vector<VertexId>* out) {
+  engine::RoutedBoxes& crawl_side = context->crawl_side;
+  engine::RoutedBoxes& scan_side = context->scan_side;
+  crawl_side.clear();
+  scan_side.clear();
+  for (size_t q = 0; q < boxes.size(); ++q) {
+    (route.ToScan(boxes[q]) ? scan_side : crawl_side).Add(boxes[q],
+                                                          slots[q]);
+  }
+  CrawlOctopusBoxes(mesh, surface_index, options, crawl_side.boxes,
+                    crawl_side.slots, context, out);
+  if (scan_side.boxes.empty()) return;
+  const Timer timer;
+  const ScanCounts scan =
+      context->scan.Run(mesh, scan_side.boxes, scan_side.slots, out);
+  PhaseStats* stats = &context->stats;
+  stats->queries += scan_side.boxes.size();
+  stats->scan_queries += scan_side.boxes.size();
+  stats->scan_vertices_tested += scan.vertices_tested;
+  stats->scan_blocks_skipped += scan.blocks_skipped;
+  stats->result_vertices += scan.results;
+  stats->scan_nanos += timer.ElapsedNanos();
+}
+
 /// Fills `order` with the execution order of `boxes`: ascending 3-D
 /// Hilbert key (10 bits per axis) of each box's centre, normalised to
 /// the bounds of the batch's finite centres; ties break by the box
@@ -143,7 +190,8 @@ void OrderBatch(std::span<const AABB> boxes, engine::BatchOrder* order);
 /// Batch core shared by every OCTOPUS executor (`Octopus`, `HexOctopus`,
 /// `PagedOctopus`, the server's `VersionedBackend`): resets `out`, puts
 /// the batch in `OrderBatch` order, clamps the shard count to min(pool
-/// width, batch size), runs each shard's contiguous range of that order
+/// width, batch size), has each shard route its boxes by `route` (an
+/// unbuilt route sends every box to OCTOPUS), runs each shard's contiguous range of that order
 /// on its own context (grown via `contexts->Ensure` on the calling
 /// thread before forking), and merges per-shard stats into the pool's
 /// aggregate in deterministic shard order after the pool joins. Query
@@ -156,6 +204,7 @@ template <typename MakeAccessor>
 void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
                          const SurfaceIndex& surface_index,
                          const OctopusOptions& options,
+                         const ScanRoute& route,
                          std::span<const AABB> boxes,
                          engine::QueryBatchResult* out,
                          engine::ThreadPool* pool,
@@ -185,7 +234,7 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
     engine::ExecutionContext* context = contexts->context(shard);
     decltype(auto) accessor = make_accessor(context);
     if (begin < end) {
-      ExecuteOctopusShard(accessor, surface_index, options,
+      ExecuteOctopusShard(accessor, surface_index, options, route,
                           sorted.subspan(begin, end - begin),
                           slots.subspan(begin, end - begin), context,
                           out->per_query.data());
@@ -213,6 +262,7 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
 void ExecuteOctopusBatch(const MeshGraphView& graph,
                          const SurfaceIndex& surface_index,
                          const OctopusOptions& options,
+                         const ScanRoute& route,
                          std::span<const AABB> boxes,
                          engine::QueryBatchResult* out,
                          engine::ThreadPool* pool,
@@ -231,7 +281,9 @@ class Octopus : public SpatialIndex {
   std::string Name() const override { return "OCTOPUS"; }
 
   /// Builds the surface index (one-time preprocessing; paper reports 62 s
-  /// for the 33 GB mesh). Time it with a Timer if needed for reports.
+  /// for the 33 GB mesh) and, under `route_to_scan`, the Eq. 6 route
+  /// from the same step-0 mesh. Time it with a Timer if needed for
+  /// reports.
   void Build(const TetraMesh& mesh) override;
 
   /// No-op: deformation never invalidates OCTOPUS's structures.
@@ -251,9 +303,9 @@ class Octopus : public SpatialIndex {
                        engine::QueryBatchResult* out,
                        engine::ThreadPool* pool = nullptr) const override;
 
-  /// Surface index + per-context crawl scratch (paper Fig. 10(b)
-  /// accounting). Honest accounting: the sum covers EVERY allocated
-  /// execution context, so after a T-thread batch the crawl-scratch term
+  /// Surface index + route histogram + per-context scratch (paper
+  /// Fig. 10(b) accounting). Honest accounting: the sum covers EVERY
+  /// allocated execution context, so after a T-thread batch the crawl-scratch term
   /// is T× the sequential one (that memory is really held). The paper's
   /// figures correspond to the default single-threaded configuration.
   size_t FootprintBytes() const override;
@@ -263,12 +315,14 @@ class Octopus : public SpatialIndex {
   void OnRestructure(const TetraMesh& mesh, const RestructureDelta& delta);
 
   const SurfaceIndex& surface_index() const { return surface_index_; }
+  const ScanRoute& route() const { return route_; }
   const PhaseStats& stats() const { return contexts_.stats(); }
   void ResetStats() const { contexts_.ResetStats(); }
 
  private:
   OctopusOptions options_;
   SurfaceIndex surface_index_;
+  ScanRoute route_;
   // Per-shard execution contexts (lazily created, reused across batches)
   // and the merged aggregate. `mutable`: queries are logically const —
   // they never change the index structure — but need scratch + stats.

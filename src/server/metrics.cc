@@ -214,6 +214,14 @@ const MetricDef kMetricTable[] = {
      "Crawl phase wall clock.", true},
     {"octopus_engine_merge_seconds_total", kCounter, FIELD(engine.merge_nanos),
      "Batch-end stats-merge wall clock.", true},
+    {"octopus_queries_routed_octopus_total", kCounter,
+     [](const S& s) -> uint64_t {
+       return s.engine.queries - s.engine.scan_queries;
+     },
+     "Queries the Eq. 6 route sent to probe, walk and crawl."},
+    {"octopus_queries_routed_scan_total", kCounter,
+     FIELD(engine.scan_queries),
+     "Queries the Eq. 6 route sent to the tiled scan."},
     {"octopus_page_hits_total", kCounter, FIELD(engine.page_io.page_hits),
      "Priced page accesses served by the pool."},
     {"octopus_page_misses_total", kCounter, FIELD(engine.page_io.page_misses),

@@ -1,47 +1,14 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 #include "server/versioned_backend.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <span>
 #include <utility>
 
 #include "mesh/mesh_io.h"
-#include "storage/file_util.h"
 #include "storage/page.h"
 
 namespace octopus::server {
-
-namespace {
-
-/// Sequentially reads a snapshot's positions section (the simulation
-/// side's working copy — one bulk read at bind time, not routed through
-/// the query pool).
-Status ReadAllPositions(const std::string& path,
-                        const storage::SnapshotHeader& h,
-                        std::vector<Vec3>* out) {
-  storage::FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open for read: " + path);
-  out->resize(h.num_vertices);
-  const size_t per_page = h.PositionsPerPage();
-  uint64_t done = 0;
-  for (uint64_t page = h.positions_start_page; done < h.num_vertices;
-       ++page) {
-    const size_t chunk = static_cast<size_t>(
-        std::min<uint64_t>(per_page, h.num_vertices - done));
-    if (std::fseek(f.get(), static_cast<long>(page * h.page_bytes),
-                   SEEK_SET) != 0 ||
-        std::fread(out->data() + done, sizeof(Vec3), chunk, f.get()) !=
-            chunk) {
-      return Status::Corruption("truncated positions section in " + path);
-    }
-    done += chunk;
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<std::unique_ptr<VersionedBackend>> VersionedBackend::OpenMeshFile(
     const std::string& path, int threads) {
@@ -58,6 +25,12 @@ std::unique_ptr<VersionedBackend> VersionedBackend::FromMesh(TetraMesh mesh,
   // The one-time build the paper prices: after this the index is never
   // maintained, however many steps the mesh advances.
   backend->surface_index_.Build(*backend->mesh_);
+  // The Eq. 6 route, from the same step-0 mesh: the server routes every
+  // box as an `Octopus` built from that mesh does.
+  backend->route_.Build(backend->octopus_options_,
+                        backend->mesh_->positions(),
+                        backend->surface_index_.num_surface_vertices(),
+                        backend->mesh_->Graph().adj.size());
   // Serving deforms and queries but never restructures: the tetrahedra
   // were only needed to extract the surface.
   backend->mesh_->ReleaseTetrahedra();
@@ -112,7 +85,7 @@ Status VersionedBackend::BindDeformer(const DeformerSpec& spec) {
   // is the snapshot itself.
   float mean_edge_length = 0.0f;
   if (paged_ != nullptr) {
-    OCTOPUS_RETURN_NOT_OK(ReadAllPositions(
+    OCTOPUS_RETURN_NOT_OK(storage::ReadSnapshotPositions(
         snapshot_path_, paged_->store().header(), &base_positions_));
     mesh_ = std::make_unique<TetraMesh>(base_positions_, std::vector<Tet>{});
     storage::PageIOStats scratch_stats;
@@ -215,8 +188,8 @@ Status VersionedBackend::ExecutePinned(const PinnedEpochState* pin,
         [&](engine::ExecutionContext*) {
           return storage::InMemoryMeshAccessor(graph, pages, per_page);
         },
-        surface_index_, octopus_options_, boxes, out, engine_.pool(),
-        &contexts_);
+        surface_index_, octopus_options_, route_, boxes, out,
+        engine_.pool(), &contexts_);
     *batch_stats = contexts_.stats();
   }
   batch_stats->page_io.Merge(reload_io);

@@ -12,9 +12,9 @@
 // runs against a resident epoch: a spilled one is read back from the
 // sidecar once per batch, before it runs, into memory the backend owns.
 // Both executors read positions through that batch's page table over
-// the epoch's pages. The surface index built at load time is never touched
-// — the paper's stale-index claim, serving a mesh that moves *and*
-// remembers where it has been.
+// the epoch's pages. The surface index and the Eq. 6 route built at load
+// time are never touched — the paper's stale-index claim, serving a mesh
+// that moves *and* remembers where it has been.
 //
 // Thread model: `ExecuteAt` (and its in-process wrapper `Execute`)
 // belongs to the server's scheduler thread; `AdvanceStep` may run on a
@@ -175,10 +175,11 @@ class VersionedBackend {
 
   engine::QueryEngine engine_;
   // Exactly one executor is set.
-  // In-memory: the stale surface index and per-shard contexts, built
-  // once at load over `mesh_` and shared by every epoch.
+  // In-memory: the stale surface index, the Eq. 6 route and per-shard
+  // contexts, built once at load over `mesh_` and shared by every epoch.
   OctopusOptions octopus_options_;
   SurfaceIndex surface_index_;
+  ScanRoute route_;
   mutable engine::ContextPool contexts_;
   // Paged: the stale snapshot executor.
   std::unique_ptr<PagedOctopus> paged_;

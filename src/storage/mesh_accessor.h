@@ -30,6 +30,11 @@
 //    `neighbors` call on the same accessor; `position` calls never
 //    invalidate it. Callers must not hold a span across `neighbors`
 //    calls (the crawler and directed walk naturally comply).
+//  * `ReadPositions(first, count, x, y, z)`, optional, splits the
+//    positions of ids [first, first + count) into the three coordinate
+//    arrays: the tiled scan's block read (index/tiled_scan.h), page run
+//    by page run. Without it the scan calls `position` per vertex (the
+//    paged accessor, whose reads are priced one by one).
 //  * `PrefetchPosition(v)` is the crawl's look-ahead hint, free to
 //    no-op. The paged accessor leases the page ahead of demand; the
 //    in-memory accessor does nothing, since most neighbours the crawl
@@ -47,6 +52,7 @@
 #ifndef OCTOPUS_STORAGE_MESH_ACCESSOR_H_
 #define OCTOPUS_STORAGE_MESH_ACCESSOR_H_
 
+#include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -95,6 +101,34 @@ class InMemoryMeshAccessor {
     std::memcpy(&p, pages_[page] + pos_div_.Rem(v, page) * sizeof(Vec3),
                 sizeof(Vec3));
     return p;
+  }
+
+  void ReadPositions(VertexId first, size_t count, float* x, float* y,
+                     float* z) const {
+    if (pages_.empty()) {
+      const Vec3* src = graph_.positions.data() + first;
+      for (size_t j = 0; j < count; ++j) {
+        x[j] = src[j].x;
+        y[j] = src[j].y;
+        z[j] = src[j].z;
+      }
+      return;
+    }
+    for (size_t done = 0; done < count;) {
+      const auto v = static_cast<VertexId>(first + done);
+      const uint32_t page = pos_div_.Div(v);
+      const uint32_t offset = pos_div_.Rem(v, page);
+      const size_t run =
+          std::min<size_t>(count - done, pos_div_.divisor() - offset);
+      const std::byte* src = pages_[page] + offset * sizeof(Vec3);
+      for (size_t j = 0; j < run; ++j, ++done) {
+        Vec3 p;
+        std::memcpy(&p, src + j * sizeof(Vec3), sizeof(Vec3));
+        x[done] = p.x;
+        y[done] = p.y;
+        z[done] = p.z;
+      }
+    }
   }
 
   /// In memory the probe reads positions like everything else.

@@ -1,6 +1,7 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -196,6 +197,40 @@ Result<SnapshotHeader> ReadSnapshotHeader(const std::string& path) {
         "snapshot file size does not match header (" + path + ")");
   }
   return h;
+}
+
+Status VisitSnapshotPositions(
+    const std::string& path, const SnapshotHeader& h,
+    const std::function<void(std::span<const Vec3>)>& visit) {
+  FilePtr f(std::fopen(path.c_str(), "rb"));
+  if (!f) return Status::IOError("cannot open for read: " + path);
+  const size_t per_page = h.PositionsPerPage();
+  std::vector<Vec3> page_positions(
+      static_cast<size_t>(std::min<uint64_t>(per_page, h.num_vertices)));
+  uint64_t done = 0;
+  for (uint64_t page = h.positions_start_page; done < h.num_vertices;
+       ++page) {
+    const size_t chunk = static_cast<size_t>(
+        std::min<uint64_t>(per_page, h.num_vertices - done));
+    if (std::fseek(f.get(), static_cast<long>(page * h.page_bytes),
+                   SEEK_SET) != 0 ||
+        std::fread(page_positions.data(), sizeof(Vec3), chunk, f.get()) !=
+            chunk) {
+      return Status::Corruption("truncated positions section in " + path);
+    }
+    visit(std::span<const Vec3>(page_positions.data(), chunk));
+    done += chunk;
+  }
+  return Status::OK();
+}
+
+Status ReadSnapshotPositions(const std::string& path, const SnapshotHeader& h,
+                             std::vector<Vec3>* out) {
+  out->clear();
+  out->reserve(h.num_vertices);
+  return VisitSnapshotPositions(path, h, [out](std::span<const Vec3> page) {
+    out->insert(out->end(), page.begin(), page.end());
+  });
 }
 
 }  // namespace octopus::storage

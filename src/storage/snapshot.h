@@ -20,8 +20,10 @@
 #define OCTOPUS_STORAGE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/vec3.h"
@@ -96,6 +98,20 @@ Status WriteSnapshot(std::span<const Vec3> positions,
 /// section layout, file size). Cheap: touches only page 0 and the file
 /// size, never the data pages.
 Result<SnapshotHeader> ReadSnapshotHeader(const std::string& path);
+
+/// Reads the positions section of the snapshot at `path` (header `h`)
+/// one page at a time with plain sequential file reads, outside any
+/// buffer pool (no pool counter moves), and hands each page's positions
+/// to `visit` in id order. Holds one page of positions at a time.
+/// Corruption if the section is truncated.
+Status VisitSnapshotPositions(
+    const std::string& path, const SnapshotHeader& h,
+    const std::function<void(std::span<const Vec3>)>& visit);
+
+/// The whole positions section into `out`, through
+/// `VisitSnapshotPositions`.
+Status ReadSnapshotPositions(const std::string& path, const SnapshotHeader& h,
+                             std::vector<Vec3>* out);
 
 }  // namespace octopus::storage
 

@@ -3,9 +3,11 @@
 // and FastDiv.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_set>
 
@@ -254,6 +256,69 @@ TEST(HistogramTest, EstimateWithinToleranceOnClusteredData) {
     if (around_first.Contains(p)) ++exact;
   }
   EXPECT_NEAR(est, exact, 0.15 * exact + 50);
+}
+
+TEST(HistogramTest, ChunkedBuildEqualsBuild) {
+  // Points added chunk by chunk over their tight bounds (how a paged
+  // snapshot's positions are bucketed, page by page) give the histogram
+  // `Build` gives over all of them.
+  Rng rng(8);
+  std::vector<Vec3> points;
+  const AABB box(Vec3(-1, 0, 2), Vec3(3, 1, 5));
+  for (int i = 0; i < 3000; ++i) points.push_back(rng.NextPointIn(box));
+  Histogram3D whole(12);
+  whole.Build(points);
+  AABB bounds;
+  for (const Vec3& p : points) bounds.Extend(p);
+  Histogram3D chunked(12);
+  chunked.Reset(bounds);
+  for (size_t i = 0; i < points.size(); i += 341) {
+    chunked.Add(std::span<const Vec3>(points).subspan(
+        i, std::min<size_t>(341, points.size() - i)));
+  }
+  EXPECT_EQ(chunked.total_points(), whole.total_points());
+  for (int q = 0; q < 50; ++q) {
+    const Vec3 a = rng.NextPointIn(box);
+    const Vec3 b = rng.NextPointIn(box);
+    const AABB query(Vec3(std::min(a.x, b.x), std::min(a.y, b.y),
+                          std::min(a.z, b.z)),
+                     Vec3(std::max(a.x, b.x), std::max(a.y, b.y),
+                          std::max(a.z, b.z)));
+    EXPECT_DOUBLE_EQ(chunked.EstimateCount(query),
+                     whole.EstimateCount(query))
+        << "query " << q;
+  }
+}
+
+TEST(HistogramTest, NonFiniteAndOverflowingInputClampToBorderBuckets) {
+  // Every cast to a bucket index is clamped in floating point first, so
+  // boxes and points beyond any int (infinite, overflowing, NaN) are
+  // defined behaviour: they land in the border buckets, NaN in bucket 0.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kHuge = std::numeric_limits<float>::max();
+  Rng rng(7);
+  const AABB unit(Vec3(0, 0, 0), Vec3(1, 1, 1));
+  std::vector<Vec3> points;
+  for (int i = 0; i < 1000; ++i) points.push_back(rng.NextPointIn(unit));
+  points.push_back(Vec3(kNaN, 0.5f, 0.5f));
+  points.push_back(Vec3(kHuge, -kHuge, 0.5f));
+  Histogram3D h(8);
+  h.Build(points, unit);
+  EXPECT_EQ(h.total_points(), points.size());
+  EXPECT_NEAR(h.EstimateCount(AABB(Vec3(-kInf, -kInf, -kInf),
+                                   Vec3(kInf, kInf, kInf))),
+              static_cast<double>(points.size()), 1e-6);
+  EXPECT_NEAR(h.EstimateCount(AABB(Vec3(-kHuge, -kHuge, -kHuge),
+                                   Vec3(kHuge, kHuge, kHuge))),
+              static_cast<double>(points.size()), 1e-6);
+  const double half = h.EstimateCount(
+      AABB(Vec3(-kInf, -kInf, -kInf), Vec3(0.5f, kInf, kInf)));
+  EXPECT_GT(half, 0.0);
+  EXPECT_LT(half, static_cast<double>(points.size()));
+  // A NaN coordinate intersects nothing.
+  EXPECT_DOUBLE_EQ(
+      h.EstimateCount(AABB(Vec3(kNaN, 0, 0), Vec3(1, 1, 1))), 0.0);
 }
 
 // ---------- Table ----------

@@ -23,11 +23,13 @@
 
 #include "client/remote_client.h"
 #include "engine/query_engine.h"
+#include "mesh/generators/datasets.h"
 #include "mesh/generators/grid_generator.h"
 #include "mesh/mesh_io.h"
 #include "octopus/query_executor.h"
 #include "server/server.h"
 #include "server/versioned_backend.h"
+#include "sim/deformer.h"
 #include "sim/deformer_spec.h"
 #include "sim/random_deformer.h"
 #include "sim/workload.h"
@@ -254,7 +256,9 @@ struct InProcessReference {
 
 void RunEpochParity(bool paged, int threads) {
   constexpr int kSteps = 4;
-  const TetraMesh mesh = MakeBox(7);
+  // Break-even near 1% selectivity: the route sends the 0.5-3% boxes
+  // both ways, so the server crawls and scans at every epoch.
+  const TetraMesh mesh = MakeBox(12);
   const DeformerSpec spec = ParitySpec(DeformerKind::kRandom);
 
   std::unique_ptr<VersionedBackend> backend;
@@ -283,6 +287,10 @@ void RunEpochParity(bool paged, int threads) {
   QueryGenerator gen(mesh);
   Rng rng(0xD1'4A11C + threads);
 
+  // Both routes must run over the whole trajectory.
+  size_t crawl_edges = 0;
+  size_t scan_queries = 0;
+  size_t queries_run = 0;
   for (uint32_t step = 0; step <= kSteps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     if (step > 0) {
@@ -344,7 +352,13 @@ void RunEpochParity(bool paged, int threads) {
     EXPECT_EQ(remote_stats.result_vertices,
               reference.octopus.stats().result_vertices);
     EXPECT_EQ(remote_stats.stale_steps, step);
+    crawl_edges += remote_stats.crawl_edges;
+    scan_queries += reference.octopus.stats().scan_queries;
+    queries_run += queries.size();
   }
+  EXPECT_GT(crawl_edges, 0u);
+  EXPECT_GT(scan_queries, 0u);
+  EXPECT_LT(scan_queries, queries_run);
 
   // STATS reports the authoritative step count.
   auto stats = remote->FetchStats();
@@ -366,6 +380,85 @@ void RunEpochParity(bool paged, int threads) {
 
   fixture.StopAndJoin();
   if (!path.empty()) std::remove(path.c_str());
+}
+
+// --- The served Eq. 6 route: server and reference route alike ---
+
+/// octobench's verification rule, in process: a backend at a deformed
+/// epoch answers exactly as a default `Octopus` built from the same
+/// step-0 mesh and replayed to that step. The same boxes go to the
+/// scan, and every box returns the same ids in the same order.
+void RunServedRouteParity(bool paged, int threads) {
+  constexpr int kSteps = 6;
+  const TetraMesh mesh = MakeNeuroMesh(0, 0.4).MoveValue();
+  DeformerSpec spec;
+  spec.kind = DeformerKind::kPlasticity;
+  spec.amplitude = DefaultAmplitude(EstimateMeanEdgeLength(mesh));
+  spec.seed = 1;
+
+  std::unique_ptr<VersionedBackend> backend;
+  std::string path;
+  if (paged) {
+    path = ::testing::TempDir() + "/served_route_" +
+           std::to_string(threads) + ".oct2";
+    ASSERT_TRUE(SaveSnapshot(mesh, path).ok());
+    auto opened = VersionedBackend::OpenSnapshot(
+        path, /*pool_bytes=*/64 * storage::kDefaultPageBytes, threads);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    backend = opened.MoveValue();
+  } else {
+    backend = VersionedBackend::FromMesh(mesh, threads);
+  }
+  ASSERT_TRUE(backend->BindDeformer(spec).ok());
+  for (int step = 1; step <= kSteps; ++step) backend->AdvanceStep();
+
+  TetraMesh replayed = mesh;
+  Octopus reference;
+  reference.Build(replayed);
+  auto deformer = MakeDeformer(spec);
+  ASSERT_TRUE(deformer.ok());
+  deformer.Value()->Bind(replayed);
+  for (int step = 1; step <= kSteps; ++step) {
+    deformer.Value()->ApplyStep(step, &replayed);
+  }
+
+  QueryGenerator gen(mesh);
+  Rng rng(0x5CA4 + threads);
+  const std::vector<AABB> boxes = gen.MakeQueries(&rng, 80, 0.002, 0.04);
+  engine::QueryBatchResult got;
+  PhaseStats stats;
+  backend->Execute(boxes, &got, &stats);
+  EXPECT_EQ(got.epoch.step, static_cast<uint32_t>(kSteps));
+  engine::QueryEngine engine(engine::QueryEngineOptions{.threads = threads});
+  engine::QueryBatchResult want;
+  engine.Execute(reference, replayed, boxes, &want);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t q = 0; q < boxes.size(); ++q) {
+    EXPECT_EQ(got.per_query[q], want.per_query[q]) << "query " << q;
+  }
+  EXPECT_EQ(stats.scan_queries, reference.stats().scan_queries);
+  EXPECT_GT(stats.scan_queries, 0u);
+  EXPECT_LT(stats.scan_queries, boxes.size());
+  EXPECT_EQ(stats.crawl_edges, reference.stats().crawl_edges);
+  EXPECT_GT(stats.crawl_edges, 0u);
+  EXPECT_EQ(stats.result_vertices, reference.stats().result_vertices);
+  if (!path.empty()) std::remove(path.c_str());
+}
+
+TEST(ServedRouteTest, InMemoryBackendMatchesReplayedOctopus1Thread) {
+  RunServedRouteParity(/*paged=*/false, 1);
+}
+
+TEST(ServedRouteTest, InMemoryBackendMatchesReplayedOctopus4Threads) {
+  RunServedRouteParity(/*paged=*/false, 4);
+}
+
+TEST(ServedRouteTest, PagedBackendMatchesReplayedOctopus1Thread) {
+  RunServedRouteParity(/*paged=*/true, 1);
+}
+
+TEST(ServedRouteTest, PagedBackendMatchesReplayedOctopus4Threads) {
+  RunServedRouteParity(/*paged=*/true, 4);
 }
 
 TEST(DynamicServingTest, EpochParityInMemory1Thread) {

@@ -959,6 +959,8 @@ void ExpectSameTraversal(const PhaseStats& got, const PhaseStats& want) {
   EXPECT_EQ(got.walk_vertices, want.walk_vertices);
   EXPECT_EQ(got.crawl_edges, want.crawl_edges);
   EXPECT_EQ(got.result_vertices, want.result_vertices);
+  EXPECT_EQ(got.scan_queries, want.scan_queries);
+  EXPECT_EQ(got.scan_vertices_tested, want.scan_vertices_tested);
 }
 
 // The paged executor over a reloaded epoch: the same ids in the same
@@ -1011,50 +1013,60 @@ TEST(ReloadParityTest, PagedExecutorReadsAReloadedEpochLikeTheResidentOne) {
   Rng rng(0xB0B);
   const std::vector<AABB> boxes = gen.MakeQueries(&rng, 24, 0.01, 0.06);
   engine::ThreadPool pool(4);
-  for (engine::ThreadPool* p :
-       {static_cast<engine::ThreadPool*>(nullptr), &pool}) {
-    SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
-    // Two executors with private pools, so both batches see the same
-    // pool history and page counters must agree exactly.
-    PagedOctopus::Options options;
-    options.pool.pool_bytes = 32 * kPageBytes;
-    auto resident_exec = PagedOctopus::Open(snap_path, options);
-    auto reloaded_exec = PagedOctopus::Open(snap_path, options);
-    ASSERT_TRUE(resident_exec.ok() && reloaded_exec.ok());
+  // Under the paper's pure OCTOPUS every box crawls the reloaded pages;
+  // the served route scans them (these boxes are all above its ~1%
+  // break-even).
+  for (const bool route_to_scan : {false, true}) {
+    for (engine::ThreadPool* p :
+         {static_cast<engine::ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(route_to_scan ? "routed" : "paper");
+      SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+      // Two executors with private pools, so both batches see the same
+      // pool history and page counters must agree exactly.
+      PagedOctopus::Options options;
+      options.pool.pool_bytes = 32 * kPageBytes;
+      options.executor.route_to_scan = route_to_scan;
+      auto resident_exec = PagedOctopus::Open(snap_path, options);
+      auto reloaded_exec = PagedOctopus::Open(snap_path, options);
+      ASSERT_TRUE(resident_exec.ok() && reloaded_exec.ok());
 
-    storage::ResidentEpoch resident;
-    storage::ResidentEpoch reloaded;
-    storage::PageIOStats resident_io;
-    storage::PageIOStats reload_io;
-    ASSERT_TRUE(resident.Load(*overlay, &resident_io).ok());
-    ASSERT_TRUE(reloaded.Load(*twin, &reload_io).ok());
-    EXPECT_EQ(resident_io.PageAccesses(), 0u);
-    EXPECT_EQ(reload_io.page_misses, rewritten);
-    EXPECT_EQ(reload_io.PageAccesses(), rewritten);
+      storage::ResidentEpoch resident;
+      storage::ResidentEpoch reloaded;
+      storage::PageIOStats resident_io;
+      storage::PageIOStats reload_io;
+      ASSERT_TRUE(resident.Load(*overlay, &resident_io).ok());
+      ASSERT_TRUE(reloaded.Load(*twin, &reload_io).ok());
+      EXPECT_EQ(resident_io.PageAccesses(), 0u);
+      EXPECT_EQ(reload_io.page_misses, rewritten);
+      EXPECT_EQ(reload_io.PageAccesses(), rewritten);
 
-    engine::QueryBatchResult want;
-    engine::QueryBatchResult got;
-    resident_exec.Value()->RangeQueryBatch(boxes, &want, p,
-                                           resident.pages());
-    reloaded_exec.Value()->RangeQueryBatch(boxes, &got, p, reloaded.pages());
-    EXPECT_EQ(got.per_query, want.per_query);
-    const PhaseStats& got_stats = reloaded_exec.Value()->stats();
-    const PhaseStats& want_stats = resident_exec.Value()->stats();
-    ExpectSameTraversal(got_stats, want_stats);
-    EXPECT_GT(want_stats.result_vertices, 0u);
-    // Shards share the pool, so only one thread fixes the hit/miss split.
-    if (p == nullptr) {
-      EXPECT_EQ(got_stats.page_io.page_hits, want_stats.page_io.page_hits);
-      EXPECT_EQ(got_stats.page_io.page_misses,
-                want_stats.page_io.page_misses);
+      engine::QueryBatchResult want;
+      engine::QueryBatchResult got;
+      resident_exec.Value()->RangeQueryBatch(boxes, &want, p,
+                                             resident.pages());
+      reloaded_exec.Value()->RangeQueryBatch(boxes, &got, p, reloaded.pages());
+      EXPECT_EQ(got.per_query, want.per_query);
+      const PhaseStats& got_stats = reloaded_exec.Value()->stats();
+      const PhaseStats& want_stats = resident_exec.Value()->stats();
+      ExpectSameTraversal(got_stats, want_stats);
+      EXPECT_GT(want_stats.result_vertices, 0u);
+      EXPECT_GT(route_to_scan ? want_stats.scan_queries
+                              : want_stats.crawl_edges,
+                0u);
+      // Shards share the pool, so only one thread fixes the hit/miss split.
+      if (p == nullptr) {
+        EXPECT_EQ(got_stats.page_io.page_hits, want_stats.page_io.page_hits);
+        EXPECT_EQ(got_stats.page_io.page_misses,
+                  want_stats.page_io.page_misses);
+      }
+      EXPECT_EQ(got_stats.page_io.PageAccesses(),
+                want_stats.page_io.PageAccesses());
+      EXPECT_EQ(got_stats.page_io.lease_hits, want_stats.page_io.lease_hits);
+      EXPECT_EQ(got_stats.page_io.pages_leased,
+                want_stats.page_io.pages_leased);
+      EXPECT_EQ(got_stats.page_io.pages_distinct,
+                want_stats.page_io.pages_distinct);
     }
-    EXPECT_EQ(got_stats.page_io.PageAccesses(),
-              want_stats.page_io.PageAccesses());
-    EXPECT_EQ(got_stats.page_io.lease_hits, want_stats.page_io.lease_hits);
-    EXPECT_EQ(got_stats.page_io.pages_leased,
-              want_stats.page_io.pages_leased);
-    EXPECT_EQ(got_stats.page_io.pages_distinct,
-              want_stats.page_io.pages_distinct);
   }
   std::remove(snap_path.c_str());
 }
@@ -1093,7 +1105,9 @@ std::unique_ptr<VersionedBackend> SpillingBackend(
 // page miss, in `epoch_reload_pages` and in one `epoch_reloaded` event.
 // Every batch at the epoch pays that reload, the next one included.
 void RunReloadParity(bool paged) {
-  const TetraMesh mesh = MakeBox(10);
+  // Break-even near 1% selectivity: the 0.3-3% boxes route both ways,
+  // so reloaded epochs are crawled and scanned.
+  const TetraMesh mesh = MakeBox(12);
   obs::EventJournal journal(256);
   auto backend = SpillingBackend(
       mesh, paged,
@@ -1103,7 +1117,7 @@ void RunReloadParity(bool paged) {
   const EpochStore* store = backend->epoch_store();
   QueryGenerator gen(mesh);
   Rng rng(0xFACE);
-  const std::vector<AABB> queries = gen.MakeQueries(&rng, 12, 0.01, 0.05);
+  const std::vector<AABB> queries = gen.MakeQueries(&rng, 12, 0.003, 0.03);
 
   struct Captured {
     std::vector<std::vector<VertexId>> answers;
@@ -1116,6 +1130,8 @@ void RunReloadParity(bool paged) {
     PhaseStats stats;
     backend->Execute(queries, &out, &stats);
     captured[out.epoch.epoch] = {out.per_query, stats};
+    EXPECT_GT(stats.crawl_edges, 0u);
+    EXPECT_GT(stats.scan_queries, 0u);
   }
   ASSERT_GE(store->spilled_epochs(), 3u);
 

@@ -295,7 +295,8 @@ TEST(HexOctopusTest, EnclosedQueryUsesDirectedWalk) {
 
 TEST(HexOctopusTest, SurfaceApproximationSampling) {
   const HexaMesh mesh = MakeHexBox(12);
-  HexOctopus octo(OctopusOptions{.surface_sample_fraction = 0.1});
+  HexOctopus octo(OctopusOptions{.surface_sample_fraction = 0.1,
+                                 .route_to_scan = false});
   octo.Build(mesh);
   std::vector<VertexId> got;
   octo.RangeQuery(mesh, AABB(Vec3(0, 0, 0), Vec3(0.5f, 0.5f, 0.5f)), &got);

@@ -105,7 +105,7 @@ TEST(PlannerTest, CrawlHaloMakesEveryOctopusAnswerExact) {
   // check does not depend on where the calibration puts the break-even.
   TetraMesh mesh =
       MakeEarthquakeMesh(EarthquakeResolution::kSF1, 0.3).MoveValue();
-  Octopus octopus;
+  Octopus octopus(OctopusOptions{.route_to_scan = false});
   octopus.Build(mesh);
   RandomDeformer deformer(0.01f);
   deformer.Bind(mesh);
@@ -135,12 +135,16 @@ TEST(PlannerTest, CrawlHaloMakesEveryOctopusAnswerExact) {
   EXPECT_GT(repaired, 0u);
 }
 
-TEST(PlannerTest, FootprintIncludesHistogram) {
+TEST(PlannerTest, FootprintIncludesRouteHistogram) {
   const TetraMesh mesh = MakeBox(8);
   AdaptiveExecutor adaptive;
   adaptive.Build(mesh);
-  EXPECT_GT(adaptive.FootprintBytes(),
-            adaptive.octopus().FootprintBytes());
+  Octopus pure(OctopusOptions{.route_to_scan = false});
+  pure.Build(mesh);
+  EXPECT_GT(adaptive.octopus().route().FootprintBytes(), 0u);
+  EXPECT_EQ(adaptive.FootprintBytes(),
+            pure.FootprintBytes() +
+                adaptive.octopus().route().FootprintBytes());
 }
 
 }  // namespace

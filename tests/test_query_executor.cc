@@ -21,9 +21,11 @@
 #include <unordered_set>
 
 #include "engine/thread_pool.h"
+#include "index/linear_scan.h"
 #include "mesh/generators/datasets.h"
 #include "mesh/generators/grid_generator.h"
 #include "mesh/mesh_io.h"
+#include "octopus/cost_model.h"
 #include "octopus/octopus_con.h"
 #include "octopus/paged_executor.h"
 #include "octopus/query_executor.h"
@@ -217,7 +219,7 @@ TEST(OctopusTest, ExactAfterRestructuringWithIncrementalMaintenance) {
 
 TEST(OctopusTest, StatsAccumulateAcrossQueries) {
   const TetraMesh mesh = MakeBox(8);
-  Octopus octopus;
+  Octopus octopus(OctopusOptions{.route_to_scan = false});
   octopus.Build(mesh);
   QueryGenerator gen(mesh);
   Rng rng(8);
@@ -257,14 +259,17 @@ TEST(OctopusTest, FootprintIncludesSurfaceIndexAndScratch) {
   storage::InMemoryMeshAccessor accessor(mesh.Graph());
   const uint32_t slot = 0;
   ExecuteOctopusShard(accessor, octopus.surface_index(), OctopusOptions{},
-                      std::span<const AABB>(&enclosed, 1),
+                      ScanRoute{}, std::span<const AABB>(&enclosed, 1),
                       std::span<const uint32_t>(&slot, 1), &context, &out);
   ASSERT_EQ(context.stats.walk_invocations, 1u);
   const size_t heap_bytes = context.walk_heap.capacity() * sizeof(WalkFrontier);
   EXPECT_GT(heap_bytes, 0u);
-  EXPECT_EQ(context.ScratchBytes(), context.crawler.ScratchBytes() +
-                                        heap_bytes +
-                                        context.probe.ScratchBytes());
+  EXPECT_EQ(context.ScratchBytes(),
+            context.crawler.ScratchBytes() + heap_bytes +
+                context.probe.ScratchBytes() +
+                context.crawl_side.ScratchBytes() +
+                context.scan_side.ScratchBytes() +
+                context.scan.ScratchBytes());
 }
 
 // ---------- Surface approximation (Sec. IV-H2) ----------
@@ -274,9 +279,10 @@ class ApproximationTest : public ::testing::TestWithParam<double> {};
 TEST_P(ApproximationTest, AccuracyDegradesGracefully) {
   TetraMesh mesh = MakeNeuroMesh(1, 0.05).MoveValue();
   const double fraction = GetParam();
-  Octopus exact;
+  Octopus exact(OctopusOptions{.route_to_scan = false});
   exact.Build(mesh);
-  Octopus approx(OctopusOptions{.surface_sample_fraction = fraction});
+  Octopus approx(OctopusOptions{.surface_sample_fraction = fraction,
+                                .route_to_scan = false});
   approx.Build(mesh);
 
   QueryGenerator gen(mesh);
@@ -313,7 +319,8 @@ INSTANTIATE_TEST_SUITE_P(Fractions, ApproximationTest,
 
 TEST(ApproximationTest, ProbesFewerVertices) {
   const TetraMesh mesh = MakeBox(10);
-  Octopus approx(OctopusOptions{.surface_sample_fraction = 0.1});
+  Octopus approx(OctopusOptions{.surface_sample_fraction = 0.1,
+                                .route_to_scan = false});
   approx.Build(mesh);
   std::vector<VertexId> got;
   approx.RangeQuery(mesh, AABB(Vec3(0.2f, 0.2f, 0.2f), Vec3(0.5f, 0.5f, 0.5f)),
@@ -563,7 +570,8 @@ TEST(FusedProbeParityTest, InMemoryMatchesPerQueryScan) {
   const TetraMesh mesh = MakeBox(20);
   engine::ThreadPool pool(4);
   for (const double fraction : kParityFractions) {
-    const OctopusOptions options{.surface_sample_fraction = fraction};
+    const OctopusOptions options{.surface_sample_fraction = fraction,
+                                 .route_to_scan = false};
     Octopus octopus(options);
     octopus.Build(mesh);
     const SurfaceIndex& surface_index = octopus.surface_index();
@@ -614,6 +622,7 @@ TEST(FusedProbeParityTest, PagedDeformedOverlayMatchesPerQueryScan) {
   for (const double fraction : kParityFractions) {
     PagedOctopus::Options options;
     options.executor.surface_sample_fraction = fraction;
+    options.executor.route_to_scan = false;
     auto paged = PagedOctopus::Open(path, options);
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
     const SurfaceIndex& surface_index = paged.Value()->surface_index();
@@ -690,7 +699,8 @@ TEST(FusedProbeParityTest, PositionReadsArePerShardNotPerQuery) {
   QueryGenerator gen(mesh);
   Rng rng(21);
   for (const double fraction : kParityFractions) {
-    Octopus octopus(OctopusOptions{.surface_sample_fraction = fraction});
+    Octopus octopus(OctopusOptions{.surface_sample_fraction = fraction,
+                                   .route_to_scan = false});
     octopus.Build(mesh);
     const size_t surface = octopus.surface_index().num_surface_vertices();
     const size_t stride = ProbeStride(fraction);
@@ -846,7 +856,8 @@ TEST(WalkParityTest, InMemoryMatchesAllocatingWalk) {
   const std::vector<AABB> boxes = BoxesOf(cases);
   engine::ThreadPool pool(4);
   for (const VisitedMode mode : kVisitedModes) {
-    const OctopusOptions options{.visited_mode = mode};
+    const OctopusOptions options{.visited_mode = mode,
+                                 .route_to_scan = false};
     Octopus octopus(options);
     octopus.Build(mesh);
     for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
@@ -884,6 +895,7 @@ TEST(WalkParityTest, PagedDeformedOverlayMatchesAllocatingWalk) {
   for (const VisitedMode mode : kVisitedModes) {
     PagedOctopus::Options options;
     options.executor.visited_mode = mode;
+    options.executor.route_to_scan = false;
     auto paged = PagedOctopus::Open(path, options);
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
     const SurfaceIndex& surface_index = paged.Value()->surface_index();
@@ -971,7 +983,7 @@ TEST(WalkParityTest, SharedMarksSurviveEpochWrap) {
       for (size_t q = 0; q < boxes.size(); ++q) {
         const auto slot = static_cast<uint32_t>(q);
         ExecuteOctopusShard(accessor, surface_index, OctopusOptions{},
-                            std::span<const AABB>(&boxes[q], 1),
+                            ScanRoute{}, std::span<const AABB>(&boxes[q], 1),
                             std::span<const uint32_t>(&slot, 1), &context,
                             results.per_query.data());
       }
@@ -1216,6 +1228,7 @@ TEST(CrawlParityTest, PagedDeformedOverlayMatchesTwoVectorCrawl) {
   for (const VisitedMode mode : kVisitedModes) {
     PagedOctopus::Options options;
     options.executor.visited_mode = mode;
+    options.executor.route_to_scan = false;
     auto paged = PagedOctopus::Open(path, options);
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
     for (engine::ThreadPool* p :
@@ -1248,7 +1261,8 @@ TEST(CrawlParityTest, BatchesMatchTwoVectorCrawlAtOneAndFourThreads) {
   const MeshGraphView graph = mesh.Graph();
   engine::ThreadPool pool(4);
   for (const VisitedMode mode : kVisitedModes) {
-    const OctopusOptions options{.visited_mode = mode};
+    const OctopusOptions options{.visited_mode = mode,
+                                 .route_to_scan = false};
     Octopus octopus(options);
     octopus.Build(mesh);
     engine::ContextPool contexts(mode);
@@ -1269,7 +1283,8 @@ TEST(CrawlParityTest, BatchesMatchTwoVectorCrawlAtOneAndFourThreads) {
             return storage::InMemoryMeshAccessor(graph, epoch.pages(),
                                                  per_page);
           },
-          octopus.surface_index(), options, boxes, &paged, p, &contexts);
+          octopus.surface_index(), options, octopus.route(), boxes, &paged,
+          p, &contexts);
       ExpectBatchMatchesReference<TwoVectorCrawler>(
           paged, contexts.stats(), mesh, octopus.surface_index(), options,
           boxes);
@@ -1312,6 +1327,9 @@ void ExpectSameTraversal(const PhaseStats& got, const PhaseStats& want) {
   EXPECT_EQ(got.walk_vertices, want.walk_vertices);
   EXPECT_EQ(got.crawl_edges, want.crawl_edges);
   EXPECT_EQ(got.result_vertices, want.result_vertices);
+  EXPECT_EQ(got.scan_queries, want.scan_queries);
+  EXPECT_EQ(got.scan_vertices_tested, want.scan_vertices_tested);
+  EXPECT_EQ(got.scan_blocks_skipped, want.scan_blocks_skipped);
 }
 
 void ExpectSamePageIO(const storage::PageIOStats& got,
@@ -1450,8 +1468,8 @@ TEST(BatchOrderTest, ArrivalOrderMovesNoIdOrCounterInMemory) {
                   return storage::InMemoryMeshAccessor(graph, epoch.pages(),
                                                        per_page);
                 },
-                octopus.surface_index(), OctopusOptions{}, arrived, out, p,
-                &contexts);
+                octopus.surface_index(), OctopusOptions{}, octopus.route(),
+                arrived, out, p, &contexts);
             *stats = contexts.stats();
           });
     }
@@ -1501,7 +1519,9 @@ TEST(BatchOrderTest, ArrivalOrderMovesNoIdOrCounterPaged) {
 }
 
 TEST(BatchOrderTest, NonFiniteBoxesAnswerAsBatchesOfOne) {
-  const TetraMesh mesh = MakeBox(10);
+  // Neuro L0 routes its wide finite boxes to the scan and its narrow
+  // ones to OCTOPUS, so the non-finite boxes sit in a routed batch.
+  const TetraMesh mesh = MakeNeuroMesh(0, 0.4).MoveValue();
   Octopus octopus;
   octopus.Build(mesh);
   constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -1520,20 +1540,31 @@ TEST(BatchOrderTest, NonFiniteBoxesAnswerAsBatchesOfOne) {
       AABB(Vec3(kHuge, kHuge, kHuge), Vec3(kHuge, kHuge, kHuge)),
       AABB(Vec3(0, 0, 0), Vec3(1, 1, kInf)),
   };
-  // Each behind a finite box, and the first one twice.
+  // Each behind a finite box, alternately wide (scan-routed) and narrow,
+  // and the first one twice.
   std::vector<AABB> boxes;
-  for (const AABB& box : non_finite) {
-    boxes.push_back(gen.MakeQuery(&rng, 0.02));
-    boxes.push_back(box);
+  for (size_t i = 0; i < non_finite.size(); ++i) {
+    boxes.push_back(gen.MakeQuery(&rng, i % 2 == 0 ? 0.04 : 0.002));
+    boxes.push_back(non_finite[i]);
   }
-  boxes.push_back(gen.MakeQuery(&rng, 0.02));
+  boxes.push_back(gen.MakeQuery(&rng, 0.04));
   boxes.push_back(non_finite[0]);
+  // Non-finite boxes never go to the scan; the wide finite ones do.
+  size_t to_scan = 0;
+  for (const AABB& box : non_finite) {
+    EXPECT_FALSE(octopus.route().ToScan(box));
+  }
+  for (const AABB& box : boxes) to_scan += octopus.route().ToScan(box);
+  ASSERT_GT(to_scan, 0u);
+  ASSERT_LT(to_scan, boxes.size() - non_finite.size() - 1);
   engine::ThreadPool pool(4);
   for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
                                 &pool}) {
     SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
     engine::QueryBatchResult batch;
+    octopus.ResetStats();
     octopus.RangeQueryBatch(mesh, boxes, &batch, p);
+    EXPECT_EQ(octopus.stats().scan_queries, to_scan);
     ASSERT_EQ(batch.size(), boxes.size());
     for (size_t i = 0; i < boxes.size(); ++i) {
       std::vector<VertexId> alone;
@@ -1543,6 +1574,220 @@ TEST(BatchOrderTest, NonFiniteBoxesAnswerAsBatchesOfOne) {
     // The box spanning all of space holds every vertex.
     EXPECT_EQ(batch.per_query[1].size(), mesh.num_vertices());
   }
+}
+
+// ---------- Served planner (the Eq. 6 route in the batch core) ----------
+
+/// `neuro.mesh` with its step-0 positions: what an index is built from.
+TetraMesh BaseMesh(const DeformedNeuro& neuro) {
+  TetraMesh base = neuro.mesh;
+  base.mutable_positions() = neuro.base;
+  return base;
+}
+
+TEST(ScanRouteTest, BreakEvenIsEq6WithTheCommittedConstants) {
+  const TetraMesh mesh = MakeNeuroMesh(0, 0.4).MoveValue();
+  Octopus octopus;
+  octopus.Build(mesh);
+  const double want = CostModel(static_cast<double>(
+                                    octopus.surface_index()
+                                        .num_surface_vertices()) /
+                                    static_cast<double>(mesh.num_vertices()),
+                                mesh.AverageDegree(), kCounterUnitConstants)
+                          .BreakEvenSelectivity();
+  EXPECT_DOUBLE_EQ(octopus.route().break_even_selectivity(), want);
+  EXPECT_GT(want, 0.0);
+  EXPECT_LT(want, 0.1);
+  // Unbuilt, or built under the paper's option: nothing routes.
+  Octopus pure(OctopusOptions{.route_to_scan = false});
+  pure.Build(mesh);
+  EXPECT_FALSE(pure.route().active());
+  EXPECT_FALSE(ScanRoute().ToScan(mesh.ComputeBounds()));
+  EXPECT_TRUE(octopus.route().ToScan(mesh.ComputeBounds()));
+}
+
+TEST(ScanRouteTest, ScanRoutedBoxesAreExactInIdOrderTheRestMatchThePaper) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  const TetraMesh base_mesh = BaseMesh(neuro);
+  Octopus routed;
+  routed.Build(base_mesh);
+  Octopus paper(OctopusOptions{.route_to_scan = false});
+  paper.Build(base_mesh);
+  const std::vector<AABB> boxes = OrderBoxes(mesh, 71);
+  engine::ThreadPool pool(4);
+  for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                &pool}) {
+    SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+    routed.ResetStats();
+    paper.ResetStats();
+    engine::QueryBatchResult got;
+    engine::QueryBatchResult want;
+    routed.RangeQueryBatch(mesh, boxes, &got, p);
+    paper.RangeQueryBatch(mesh, boxes, &want, p);
+    size_t scanned = 0;
+    size_t scanned_results = 0;
+    for (size_t i = 0; i < boxes.size(); ++i) {
+      if (routed.route().ToScan(boxes[i])) {
+        ++scanned;
+        scanned_results += got.per_query[i].size();
+        // Brute force lists the in-box ids ascending: the scan's order.
+        EXPECT_EQ(got.per_query[i], BruteForceRangeQuery(mesh, boxes[i]))
+            << "box " << i;
+      } else {
+        EXPECT_EQ(got.per_query[i], want.per_query[i]) << "box " << i;
+      }
+    }
+    const PhaseStats& stats = routed.stats();
+    EXPECT_GT(scanned, 0u);
+    EXPECT_LT(scanned, boxes.size());
+    EXPECT_EQ(stats.queries, boxes.size());
+    EXPECT_EQ(stats.scan_queries, scanned);
+    EXPECT_GT(stats.scan_blocks_skipped, 0u);
+    EXPECT_GT(stats.scan_vertices_tested, scanned_results);
+    EXPECT_GT(stats.scan_nanos, 0);
+    EXPECT_EQ(paper.stats().scan_queries, 0u);
+  }
+}
+
+/// Runs `boxes` in every order of `ArrivalOrders(boxes.size(), seed)`
+/// through `run` and requires each box's ids, in order, to be `want`'s
+/// for that box and the scan-routed count to be `want_scans`.
+template <typename Run>
+void ExpectRoutedAnswers(std::span<const AABB> boxes,
+                         const engine::QueryBatchResult& want,
+                         size_t want_scans, uint64_t seed, const Run& run) {
+  const std::vector<std::vector<size_t>> orders =
+      ArrivalOrders(boxes.size(), seed);
+  for (size_t o = 0; o < orders.size(); ++o) {
+    SCOPED_TRACE("arrival order " + std::to_string(o));
+    std::vector<AABB> arrived;
+    for (const size_t i : orders[o]) arrived.push_back(boxes[i]);
+    engine::QueryBatchResult result;
+    PhaseStats stats;
+    run(std::span<const AABB>(arrived), &result, &stats);
+    ASSERT_EQ(result.size(), boxes.size());
+    for (size_t slot = 0; slot < arrived.size(); ++slot) {
+      ASSERT_EQ(result.per_query[slot], want.per_query[orders[o][slot]])
+          << "box " << orders[o][slot];
+    }
+    EXPECT_EQ(stats.scan_queries, want_scans);
+  }
+}
+
+TEST(ScanRouteTest, RoutesAndAnswersAlikeInMemoryAndPaged) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  const TetraMesh base_mesh = BaseMesh(neuro);
+  Octopus octopus;
+  octopus.Build(base_mesh);
+  const std::vector<AABB> boxes = OrderBoxes(mesh, 72);
+  engine::QueryBatchResult want;
+  octopus.RangeQueryBatch(mesh, boxes, &want);
+  const size_t want_scans = octopus.stats().scan_queries;
+  ASSERT_GT(want_scans, 0u);
+  ASSERT_LT(want_scans, boxes.size());
+
+  // The deformed positions as a 4 KiB page table, over the snapshot of
+  // the step-0 mesh for the paged executor.
+  constexpr size_t kPageBytes = storage::kDefaultPageBytes;
+  const std::string path = ::testing::TempDir() + "/scan_route.oct2";
+  ASSERT_TRUE(SaveSnapshot(base_mesh, path,
+                           storage::SnapshotOptions{.page_bytes = kPageBytes})
+                  .ok());
+  const auto overlay = storage::PositionOverlay::BuildNext(
+      mesh.num_vertices(), kPageBytes, nullptr, neuro.base, mesh.positions(),
+      nullptr);
+  storage::ResidentEpoch epoch;
+  storage::PageIOStats reload_io;
+  ASSERT_TRUE(epoch.Load(*overlay, &reload_io).ok());
+  const auto per_page = static_cast<uint32_t>(overlay->positions_per_page());
+  const MeshGraphView graph = mesh.Graph();
+  engine::ContextPool contexts;
+  contexts.set_num_vertices(mesh.num_vertices());
+  PagedOctopus::Options options;
+  options.pool.pool_bytes = 64 * kPageBytes;
+  auto paged = PagedOctopus::Open(path, options);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  EXPECT_EQ(paged.Value()->route().break_even_selectivity(),
+            octopus.route().break_even_selectivity());
+
+  engine::ThreadPool pool(4);
+  for (engine::ThreadPool* p : {static_cast<engine::ThreadPool*>(nullptr),
+                                &pool}) {
+    SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+    {
+      SCOPED_TRACE("flat");
+      ExpectRoutedAnswers(
+          boxes, want, want_scans, 73,
+          [&](std::span<const AABB> arrived, engine::QueryBatchResult* out,
+              PhaseStats* stats) {
+            octopus.ResetStats();
+            octopus.RangeQueryBatch(mesh, arrived, out, p);
+            *stats = octopus.stats();
+          });
+    }
+    {
+      SCOPED_TRACE("page table");
+      ExpectRoutedAnswers(
+          boxes, want, want_scans, 74,
+          [&](std::span<const AABB> arrived, engine::QueryBatchResult* out,
+              PhaseStats* stats) {
+            contexts.ResetStats();
+            ExecuteOctopusBatch(
+                [&](engine::ExecutionContext*) {
+                  return storage::InMemoryMeshAccessor(graph, epoch.pages(),
+                                                       per_page);
+                },
+                octopus.surface_index(), OctopusOptions{}, octopus.route(),
+                arrived, out, p, &contexts);
+            *stats = contexts.stats();
+          });
+    }
+    {
+      SCOPED_TRACE("paged");
+      ExpectRoutedAnswers(
+          boxes, want, want_scans, 75,
+          [&](std::span<const AABB> arrived, engine::QueryBatchResult* out,
+              PhaseStats* stats) {
+            paged.Value()->ResetStats();
+            paged.Value()->RangeQueryBatch(arrived, out, p, epoch.pages());
+            *stats = paged.Value()->stats();
+          });
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ScanRouteTest, LinearScanIsTheTiledKernelInIdOrder) {
+  const DeformedNeuro neuro = MakeDeformedNeuro();
+  const TetraMesh& mesh = neuro.mesh;
+  std::vector<AABB> boxes = OrderBoxes(mesh, 76);
+  // More than one tile, so later tiles skip by the first tile's bounds;
+  // plus boxes the kernel must still answer exactly: all of space,
+  // empty, inverted and NaN.
+  const std::vector<AABB> more = OrderBoxes(mesh, 77);
+  boxes.insert(boxes.end(), more.begin(), more.end());
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  boxes.push_back(AABB(Vec3(-kInf, -kInf, -kInf), Vec3(kInf, kInf, kInf)));
+  boxes.push_back(AABB(Vec3(1e6f, 1e6f, 1e6f), Vec3(2e6f, 2e6f, 2e6f)));
+  boxes.push_back(AABB(Vec3(1, 1, 1), Vec3(-1, -1, -1)));
+  boxes.push_back(AABB(Vec3(kNaN, 0, 0), Vec3(kNaN, 1, 1)));
+  ASSERT_GT(boxes.size(), kScanTileBoxes);
+  LinearScan scan;
+  engine::QueryBatchResult batch;
+  scan.RangeQueryBatch(mesh, boxes, &batch);
+  ASSERT_EQ(batch.size(), boxes.size());
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    EXPECT_EQ(batch.per_query[i], BruteForceRangeQuery(mesh, boxes[i]))
+        << "box " << i;
+    std::vector<VertexId> alone = {kInvalidVertex};  // appends only
+    scan.RangeQuery(mesh, boxes[i], &alone);
+    alone.erase(alone.begin());
+    EXPECT_EQ(alone, batch.per_query[i]) << "box " << i;
+  }
+  EXPECT_EQ(batch.per_query[boxes.size() - 4].size(), mesh.num_vertices());
 }
 
 // ---------- OCTOPUS-CON ----------

@@ -168,6 +168,7 @@ TEST(ServerIntegrationTest, Fig6WorkloadParityInMemory) {
     // request, so its stats must equal the in-process engine's.
     ExpectNonIoCountersEqual(result.Value().stats.ToPhaseStats(),
                              octopus.stats());
+    EXPECT_GT(octopus.stats().crawl_edges, 0u);
     EXPECT_EQ(result.Value().stats.batch_queries, batches[b].size());
     EXPECT_EQ(result.Value().stats.batch_requests, 1u);
   }
@@ -212,6 +213,7 @@ TEST(ServerIntegrationTest, Fig6WorkloadParityPaged) {
     }
     ExpectNonIoCountersEqual(result.Value().stats.ToPhaseStats(),
                              octopus.stats());
+    EXPECT_GT(octopus.stats().crawl_edges, 0u);
     total_page_accesses +=
         result.Value().stats.page_hits + result.Value().stats.page_misses;
   }
@@ -227,7 +229,8 @@ TEST(ServerIntegrationTest, EightConcurrentClientsGetTheirOwnResults) {
   constexpr int kRequestsPerClient = 5;
   constexpr int kQueriesPerRequest = 10;
 
-  const TetraMesh mesh = MakeBox(8);
+  // Break-even near 1% selectivity: the 0.1-2% boxes route both ways.
+  const TetraMesh mesh = MakeBox(12);
   ServerOptions options;
   options.scheduler.window_nanos = 2'000'000;
   ServerFixture fixture(VersionedBackend::FromMesh(mesh, 1), options);
@@ -277,6 +280,11 @@ TEST(ServerIntegrationTest, EightConcurrentClientsGetTheirOwnResults) {
   EXPECT_EQ(Sample(stats, "octopus_queries_received_total"), total);
   EXPECT_EQ(Sample(stats, "octopus_queries_executed_total"), total);
   EXPECT_EQ(Sample(stats, "octopus_queries_rejected_total"), 0.0);
+  EXPECT_EQ(Sample(stats, "octopus_queries_routed_octopus_total") +
+                Sample(stats, "octopus_queries_routed_scan_total"),
+            total);
+  EXPECT_GT(Sample(stats, "octopus_queries_routed_octopus_total"), 0.0);
+  EXPECT_GT(Sample(stats, "octopus_queries_routed_scan_total"), 0.0);
   EXPECT_GE(batches, 1.0);
   EXPECT_LE(batches, double{kClients} * kRequestsPerClient);
   // The coalesce factor: queries per executed batch.
@@ -1168,15 +1176,16 @@ TEST(ServerIntegrationTest, MetricsEndpointMatchesOctpStats) {
 // with non-zero phase spans, and the CLI's Chrome-trace rendering of
 // the dump must carry those spans.
 TEST(ServerIntegrationTest, TraceDumpCapturesPhaseTimings) {
-  const TetraMesh mesh = MakeBox(6);
+  const TetraMesh mesh = MakeBox(12);
   ServerFixture fixture(VersionedBackend::FromMesh(mesh, 1));
   auto remote = MustConnect(fixture.port());
 
-  // A whole-mesh box guarantees probe, walk/crawl work and a non-empty
-  // result set to serialize.
+  // A small interior box guarantees probe, walk and crawl work (the
+  // Eq. 6 route leaves it to OCTOPUS); the whole-mesh box, which the
+  // route sends to the scan, a large result set to serialize.
   const std::vector<AABB> queries = {AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)),
-                                     AABB(Vec3(0, 0, 0),
-                                          Vec3(0.5f, 0.5f, 0.5f))};
+                                     AABB(Vec3(0.4f, 0.4f, 0.4f),
+                                          Vec3(0.55f, 0.55f, 0.55f))};
   auto result = remote->ExecuteBatch(queries);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -1760,7 +1769,8 @@ TEST(ServerIntegrationTest, MultiThreadedClientsGetTheirOwnResults) {
   constexpr int kRequestsPerClient = 5;
   constexpr int kQueriesPerRequest = 10;
 
-  const TetraMesh mesh = MakeBox(8);
+  // Break-even near 1% selectivity: the 0.1-2% boxes route both ways.
+  const TetraMesh mesh = MakeBox(12);
   ServerOptions options;
   options.io_threads = 4;
   options.scheduler.window_nanos = 2'000'000;
@@ -1811,6 +1821,11 @@ TEST(ServerIntegrationTest, MultiThreadedClientsGetTheirOwnResults) {
   EXPECT_EQ(Sample(stats, "octopus_queries_received_total"), total);
   EXPECT_EQ(Sample(stats, "octopus_queries_executed_total"), total);
   EXPECT_EQ(Sample(stats, "octopus_queries_rejected_total"), 0.0);
+  EXPECT_EQ(Sample(stats, "octopus_queries_routed_octopus_total") +
+                Sample(stats, "octopus_queries_routed_scan_total"),
+            total);
+  EXPECT_GT(Sample(stats, "octopus_queries_routed_octopus_total"), 0.0);
+  EXPECT_GT(Sample(stats, "octopus_queries_routed_scan_total"), 0.0);
   // Sessions live on different epoll threads, but the scheduler is
   // shared: requests still coalesce across connections.
   EXPECT_LE(batches, double{kClients} * kRequestsPerClient);

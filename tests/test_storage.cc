@@ -618,22 +618,36 @@ TEST(PagedOctopusTest, TinyPoolAndManyThreadsStayExact) {
   Rng rng(3);
   const std::vector<AABB> queries = gen.MakeQueries(&rng, 12, 0.001, 0.02);
 
-  // The degenerate 2-page pool, driven by 1 and 4 threads.
-  PagedOctopus::Options options;
-  options.pool.pool_bytes = 2 * 512;
-  auto paged = PagedOctopus::Open(path, options);
-  ASSERT_TRUE(paged.ok());
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE(threads);
-    engine::ThreadPool pool(threads);
-    engine::QueryBatchResult results;
-    paged.Value()->RangeQueryBatch(queries, &results,
-                                   threads > 1 ? &pool : nullptr);
-    ASSERT_EQ(results.size(), queries.size());
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(Sorted(results.per_query[q]),
-                BruteForceRangeQuery(mesh, queries[q]))
-          << "query " << q;
+  // The degenerate 2-page pool, driven by 1 and 4 threads, under the
+  // paper's pure OCTOPUS (every box crawled through the evicting pool)
+  // and the served route (this small box sends every box to the scan).
+  for (const bool route_to_scan : {false, true}) {
+    SCOPED_TRACE(route_to_scan ? "routed" : "paper");
+    PagedOctopus::Options options;
+    options.pool.pool_bytes = 2 * 512;
+    options.executor.route_to_scan = route_to_scan;
+    auto paged = PagedOctopus::Open(path, options);
+    ASSERT_TRUE(paged.ok());
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      engine::ThreadPool pool(threads);
+      engine::QueryBatchResult results;
+      paged.Value()->ResetStats();
+      paged.Value()->RangeQueryBatch(queries, &results,
+                                     threads > 1 ? &pool : nullptr);
+      ASSERT_EQ(results.size(), queries.size());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        EXPECT_EQ(Sorted(results.per_query[q]),
+                  BruteForceRangeQuery(mesh, queries[q]))
+            << "query " << q;
+      }
+      const PhaseStats& stats = paged.Value()->stats();
+      if (route_to_scan) {
+        EXPECT_GT(stats.scan_queries, 0u);
+      } else {
+        EXPECT_GT(stats.crawl_edges, 0u);
+        EXPECT_EQ(stats.scan_queries, 0u);
+      }
     }
   }
   std::remove(path.c_str());
@@ -648,20 +662,29 @@ TEST(PagedOctopusTest, SingleThreadPageCountersAreDeterministic) {
   Rng rng(9);
   const std::vector<AABB> queries = gen.MakeQueries(&rng, 10, 0.001, 0.01);
 
-  storage::PageIOStats runs[2];
-  for (auto& run : runs) {
-    PagedOctopus::Options options;
-    options.pool.pool_bytes = 4 * 512;
-    auto paged = PagedOctopus::Open(path, options);
-    ASSERT_TRUE(paged.ok());
-    engine::QueryBatchResult results;
-    paged.Value()->RangeQueryBatch(queries, &results);
-    run = paged.Value()->stats().page_io;
-    EXPECT_GT(run.PageAccesses(), 0u);
+  // Crawled (the paper's pure OCTOPUS) and scanned (the served route
+  // sends every box of this small box to the scan).
+  for (const bool route_to_scan : {false, true}) {
+    SCOPED_TRACE(route_to_scan ? "routed" : "paper");
+    storage::PageIOStats runs[2];
+    for (auto& run : runs) {
+      PagedOctopus::Options options;
+      options.pool.pool_bytes = 4 * 512;
+      options.executor.route_to_scan = route_to_scan;
+      auto paged = PagedOctopus::Open(path, options);
+      ASSERT_TRUE(paged.ok());
+      engine::QueryBatchResult results;
+      paged.Value()->RangeQueryBatch(queries, &results);
+      run = paged.Value()->stats().page_io;
+      EXPECT_GT(run.PageAccesses(), 0u);
+      EXPECT_GT(route_to_scan ? paged.Value()->stats().scan_queries
+                              : paged.Value()->stats().crawl_edges,
+                0u);
+    }
+    EXPECT_EQ(runs[0].page_hits, runs[1].page_hits);
+    EXPECT_EQ(runs[0].page_misses, runs[1].page_misses);
+    EXPECT_EQ(runs[0].page_evictions, runs[1].page_evictions);
   }
-  EXPECT_EQ(runs[0].page_hits, runs[1].page_hits);
-  EXPECT_EQ(runs[0].page_misses, runs[1].page_misses);
-  EXPECT_EQ(runs[0].page_evictions, runs[1].page_evictions);
   std::remove(path.c_str());
 }
 

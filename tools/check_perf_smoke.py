@@ -19,8 +19,9 @@ Reads BENCH_dynamic.json and enforces the lease-economy guarantees:
     satisfy probe_position_reads == batches * shards *
     ceil(surface_vertices / probe_stride) exactly. A regression to
     per-query surface reads multiplies it by the queries per shard.
-  * Traversal totals — walk invocations, walked vertices, crawl edges
-    and result vertices, per backend, over the whole run. Deterministic
+  * Traversal totals — walk invocations, walked vertices, crawl edges,
+    result vertices and the queries the Eq. 6 route answered by the
+    tiled scan, per backend, over the whole run. Deterministic
     for given settings (scale, steps, queries per step; any thread
     count), so they must equal the committed baseline for those
     settings, tools/perf_smoke_baseline.json, exactly. A change that
@@ -81,7 +82,7 @@ TRAVERSAL_COUNTERS = [
     f"{backend}_{counter}"
     for backend in ("in_memory", "paged")
     for counter in ("walk_invocations", "walk_vertices", "crawl_edges",
-                    "result_vertices")
+                    "result_vertices", "scan_queries")
 ]
 
 
